@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import no_grad
+
 INTEGER_TOLERANCE = 1e-5
 
 KIND_FIRST = "first-encoding-conv"
@@ -117,21 +119,27 @@ def firing_rate(spikes: np.ndarray) -> float:
     return float(arr.mean())
 
 
+def run_recorded(model, batches) -> ForwardRecorder:
+    """Run tape-free forward passes over one array or an iterable of batches
+    with a fresh recorder attached; returns the recorder."""
+    recorder = ForwardRecorder()
+    model.set_recorder(recorder)
+    try:
+        with no_grad():
+            for batch in [batches] if isinstance(batches, np.ndarray) else batches:
+                model.forward(batch)
+    finally:
+        model.set_recorder(None)
+    return recorder
+
+
 def record(model, batches) -> PurityReport:
     """Run the model over input batches and report on every audited ConvBN.
 
     The tokenizer's first unit (the spike encoder) is exempt from auditing:
     it is the one conv allowed to see analog data.
     """
-    recorder = ForwardRecorder()
-    model.set_recorder(recorder)
-    try:
-        if isinstance(batches, np.ndarray):
-            batches = [batches]
-        for batch in batches:
-            model.forward(batch)
-    finally:
-        model.set_recorder(None)
+    recorder = run_recorded(model, batches)
     layers = {}
     offending = []
     for name, obs in sorted(recorder.layers.items()):

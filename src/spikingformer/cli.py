@@ -29,6 +29,7 @@ from .model import (
 )
 from .train import (
     TrainConfig,
+    TrainingDiverged,
     evaluate,
     load_checkpoint,
     save_checkpoint,
@@ -142,7 +143,7 @@ def _model_from_args(cfg, args, need_checkpoint=True) -> tuple:
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     ckpt = getattr(args, "checkpoint", None)
     if ckpt:
-        model = load_checkpoint(ckpt, model_cfg, fused=getattr(args, "fused", False))
+        model = load_checkpoint(ckpt, model_cfg)
     else:
         if need_checkpoint:
             raise ConfigError("this command requires --checkpoint")
@@ -314,6 +315,9 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrainingDiverged as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .audit import KIND_CONV, KIND_FIRST, KIND_SSA, ForwardRecorder
+from .audit import KIND_CONV, KIND_FIRST, KIND_SSA, run_recorded
 
 MODE_INTEGER_AS_N_ACS = "integer-as-N-ACs"
 MODE_INTEGER_AS_MAC = "integer-as-MAC"
@@ -154,17 +154,7 @@ def trace_model(model, batches) -> list:
     FLOPs are per time step for a single sample; histograms are scaled to the
     operation level, so counts sum to flops * T per layer.
     """
-    import numpy as np
-
-    recorder = ForwardRecorder()
-    model.set_recorder(recorder)
-    try:
-        if isinstance(batches, np.ndarray):
-            batches = [batches]
-        for batch in batches:
-            model.forward(batch)
-    finally:
-        model.set_recorder(None)
+    recorder = run_recorded(model, batches)
     t_steps = model.config.timesteps
     traces = []
     for name, obs in sorted(recorder.layers.items()):

@@ -235,16 +235,10 @@ def build(config: ModelConfig, seed: int = 0) -> Model:
 
 def max_convbn_input(model: Model, data) -> dict:
     """Max observed input value per ConvBN, excluding the encoder conv."""
-    from .audit import ForwardRecorder
+    from .audit import run_recorded
 
-    recorder = ForwardRecorder()
-    model.set_recorder(recorder)
-    try:
-        model.forward(data)
-    finally:
-        model.set_recorder(None)
     out = {}
-    for name, layer in recorder.layers.items():
+    for name, layer in run_recorded(model, [data]).layers.items():
         if layer.first_encoding:
             continue
         out[name] = max(layer.histogram) if layer.histogram else 0

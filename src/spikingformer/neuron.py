@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tensor import Tensor, spike_threshold, stack
+import numpy as np
+
+from .tensor import Tensor, _make, spike_threshold, surrogate_grad
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
@@ -48,15 +50,12 @@ class MembraneState:
 
     v: Tensor
 
-    @classmethod
-    def initial(cls, like: Tensor, params: LIFParams) -> "MembraneState":
-        import numpy as np
-
-        return cls(Tensor(np.full(like.shape, params.v_reset, dtype=like.data.dtype)))
-
 
 def lif_step(state: MembraneState, x: Tensor, params: LIFParams):
-    """One integrate-fire-reset step. Returns (spikes, next state)."""
+    """One integrate-fire-reset step. Returns (spikes, next state).
+
+    The composed single-step reference that ``multistep_lif`` must match.
+    """
     if state.v.shape != x.shape:
         raise ValueError(f"state shape {state.v.shape} != input shape {x.shape}")
     v = state.v
@@ -67,57 +66,68 @@ def lif_step(state: MembraneState, x: Tensor, params: LIFParams):
     return s, MembraneState(v_next)
 
 
-def _relaxed_step(state: MembraneState, x: Tensor, params: LIFParams):
-    v = state.v
-    h = v + (x - (v - params.v_reset)) * (1.0 / params.tau)
-    s = ((h - Tensor(params.v_threshold)) * params.alpha).sigmoid()
-    v_next = h * (1.0 - s) + s * params.v_reset
-    return s, MembraneState(v_next)
-
-
 def multistep_lif(
     x: Tensor,
     params: LIFParams,
     mode: str = SPIKING,
     input_scale: float = 1.0,
 ) -> Tensor:
-    """Run LIF dynamics along the leading time axis of x ([T, ...]).
+    """Run LIF dynamics along the leading time axis of x ([T, ...]) as one tape node.
 
     The membrane starts at V_reset. ``input_scale`` pre-multiplies the input
     current inside the neuron, which is how constant attention scales are
-    absorbed without a standalone float multiply in the spike path.
+    absorbed without a standalone float multiply in the spike path. Spiking
+    mode repeats ``lif_step``'s float operations in the same order, so its
+    spikes are bit-equal to a loop of ``lif_step``; relaxed mode fires
+    sigmoid(alpha * (H - V_th)) and never detaches the reset. The backward
+    runs the BPTT recurrence in reverse over T.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
     if mode not in (SPIKING, RELAXED):
         raise ValueError(f"unknown mode {mode!r}")
-    import numpy as np
-
-    step = lif_step if mode == SPIKING else _relaxed_step
-    state = MembraneState(
-        Tensor(np.full(x.shape[1:], params.v_reset, dtype=x.data.dtype))
-    )
-    outs = []
-    for t in range(x.shape[0]):
-        xt = _take0(x, t)
-        if input_scale != 1.0:
-            xt = xt * input_scale
-        s, state = step(state, xt, params)
-        outs.append(s)
-    return stack(outs, axis=0)
-
-
-def _take0(x: Tensor, i: int) -> Tensor:
-    """Differentiable x[i] along axis 0."""
-    import numpy as np
-
-    out_data = x.data[i]
-    out = Tensor(out_data, _parents=(x,) if (x.requires_grad or x._parents) else ())
+    xd = x.data
+    dt = xd.dtype.type
+    decay, v_th, v_reset = dt(1.0 / params.tau), dt(params.v_threshold), dt(params.v_reset)
+    spikes = np.empty_like(xd)
+    hs = np.empty_like(xd)  # H[t], kept for the backward
+    v = np.full(xd.shape[1:], v_reset, dtype=xd.dtype)
+    reset = np.empty_like(v)
+    for t in range(xd.shape[0]):  # lif_step's operations, in preallocated buffers
+        h, s = hs[t], spikes[t]
+        xt = xd[t] * dt(input_scale) if input_scale != 1.0 else xd[t]
+        np.subtract(xt, np.subtract(v, v_reset, out=h), out=h)
+        np.add(v, np.multiply(h, decay, out=h), out=h)
+        if mode == SPIKING:
+            np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
+        else:
+            with np.errstate(over="ignore"):
+                s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
+        np.multiply(h, np.subtract(1.0, s, out=v), out=v)
+        np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+    out = _make(spikes, (x,))
+    detach = params.detach_reset and mode == SPIKING
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
+        # BPTT in reverse over T, taking the products in the order the composed
+        # lif_step tape takes them. dS/dH is the surrogate at H - V_th; dV/dH
+        # is (1 - S), plus (V_reset - H) dS/dH when the reset is not detached;
+        # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau.
+        gx = np.empty_like(xd)
+        g_v = np.zeros_like(hs[0])
+        for t in range(xd.shape[0] - 1, -1, -1):
+            sg = surrogate_grad(hs[t] - v_th, params.alpha)
+            g_h = g_v * (1.0 - spikes[t])
+            if detach:
+                g_h += g[t] * sg
+            else:
+                g_h += ((g[t] + g_v * v_reset) - g_v * hs[t]) * sg
+            np.multiply(g_h, decay, out=gx[t])
+            g_v = np.subtract(g_h, gx[t], out=g_h)
+            if input_scale != 1.0:
+                gx[t] *= dt(input_scale)
         x._accumulate(gx)
 
-    out._backward = bwd
+    if out._parents:
+        out._backward = bwd
     return out

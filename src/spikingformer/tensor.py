@@ -7,12 +7,16 @@ tensor created with ``requires_grad=True``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
-transpose / concat, exp / log / sigmoid, and the hard-threshold op whose
-backward is the sigmoid surrogate derivative.
+transpose, exp / log / sigmoid, and the hard-threshold op whose backward is
+the sigmoid surrogate derivative. Inside ``no_grad()`` ops record nothing.
+
+Gradients are never written in place: ``_accumulate`` keeps the first array
+it receives, which may be shared with another tensor's gradient.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 from typing import Optional, Sequence
 
@@ -20,6 +24,7 @@ import numpy as np
 
 _DEFAULT_DTYPE = np.float32
 _seq_counter = itertools.count()
+_grad_enabled = True
 
 
 def set_default_dtype(dtype) -> None:
@@ -38,10 +43,21 @@ def default_dtype():
     return _DEFAULT_DTYPE
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Run the enclosed ops without recording a tape (forward-only passes)."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
+
+
 class Tensor:
     """A dense array plus optional participation in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         if isinstance(data, Tensor):
@@ -83,7 +99,7 @@ class Tensor:
 
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(grad, dtype=self.data.dtype)
         else:
             self.grad = self.grad + grad
 
@@ -107,7 +123,7 @@ class Tensor:
         self._accumulate(np.ones_like(self.data))
         for seq in sorted(nodes, reverse=True):
             t = nodes[seq]
-            if t._backward is not None and t.grad is not None:
+            if t._parents and t.grad is not None:
                 t._backward(t.grad)
 
     # -- helpers ------------------------------------------------------------
@@ -182,8 +198,11 @@ class Tensor:
                 ga = g @ np.swapaxes(b, -1, -2)
                 self._accumulate(_unbroadcast(ga, a.shape))
             if other.requires_grad or other._parents:
-                gb = np.swapaxes(a, -1, -2) @ g
-                other._accumulate(_unbroadcast(gb, b.shape))
+                if b.ndim == 2:  # one GEMM over every leading axis of a
+                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                else:
+                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+                other._accumulate(gb)
 
         out._backward = bwd
         return out
@@ -228,8 +247,9 @@ class Tensor:
     # -- pointwise nonlinearities --------------------------------------------
 
     def exp(self) -> "Tensor":
-        out = _make(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g * out.data)
+        e = np.exp(self.data)  # captured instead of out, which would make a cycle
+        out = _make(e, (self,))
+        out._backward = lambda g: self._accumulate(g * e)
         return out
 
     def log(self) -> "Tensor":
@@ -246,6 +266,8 @@ class Tensor:
 
 
 def _make(data: np.ndarray, parents) -> Tensor:
+    if not _grad_enabled:
+        return Tensor(data)
     tracked = tuple(p for p in parents if p.requires_grad or p._parents)
     return Tensor(data, _parents=tracked)
 
@@ -258,27 +280,6 @@ def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
         if dim == 1 and grad.shape[i] != 1:
             grad = grad.sum(axis=i, keepdims=True)
     return grad
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    datas = [t.data for t in tensors]
-    out = _make(np.concatenate(datas, axis=axis), tensors)
-    sizes = [d.shape[axis] for d in datas]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad or t._parents:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(idx)])
-
-    out._backward = bwd
-    return out
-
-
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    return concat([t.reshape(t.shape[:axis] + (1,) + t.shape[axis:]) for t in tensors], axis=axis)
 
 
 # -- spiking threshold -------------------------------------------------------

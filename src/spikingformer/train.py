@@ -184,9 +184,13 @@ def read_checkpoint(path) -> dict:
     return state
 
 
-def load_checkpoint(path, config: ModelConfig, fused: bool = False) -> Model:
+def load_checkpoint(path, config: ModelConfig) -> Model:
+    """Build a model for ``config`` and load a checkpoint written by
+    ``save_checkpoint``; a state holding ``*.fused_weight`` entries (written
+    after ``Model.fuse``) loads into a fused model."""
+    state = read_checkpoint(path)
     model = build(config)
-    if fused:
+    if any(name.endswith(".fused_weight") for name in state):
         model.fuse()
-    model.load_state(read_checkpoint(path))
+    model.load_state(state)
     return model

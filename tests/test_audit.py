@@ -167,6 +167,15 @@ class TestModelAudit:
         report = record(model, [self._batch(rng), self._batch(rng)])
         assert report.pure
 
+    def test_record_runs_off_the_tape(self, rng, monkeypatch):
+        model = self._model()
+        forward, outputs = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda x: outputs.append(forward(x)) or outputs[-1])
+        record(model, [self._batch(rng), self._batch(rng)])
+        assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+        assert all(p.grad is None for p in model.parameters())
+        assert forward(self._batch(rng))._parents  # the tape is back on afterwards
+
     def test_histograms_cover_all_elements(self, rng):
         report = record(self._model(), self._batch(rng))
         for info in report.layers.values():

@@ -80,6 +80,13 @@ class TestTrainCommand:
         main(["train", "--config", config_path, "--out", str(b), "--seed", "0"])
         assert (a / "checkpoint.spkf").read_bytes() == (b / "checkpoint.spkf").read_bytes()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_is_an_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, epochs=2, lr=1e38)))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 1
+        assert "error: non-finite loss" in capsys.readouterr().err
+
     def test_missing_required_keys(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"epochs": 1}))
@@ -161,6 +168,22 @@ class TestFuseCommand:
         assert code == 0
         assert "equivalent" in capsys.readouterr().out
         assert (out / "checkpoint-fused.spkf").exists()
+
+    def test_fused_checkpoint_loads_in_every_command(self, tmp_path, config_path, trained,
+                                                     capsys):
+        out = tmp_path / "fused"
+        assert main(["fuse", "--config", config_path, "--out", str(out),
+                     "--checkpoint", str(trained / "checkpoint.spkf")]) == 0
+        fused = str(out / "checkpoint-fused.spkf")
+        capsys.readouterr()
+        assert main(["eval", "--config", config_path,
+                     "--checkpoint", str(trained / "checkpoint.spkf")]) == 0
+        unfused_acc = capsys.readouterr().out
+        assert main(["eval", "--config", config_path, "--checkpoint", fused]) == 0
+        assert capsys.readouterr().out == unfused_acc
+        for command in ("audit", "energy"):
+            assert main([command, "--config", config_path, "--out", str(tmp_path / command),
+                         "--checkpoint", fused]) == 0, command
 
 
 class TestParamsCommand:

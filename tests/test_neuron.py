@@ -12,7 +12,7 @@ from spikingformer.neuron import (
     lif_step,
     multistep_lif,
 )
-from spikingformer.tensor import Tensor, heaviside, surrogate_grad
+from spikingformer.tensor import Tensor, heaviside, set_default_dtype, surrogate_grad
 
 DEFAULTS = LIFParams()
 
@@ -160,3 +160,82 @@ class TestRandomDrawProperties:
         s = multistep_lif(x, DEFAULTS)
         s.sum().backward()
         assert np.all(np.abs(x.grad) > 0)
+
+
+def _relaxed_step(state, x, params):
+    """Composed relaxed step: sigmoid firing, reset not detached."""
+    v = state.v
+    h = v + (x - (v - params.v_reset)) * (1.0 / params.tau)
+    s = ((h - params.v_threshold) * params.alpha).sigmoid()
+    return s, MembraneState(h * (1.0 - s) + s * params.v_reset)
+
+
+def composed_lif(x, params, mode="spiking", input_scale=1.0):
+    """The per-step Tensor-op reference for multistep_lif.
+
+    Returns (spikes [T, ...], per-step input leaves whose .grad is dL/dX[t]).
+    """
+    step = lif_step if mode == "spiking" else _relaxed_step
+    leaves = [Tensor(x[t], requires_grad=True) for t in range(x.shape[0])]
+    state = state_of(np.full(x.shape[1:], params.v_reset))
+    outs = []
+    for leaf in leaves:
+        xt = leaf * input_scale if input_scale != 1.0 else leaf
+        s, state = step(state, xt, params)
+        outs.append(s)
+    return outs, leaves
+
+
+class TestFusedAgainstComposed:
+    """multistep_lif (one tape node) against a loop of composed steps."""
+
+    CASES = [
+        (LIFParams(), 1.0),
+        (LIFParams(), 0.125),
+        (LIFParams(tau=3.0, v_threshold=0.75, v_reset=-0.25), 1.0),
+        (LIFParams(tau=1.5, v_threshold=1.0, v_reset=0.5), 0.125),
+    ]
+
+    @pytest.mark.parametrize("params,scale", CASES)
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    def test_spikes_bit_equal_float32(self, rng, params, scale, steps):
+        x = (3.0 * rng.standard_normal((steps, 5, 7)) / scale).astype(np.float32)
+        fused = multistep_lif(Tensor(x), params, input_scale=scale)
+        ref, _ = composed_lif(x, params, input_scale=scale)
+        assert fused.data.dtype == np.float32
+        np.testing.assert_array_equal(fused.data, np.stack([s.data for s in ref]))
+
+    @pytest.mark.parametrize("steps", [1, 2, 3, 4])
+    def test_exact_threshold_inputs_bit_equal(self, steps):
+        # X = V_th * tau lands H exactly on V_th from the reset potential
+        p = LIFParams()
+        x = np.full((steps, 6), p.v_threshold * p.tau, dtype=np.float32)
+        x[:, ::2] = np.nextafter(x[:, ::2], np.float32(0))
+        fused = multistep_lif(Tensor(x), p)
+        ref, _ = composed_lif(x, p)
+        np.testing.assert_array_equal(fused.data, np.stack([s.data for s in ref]))
+        assert np.all(fused.data[0, 1::2] == 1.0) and np.all(fused.data[0, ::2] == 0.0)
+
+    @pytest.mark.parametrize("params,scale", CASES)
+    @pytest.mark.parametrize("mode,detach", [("spiking", True), ("spiking", False),
+                                             ("relaxed", False)])
+    def test_input_gradient_float64(self, rng, params, scale, mode, detach):
+        set_default_dtype(np.float64)
+        try:
+            params = LIFParams(tau=params.tau, v_threshold=params.v_threshold,
+                               v_reset=params.v_reset, detach_reset=detach)
+            x = 2.0 * rng.standard_normal((4, 3, 5)) / scale
+            weight = rng.standard_normal(x.shape)
+            xt = Tensor(x, requires_grad=True)
+            (multistep_lif(xt, params, mode=mode, input_scale=scale)
+             * Tensor(weight)).sum().backward()
+            outs, leaves = composed_lif(x, params, mode=mode, input_scale=scale)
+            loss = outs[0] * Tensor(weight[0])
+            for t in range(1, len(outs)):
+                loss = loss + outs[t] * Tensor(weight[t])
+            loss.sum().backward()
+        finally:
+            set_default_dtype(np.float32)
+        expected = np.stack([leaf.grad for leaf in leaves])
+        assert np.any(expected != 0)
+        np.testing.assert_allclose(xt.grad, expected, rtol=0, atol=1e-6)

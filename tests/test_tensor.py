@@ -10,6 +10,7 @@ from spikingformer.tensor import (
     conv2d,
     log_softmax,
     maxpool2d,
+    no_grad,
     set_default_dtype,
 )
 
@@ -181,6 +182,19 @@ class TestBackward:
         for p, g in zip([w1, b1, w2], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
+    def test_rank3_input_weight_gradient_fd(self, float64_engine, rng):
+        # [T*B, N, D] @ [D, D'] takes the weight gradient as one flattened GEMM
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+
+        def run():
+            return ((x @ w) ** 2.0).sum()
+
+        run().backward()
+        fd = finite_difference(lambda: run().item(), [x, w])
+        for p, g in zip([x, w], fd):
+            assert relative_error(p.grad, g).max() <= 1e-3
+
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
     def test_conv2d_gradients_fd(self, float64_engine, rng, stride, padding):
         x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
@@ -231,6 +245,23 @@ class TestBackward:
         run().backward()
         (fd,) = finite_difference(lambda: run().item(), [x])
         assert relative_error(x.grad, fd).max() <= 1e-3
+
+
+class TestNoGrad:
+    def test_records_no_tape(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with no_grad():
+            loss = (w * 2.0).sum()
+        assert loss._parents == ()
+        loss.backward()
+        assert w.grad is None
+
+    def test_flag_restored_when_block_raises(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError, match="inside"):
+            with no_grad():
+                raise RuntimeError("raised inside no_grad")
+        assert (w * 2.0)._parents == (w,)
 
 
 def test_forward_determinism(rng):

@@ -1,7 +1,9 @@
 """Training loop, optimizer, checkpoints."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -186,6 +188,22 @@ class TestTrainLoop:
             if p.grad is not None and np.abs(p.grad).max() > 0
         )
         assert touched > 10
+
+
+def test_training_step_tape_freed_without_gc():
+    """The tape holds no reference cycle, so refcounting alone frees it."""
+    model = build(TINY, seed=0)
+    ds = _dataset(8)
+    gc.disable()
+    try:
+        logits = model.forward(ds.x)
+        cross_entropy(logits, ds.y).backward()
+        ref = weakref.ref(logits)
+        del logits
+        alive = ref() is not None
+    finally:
+        gc.enable()
+    assert not alive
 
 
 class TestCheckpoints:
