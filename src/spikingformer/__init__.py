@@ -12,7 +12,6 @@ from .energy import (
     spikformer_recalc,
     trace_model,
 )
-from .layers import fuse_convbn
 from .model import Model, ModelConfig, build, max_convbn_input, preset_config
 from .neuron import LIFParams, MembraneState, lif_step, multistep_lif
 from .tensor import Tensor, conv2d, heaviside, maxpool2d, surrogate_grad
@@ -35,7 +34,6 @@ __all__ = [
     "energy_static",
     "evaluate",
     "firing_rate",
-    "fuse_convbn",
     "heaviside",
     "lif_step",
     "load_checkpoint",

@@ -100,7 +100,7 @@ class ForwardRecorder:
 class PurityReport:
     """Per-layer histograms, firing rates and the overall spike-purity verdict."""
 
-    layers: dict            # name -> {kind, histogram, firing_rate, nonzero_ratio, anomalies}
+    layers: dict            # name -> {kind, histogram, firing_rate, anomalies}
     pure: bool
     offending_layers: list
 
@@ -152,7 +152,6 @@ def record(model, batches) -> PurityReport:
             "kind": obs.kind,
             "histogram": dict(sorted(obs.histogram.items())),
             "firing_rate": obs.firing_rate,
-            "nonzero_ratio": obs.firing_rate,
             "anomalies": obs.anomalies,
         }
         if not obs.is_binary:

@@ -17,16 +17,16 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import energy as energy_mod
-from .data import Dataset, load_cifar10_binary, synth_events, synth_static
+from .data import Dataset, batches, load_cifar10_binary, synth_events, synth_static
 from .layers import ADD, HEAD_VARIANTS, SPIKE_DRIVEN
 from .model import (
-    Model,
     ModelConfig,
     PRESETS,
     PUBLISHED_PARAM_COUNTS_M,
     build,
     preset_config,
 )
+from .tensor import no_grad
 from .train import (
     TrainConfig,
     TrainingDiverged,
@@ -123,14 +123,14 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
 def dataset_from(cfg: dict, args, model_cfg: ModelConfig) -> Dataset:
     kind = cfg.get("dataset", "synthetic-static")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    n = cfg.get("samples", 512)
-    if args.limit is not None:
-        n = min(n, args.limit)
+    caps = [v for v in (cfg.get("samples"), args.limit) if v is not None]
     if kind == "cifar10":
         path = args.data or cfg.get("data_path")
         if not path:
             raise ConfigError("cifar10 dataset needs --data or data_path")
-        return load_cifar10_binary(path, limit=args.limit)
+        # the whole file unless ``samples`` or --limit caps it
+        return load_cifar10_binary(path, limit=min(caps, default=None))
+    n = min(caps + [cfg.get("samples", 512)])
     c, (h, w) = model_cfg.in_channels, model_cfg.image_size
     if kind == "synthetic-events":
         return synth_events(model_cfg.num_classes, n, model_cfg.timesteps, seed, shape=(c, h, w))
@@ -138,17 +138,18 @@ def dataset_from(cfg: dict, args, model_cfg: ModelConfig) -> Dataset:
                         noise=cfg.get("noise", 0.05))
 
 
-def _model_from_args(cfg, args, need_checkpoint=True) -> tuple:
+def _eval_setup(args, need_checkpoint=True) -> tuple:
+    """(model in eval mode, its config, the dataset) for an inference command."""
+    cfg = load_config(args.config)
     model_cfg = model_config_from(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    ckpt = getattr(args, "checkpoint", None)
-    if ckpt:
-        model = load_checkpoint(ckpt, model_cfg)
+    if args.checkpoint:
+        model = load_checkpoint(args.checkpoint, model_cfg)
+    elif need_checkpoint:
+        raise ConfigError("this command requires --checkpoint")
     else:
-        if need_checkpoint:
-            raise ConfigError("this command requires --checkpoint")
-        model = build(model_cfg, seed=seed)
-    return model, model_cfg
+        model = build(model_cfg, seed=args.seed if args.seed is not None else cfg.get("seed", 0))
+    model.eval()
+    return model, model_cfg, dataset_from(cfg, args, model_cfg)
 
 
 def _out_dir(args) -> str:
@@ -181,28 +182,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = load_config(args.config)
-    model, model_cfg = _model_from_args(cfg, args)
-    dataset = dataset_from(cfg, args, model_cfg)
+    model, _, dataset = _eval_setup(args)
     acc = evaluate(model, dataset)
     print(f"accuracy {acc:.4f} on {len(dataset)} samples")
     return 0
 
 
-def _eval_batches(dataset: Dataset, model_cfg: ModelConfig, batch_size: int = 32):
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.x[start : start + batch_size]
-        if dataset.kind == "event-frames":
-            xb = np.moveaxis(xb, 0, 1)
-        yield xb
-
-
 def cmd_audit(args) -> int:
-    cfg = load_config(args.config)
-    model, model_cfg = _model_from_args(cfg, args, need_checkpoint=False)
-    model.eval()
-    dataset = dataset_from(cfg, args, model_cfg)
-    report = audit_mod.record(model, _eval_batches(dataset, model_cfg))
+    model, _, dataset = _eval_setup(args, need_checkpoint=False)
+    report = audit_mod.record(model, (x for x, _ in batches(dataset, 32)))
     out = _out_dir(args)
     audit_mod.write_report_csv(report, os.path.join(out, "purity.csv"))
     audit_mod.write_report_json(report, os.path.join(out, "purity.json"))
@@ -217,11 +205,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    cfg = load_config(args.config)
-    model, model_cfg = _model_from_args(cfg, args, need_checkpoint=False)
-    model.eval()
-    dataset = dataset_from(cfg, args, model_cfg)
-    traces = energy_mod.trace_model(model, _eval_batches(dataset, model_cfg))
+    model, model_cfg, dataset = _eval_setup(args, need_checkpoint=False)
+    traces = energy_mod.trace_model(model, (x for x, _ in batches(dataset, 32)))
     out = _out_dir(args)
     if model_cfg.residual_style == ADD:
         mode = (energy_mod.MODE_INTEGER_AS_MAC if args.mode == 2
@@ -239,14 +224,12 @@ def cmd_energy(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    cfg = load_config(args.config)
-    model, model_cfg = _model_from_args(cfg, args)
-    model.eval()
-    dataset = dataset_from(cfg, args, model_cfg)
-    xb = next(_eval_batches(dataset, model_cfg))
-    before = model.forward(xb).data
-    model.fuse()
-    after = model.forward(xb).data
+    model, _, dataset = _eval_setup(args)
+    xb, _ = next(batches(dataset, 32))
+    with no_grad():
+        before = model.forward(xb).data
+        model.fuse()
+        after = model.forward(xb).data
     diff = float(np.max(np.abs(before - after)))
     out = _out_dir(args)
     path = os.path.join(out, "checkpoint-fused.spkf")

@@ -31,6 +31,22 @@ class Dataset:
         return self.x.shape[-3:]
 
 
+def batches(dataset: Dataset, batch_size: int, order=None):
+    """Yield (x, y) minibatches laid out for ``Model.forward``.
+
+    Samples are taken in ``order`` (an index array; default: dataset order),
+    ``batch_size`` at a time, the last batch possibly short. Event frames
+    move from [B, T, ...] to [T, B, ...].
+    """
+    order = np.arange(len(dataset)) if order is None else order
+    for start in range(0, len(order), batch_size):
+        idx = order[start : start + batch_size]
+        xb = dataset.x[idx]
+        if dataset.kind == KIND_EVENTS:
+            xb = np.moveaxis(xb, 0, 1)
+        yield xb, dataset.y[idx]
+
+
 def load_cifar10_binary(path, limit=None) -> Dataset:
     """Read a CIFAR-10 binary batch file (3073-byte records, pixels in [0,1])."""
     raw = np.fromfile(path, dtype=np.uint8)

@@ -35,50 +35,41 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=True)
 
 
+def _path(prefix: str, name) -> str:
+    return f"{prefix}.{name}" if prefix else str(name)
+
+
 class Module:
     """Tiny module tree: tracks parameters, buffers and submodules by name."""
 
     def __init__(self):
         self.training = True
 
-    def _members(self):
+    def named_modules(self, prefix: str = ""):
+        """(dotted path, module) for this module and every submodule, depth first."""
+        yield prefix, self
         for name, value in vars(self).items():
-            yield name, value
-
-    def named_parameters(self, prefix: str = ""):
-        for name, value in self._members():
-            path = f"{prefix}{name}"
-            if isinstance(value, Parameter):
-                yield path, value
-            elif isinstance(value, Module):
-                yield from value.named_parameters(f"{path}.")
-            elif isinstance(value, (list, tuple)):
-                for i, item in enumerate(value):
-                    if isinstance(item, Module):
-                        yield from item.named_parameters(f"{path}.{i}.")
-
-    def named_buffers(self, prefix: str = ""):
-        buffers = getattr(self, "_buffers", {})
-        for name in buffers:
-            yield f"{prefix}{name}", buffers[name]
-        for name, value in self._members():
-            path = f"{prefix}{name}"
             if isinstance(value, Module):
-                yield from value.named_buffers(f"{path}.")
+                yield from value.named_modules(_path(prefix, name))
             elif isinstance(value, (list, tuple)):
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
-                        yield from item.named_buffers(f"{path}.{i}.")
+                        yield from item.named_modules(_path(_path(prefix, name), i))
+
+    def named_parameters(self):
+        for path, module in self.named_modules():
+            for name, value in vars(module).items():
+                if isinstance(value, Parameter):
+                    yield _path(path, name), value
+
+    def named_buffers(self):
+        for path, module in self.named_modules():
+            for name, buf in getattr(module, "_buffers", {}).items():
+                yield _path(path, name), buf
 
     def modules(self):
-        yield self
-        for _, value in self._members():
-            if isinstance(value, Module):
-                yield from value.modules()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.modules()
+        for _, module in self.named_modules():
+            yield module
 
     def train(self):
         for m in self.modules():
@@ -179,91 +170,61 @@ class SN(Module):
 
 
 class ConvBN2d(Module):
-    """3x3 (by default) convolution + batchnorm on [B, C, H, W] maps."""
+    """Convolution + batchnorm: the one ConvBN unit, spatial or token-space.
+
+    Spatial (default): a kxk convolution on [B, C, H, W] maps with an
+    [out, in, k, k] kernel and BN on the channel axis. ``tokens=True``: a 1x1
+    convolution over the token axis of [B, N, D] tensors, i.e. a shared
+    per-token linear map ``x @ W`` with an [in, out] kernel and BN on the last
+    axis. ``fuse()`` folds the BN into the kernel and a bias in place.
+    """
 
     def __init__(self, in_channels, out_channels, rng, kernel_size=3, stride=1, padding=1,
-                 first_encoding=False):
+                 first_encoding=False, tokens=False):
         super().__init__()
         k = kernel_size
         self.stride = stride
         self.padding = padding
         self.first_encoding = first_encoding
-        self.weight = Parameter(
-            _kaiming_uniform(rng, (out_channels, in_channels, k, k), in_channels * k * k)
-        )
-        self.bn = BatchNorm(out_channels, axis=1)
-        self.fused_weight = None
-        self.fused_bias = None
+        self.tokens = tokens
+        shape, fan_in = (((in_channels, out_channels), in_channels) if tokens
+                         else ((out_channels, in_channels, k, k), in_channels * k * k))
+        self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in))
+        self.bias = None
+        self.bn = BatchNorm(out_channels, axis=-1 if tokens else 1)
         self.recorder = None
         self.name = ""
 
-    @property
-    def fused(self):
-        return self.fused_weight is not None
-
     def forward(self, x: Tensor) -> Tensor:
         if self.recorder is not None:
-            _, c, h, w = x.shape
-            o = self.weight.shape[0]
-            oh = (h + 2 * self.padding - self.weight.shape[2]) // self.stride + 1
-            ow = (w + 2 * self.padding - self.weight.shape[3]) // self.stride + 1
-            flops = oh * ow * o * c * self.weight.shape[2] * self.weight.shape[3]
-            self.recorder.observe_conv(self, x.data, flops)
-        if self.fused:
-            return conv2d(x, self.fused_weight, self.stride, self.padding, bias=self.fused_bias)
-        return self.bn.forward(conv2d(x, self.weight, self.stride, self.padding))
+            if self.tokens:
+                positions = x.shape[-2]
+            else:
+                k = self.weight.shape[-1]
+                oh, ow = ((s + 2 * self.padding - k) // self.stride + 1 for s in x.shape[-2:])
+                positions = oh * ow
+            self.recorder.observe_conv(self, x.data, positions * self.weight.size)
+        if self.tokens:
+            y = x @ self.weight
+            if self.bias is not None:
+                y = y + self.bias
+        else:
+            y = conv2d(x, self.weight, self.stride, self.padding, bias=self.bias)
+        return y if self.bn is None else self.bn.forward(y)
 
     def fuse(self):
-        """Fold the BN affine into the kernel and a bias (in place)."""
+        """Fold the BN affine into the kernel and a bias, in place, and drop the BN.
+
+        W = w_BN * w_conv per output channel, B = b_BN (the conv carries no bias
+        of its own: BN follows it immediately). A second call is a no-op.
+        """
+        if self.bn is None:
+            return
         w_bn, b_bn = self.bn.scale_and_shift()
-        self.fused_weight = Parameter(self.weight.data * w_bn[:, None, None, None])
-        self.fused_bias = Parameter(b_bn)
-
-
-class TokenConvBN(Module):
-    """1x1 convolution over the token axis (shared per-token linear) + BN."""
-
-    def __init__(self, in_dim, out_dim, rng, first_encoding=False):
-        super().__init__()
-        self.first_encoding = first_encoding
-        self.weight = Parameter(_kaiming_uniform(rng, (in_dim, out_dim), in_dim))
-        self.bn = BatchNorm(out_dim, axis=-1)
-        self.fused_weight = None
-        self.fused_bias = None
-        self.recorder = None
-        self.name = ""
-
-    @property
-    def fused(self):
-        return self.fused_weight is not None
-
-    def forward(self, x: Tensor) -> Tensor:
-        if self.recorder is not None:
-            n = x.shape[-2]
-            flops = n * self.weight.shape[0] * self.weight.shape[1]
-            self.recorder.observe_conv(self, x.data, flops)
-        if self.fused:
-            return x @ self.fused_weight + self.fused_bias
-        return self.bn.forward(x @ self.weight)
-
-    def fuse(self):
-        w_bn, b_bn = self.bn.scale_and_shift()
-        self.fused_weight = Parameter(self.weight.data * w_bn[None, :])
-        self.fused_bias = Parameter(b_bn)
-
-
-def fuse_convbn(layer):
-    """Return the (kernel, bias) of the equivalent single convolution.
-
-    W = w_BN * w_conv per output channel, B = b_BN (+ w_BN * b_conv when the
-    conv carries its own bias; ours never do, BN follows immediately).
-    """
-    w_bn, b_bn = layer.bn.scale_and_shift()
-    if isinstance(layer, ConvBN2d):
-        return layer.weight.data * w_bn[:, None, None, None], b_bn
-    if isinstance(layer, TokenConvBN):
-        return layer.weight.data * w_bn[None, :], b_bn
-    raise TypeError(f"not a ConvBN layer: {type(layer)!r}")
+        self.weight = Parameter(self.weight.data * (w_bn if self.tokens
+                                                    else w_bn[:, None, None, None]))
+        self.bias = Parameter(b_bn)
+        self.bn = None
 
 
 class PatchEmbedUnit(Module):
@@ -358,14 +319,14 @@ class SpikingSelfAttention(Module):
         self.scale = scale
         self.style = style
         self.sn_in = SN(lif) if style == SPIKE_DRIVEN else None
-        self.conv_q = TokenConvBN(embed_dim, embed_dim, rng)
-        self.conv_k = TokenConvBN(embed_dim, embed_dim, rng)
-        self.conv_v = TokenConvBN(embed_dim, embed_dim, rng)
+        self.conv_q = ConvBN2d(embed_dim, embed_dim, rng, tokens=True)
+        self.conv_k = ConvBN2d(embed_dim, embed_dim, rng, tokens=True)
+        self.conv_v = ConvBN2d(embed_dim, embed_dim, rng, tokens=True)
         self.sn_q = SN(lif)
         self.sn_k = SN(lif)
         self.sn_v = SN(lif)
         self.sn_attn = SN(lif, input_scale=scale)
-        self.conv_proj = TokenConvBN(embed_dim, embed_dim, rng)
+        self.conv_proj = ConvBN2d(embed_dim, embed_dim, rng, tokens=True)
         self.sn_proj = SN(lif) if style == ADD else None
         self.recorder = None
         self.name = ""
@@ -403,9 +364,9 @@ class SpikingMLP(Module):
         hidden = ratio * embed_dim
         self.style = style
         self.sn1 = SN(lif)
-        self.conv1 = TokenConvBN(embed_dim, hidden, rng)
+        self.conv1 = ConvBN2d(embed_dim, hidden, rng, tokens=True)
         self.sn2 = SN(lif)
-        self.conv2 = TokenConvBN(hidden, embed_dim, rng)
+        self.conv2 = ConvBN2d(hidden, embed_dim, rng, tokens=True)
 
     def forward(self, x: Tensor, t_steps: int) -> Tensor:
         if self.style == SPIKE_DRIVEN:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from .layers import (
     SpikingSelfAttention,
     SpikingTokenizer,
     SpikingTransformerBlock,
-    TokenConvBN,
+    _path,
 )
 from .neuron import LIFParams
 from .tensor import Tensor
@@ -121,25 +121,9 @@ class Model(Module):
         self._name_layers()
 
     def _name_layers(self):
-        for path, module in self._named_modules():
-            if isinstance(module, (ConvBN2d, TokenConvBN, SpikingSelfAttention)):
+        for path, module in self.named_modules():
+            if isinstance(module, (ConvBN2d, SpikingSelfAttention)):
                 module.name = path
-
-    def _named_modules(self, prefix: str = ""):
-        out = []
-
-        def walk(mod, pre):
-            out.append((pre.rstrip("."), mod))
-            for name, value in vars(mod).items():
-                if isinstance(value, Module):
-                    walk(value, f"{pre}{name}.")
-                elif isinstance(value, (list, tuple)):
-                    for i, item in enumerate(value):
-                        if isinstance(item, Module):
-                            walk(item, f"{pre}{name}.{i}.")
-
-        walk(self, prefix)
-        return out
 
     # -- forward ------------------------------------------------------------
 
@@ -179,12 +163,10 @@ class Model(Module):
 
     def state(self) -> dict:
         """Flat name -> array registry: trainable parameters + BN statistics."""
-        out = {name: p.data for name, p in self.named_parameters()}
-        for name, buf in self.named_buffers():
-            out[name] = buf
-        if len(out) != sum(1 for _ in self.named_parameters()) + sum(
-            1 for _ in self.named_buffers()
-        ):
+        pairs = [(name, p.data) for name, p in self.named_parameters()]
+        pairs += self.named_buffers()
+        out = dict(pairs)
+        if len(out) != len(pairs):
             raise RuntimeError("duplicate names in parameter registry")
         return out
 
@@ -201,20 +183,17 @@ class Model(Module):
             if p.data.shape != arr.shape:
                 raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arr.shape}")
             p.data = arr.astype(p.data.dtype).copy()
-        for path, module in self._named_modules():
-            buffers = getattr(module, "_buffers", None)
-            if not buffers:
-                continue
-            for key in list(buffers):
-                full = f"{path}.{key}" if path else key
-                arr = state[full]
-                if buffers[key].shape != arr.shape:
-                    raise ValueError(f"shape mismatch for {full}")
-                buffers[key] = arr.astype(buffers[key].dtype).copy()
+        for path, module in self.named_modules():
+            buffers = getattr(module, "_buffers", {})
+            for key, buf in buffers.items():
+                name = _path(path, key)
+                if buf.shape != state[name].shape:
+                    raise ValueError(f"shape mismatch for {name}")
+                buffers[key] = state[name].astype(buf.dtype).copy()
 
     def set_recorder(self, recorder) -> None:
-        for _, module in self._named_modules():
-            if isinstance(module, (ConvBN2d, TokenConvBN, SpikingSelfAttention)):
+        for module in self.modules():
+            if isinstance(module, (ConvBN2d, SpikingSelfAttention)):
                 module.recorder = recorder
 
     def set_neuron_mode(self, mode: str) -> None:
@@ -223,9 +202,10 @@ class Model(Module):
                 module.mode = mode
 
     def fuse(self) -> None:
-        """Fold every BN into its convolution in place (inference only)."""
-        for _, module in self._named_modules():
-            if isinstance(module, (ConvBN2d, TokenConvBN)) and not module.fused:
+        """Fold every BN into its convolution in place (inference only); the
+        state then holds one kernel and one bias per ConvBN and no BN."""
+        for module in self.modules():
+            if isinstance(module, ConvBN2d):
                 module.fuse()
 
 

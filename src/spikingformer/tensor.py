@@ -408,28 +408,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     return out
 
 
-def batchnorm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    mean: Tensor,
-    var: Tensor,
-    eps: float = 1e-5,
-    axis: int = 1,
-) -> Tensor:
-    """y = gamma * (x - mean) / sqrt(var + eps) + beta, per channel on `axis`."""
-    axis = axis % x.ndim
-    if x.shape[axis] != gamma.size:
-        raise ValueError(f"channel axis {axis} has {x.shape[axis]} channels, "
-                         f"params have {gamma.size}")
-    if np.any(var.data + eps <= 0):
-        raise ValueError("batchnorm requires var + eps > 0")
-    shape = [1] * x.ndim
-    shape[axis] = -1
-    inv_std = (var.reshape(shape) + Tensor(np.asarray(eps, dtype=x.data.dtype))) ** -0.5
-    return (x - mean.reshape(shape)) * inv_std * gamma.reshape(shape) + beta.reshape(shape)
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     # the max shift is a constant wrt gradients, so it can live outside the tape
     shift = x.data.max(axis=axis, keepdims=True)

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, batches
 from .model import Model, ModelConfig, build
-from .tensor import Tensor, log_softmax
+from .tensor import Tensor, log_softmax, no_grad
 
 CHECKPOINT_MAGIC = b"SPKF"
 CHECKPOINT_VERSION = 1
@@ -94,12 +94,9 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):
     metrics = []
     step = 0
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for b in range(steps_per_epoch):
-            idx = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            xb, yb = dataset.x[idx], dataset.y[idx]
-            if dataset.kind == "event-frames":
-                xb = np.moveaxis(xb, 0, 1)  # [B, T, ...] -> [T, B, ...]
+        # full batches only, or one short batch when the dataset is smaller
+        order = rng.permutation(n)[: steps_per_epoch * cfg.batch_size]
+        for xb, yb in batches(dataset, cfg.batch_size, order):
             logits = model.forward(xb)
             loss = cross_entropy(logits, yb)
             loss_val = loss.item()
@@ -121,15 +118,15 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):
 
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 64) -> float:
+    """Top-1 accuracy in eval mode, tape-free; the model's mode is restored."""
+    was_training = model.training
     model.eval()
     correct = 0
-    for start in range(0, len(dataset), batch_size):
-        xb = dataset.x[start : start + batch_size]
-        yb = dataset.y[start : start + batch_size]
-        if dataset.kind == "event-frames":
-            xb = np.moveaxis(xb, 0, 1)
-        logits = model.forward(xb)
-        correct += int((logits.data.argmax(axis=1) == yb).sum())
+    with no_grad():
+        for xb, yb in batches(dataset, batch_size):
+            correct += int((model.forward(xb).data.argmax(axis=1) == yb).sum())
+    if was_training:
+        model.train()
     return correct / len(dataset)
 
 
@@ -186,11 +183,11 @@ def read_checkpoint(path) -> dict:
 
 def load_checkpoint(path, config: ModelConfig) -> Model:
     """Build a model for ``config`` and load a checkpoint written by
-    ``save_checkpoint``; a state holding ``*.fused_weight`` entries (written
-    after ``Model.fuse``) loads into a fused model."""
+    ``save_checkpoint``; a state without BN statistics (written after
+    ``Model.fuse``) loads into a fused model."""
     state = read_checkpoint(path)
     model = build(config)
-    if any(name.endswith(".fused_weight") for name in state):
+    if not any(name.endswith(".running_mean") for name in state):
         model.fuse()
     model.load_state(state)
     return model

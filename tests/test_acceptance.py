@@ -53,7 +53,7 @@ def _verdict(number, label, ok, detail):
 def _randomize(model, rng):
     for _, p in model.named_parameters():
         p.data = rng.standard_normal(p.data.shape).astype(np.float32)
-    for _, module in model._named_modules():
+    for module in model.modules():
         buffers = getattr(module, "_buffers", None)
         if not buffers:
             continue

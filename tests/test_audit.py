@@ -204,3 +204,11 @@ class TestReportOutput:
         payload = json.loads(path.read_text())
         assert payload["verdict"] == "pure"
         assert set(payload["layers"]) == set(report.layers)
+
+    def test_json_layer_fields(self, rng, tmp_path):
+        path = tmp_path / "purity.json"
+        write_report_json(self._report(rng), path)
+        layers = json.loads(path.read_text())["layers"]
+        assert layers
+        for info in layers.values():
+            assert set(info) == {"kind", "histogram", "firing_rate", "anomalies"}

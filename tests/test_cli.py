@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from spikingformer.cli import ConfigError, main, validate_config
+from spikingformer.cli import ConfigError, main, model_config_from, validate_config
 from spikingformer.data import write_cifar10_binary
+from spikingformer.model import build
+from spikingformer.train import save_checkpoint
 
 TINY_CFG = {
     "blocks": 1,
@@ -199,6 +201,34 @@ class TestParamsCommand:
 
 
 class TestCifarPath:
+    def _eval_count(self, tmp_path, capsys, extra=(), **cfg_overrides):
+        """Samples ``eval`` reports on an 8-record CIFAR file."""
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, (8, 3, 32, 32)).astype(np.float32) / 255.0
+        data = tmp_path / "batch.bin"
+        write_cifar10_binary(data, images, rng.integers(0, 10, 8).astype(np.uint8))
+        cfg = {k: v for k, v in TINY_CFG.items() if k != "samples"}
+        cfg.update(dataset="cifar10", num_classes=10, image_height=32, image_width=32,
+                   tokenizer_plan=["spe", "spe", "sped", "sped"], **cfg_overrides)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "checkpoint.spkf"
+        save_checkpoint(build(model_config_from(cfg, None), seed=0), ckpt)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--data", str(data),
+                     "--checkpoint", str(ckpt), *extra]) == 0
+        return capsys.readouterr().out.split(" on ")[1]
+
+    def test_samples_caps_cifar_records(self, tmp_path, capsys):
+        assert self._eval_count(tmp_path, capsys, samples=4) == "4 samples\n"
+
+    def test_limit_and_samples_take_the_smaller(self, tmp_path, capsys):
+        assert self._eval_count(tmp_path, capsys, ["--limit", "3"], samples=4) == "3 samples\n"
+        assert self._eval_count(tmp_path, capsys, ["--limit", "5"], samples=4) == "4 samples\n"
+
+    def test_without_samples_the_whole_file_loads(self, tmp_path, capsys):
+        assert self._eval_count(tmp_path, capsys) == "8 samples\n"
+
     def test_eval_on_cifar_file(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (8, 3, 32, 32)).astype(np.float32) / 255.0

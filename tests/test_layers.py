@@ -17,9 +17,7 @@ from spikingformer.layers import (
     SpikingSelfAttention,
     SpikingTokenizer,
     SpikingTransformerBlock,
-    TokenConvBN,
     attention_core,
-    fuse_convbn,
 )
 from spikingformer.neuron import LIFParams
 from spikingformer.tensor import Tensor
@@ -265,9 +263,10 @@ class TestFusion:
     def test_identity_bn_fuses_to_original(self):
         layer = ConvBN2d(2, 3, _rng())
         layer.bn._buffers["running_var"] = np.full(3, 1.0 - layer.bn.eps, dtype=np.float32)
-        w, b = fuse_convbn(layer)
-        np.testing.assert_allclose(w, layer.weight.data, rtol=1e-6)
-        np.testing.assert_allclose(b, 0.0, atol=1e-7)
+        original = layer.weight.data.copy()
+        layer.fuse()
+        np.testing.assert_allclose(layer.weight.data, original, rtol=1e-6)
+        np.testing.assert_allclose(layer.bias.data, 0.0, atol=1e-7)
 
     def test_scalar_hand_case(self):
         # w_conv=2, gamma=3, beta=0.5, mu=1, var+eps=4 -> W=3, B=0.5-0.75... per
@@ -279,14 +278,13 @@ class TestFusion:
         layer.bn.beta.data[:] = 0.5
         layer.bn._buffers["running_mean"][:] = 1.0
         layer.bn._buffers["running_var"][:] = 4.0 - layer.bn.eps
-        w, b = fuse_convbn(layer)
-        assert w.reshape(-1)[0] == pytest.approx(3.0, rel=1e-6)
-        assert b[0] == pytest.approx(0.5 - 1.5, rel=1e-6)
         # forward equivalence on input 1: conv gives 2, BN gives 3*(2-1)/2+0.5=2
         layer.eval()
         x = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
         unfused = layer.forward(x).data
         layer.fuse()
+        assert layer.weight.data.reshape(-1)[0] == pytest.approx(3.0, rel=1e-6)
+        assert layer.bias.data[0] == pytest.approx(0.5 - 1.5, rel=1e-6)
         fused = layer.forward(x).data
         np.testing.assert_allclose(unfused, fused, atol=1e-6)
         assert unfused.reshape(-1)[0] == pytest.approx(2.0, rel=1e-5)
@@ -309,10 +307,10 @@ class TestFusion:
         layer = ConvBN2d(1, 1, _rng())
         layer.bn._buffers["running_var"] = np.full(1, -1.0, dtype=np.float32)
         with pytest.raises(ValueError, match="variance"):
-            fuse_convbn(layer)
+            layer.fuse()
 
     def test_token_conv_fusion(self, rng):
-        layer = TokenConvBN(4, 6, _rng())
+        layer = ConvBN2d(4, 6, _rng(), tokens=True)
         layer.bn._buffers["running_mean"] = rng.standard_normal(6).astype(np.float32)
         layer.bn._buffers["running_var"] = rng.uniform(0.5, 2.0, 6).astype(np.float32)
         layer.eval()

@@ -6,7 +6,6 @@ import pytest
 
 from spikingformer.tensor import (
     Tensor,
-    batchnorm,
     conv2d,
     log_softmax,
     maxpool2d,
@@ -81,25 +80,36 @@ class TestConv2d:
         assert np.all(y.data[0, 0] == 1.5) and np.all(y.data[0, 1] == -2.0)
 
 
+def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5, axis=1):
+    from spikingformer.layers import BatchNorm
+
+    bn = BatchNorm(len(gamma), axis=axis, eps=eps)
+    bn.gamma.data = np.asarray(gamma, dtype=np.float32)
+    bn.beta.data = np.asarray(beta, dtype=np.float32)
+    bn._buffers["running_mean"] = np.asarray(mean, dtype=np.float32)
+    bn._buffers["running_var"] = np.asarray(var, dtype=np.float32)
+    return bn.eval()
+
+
 class TestBatchnorm:
     def test_identity_normalization(self, rng):
         eps = 1e-5
         x = rng.standard_normal((2, 3, 4)).astype(np.float32)
-        y = batchnorm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                      Tensor(np.zeros(3)), Tensor(np.full(3, 1.0 - eps)), eps=eps)
+        bn = _eval_batchnorm(np.ones(3), np.zeros(3), np.zeros(3), np.full(3, 1.0 - eps), eps=eps)
+        y = bn.forward(Tensor(x))
         np.testing.assert_allclose(y.data, x, atol=1e-6)
 
     def test_hand_evaluation(self):
         # gamma=1.5, beta=0.5, mu=1, var+eps=4, x=3 -> 1.5*(3-1)/2 + 0.5 = 2
         eps = 1e-5
-        y = batchnorm(Tensor(np.full((1, 1), 3.0)), Tensor([1.5]), Tensor([0.5]),
-                      Tensor([1.0]), Tensor([4.0 - eps]), eps=eps)
+        bn = _eval_batchnorm([1.5], [0.5], [1.0], [4.0 - eps], eps=eps)
+        y = bn.forward(Tensor(np.full((1, 1), 3.0)))
         np.testing.assert_allclose(y.data, 2.0, rtol=1e-6)
 
     def test_invalid_variance_raises(self):
+        bn = _eval_batchnorm([1.0], [0.0], [0.0], [-1.0], eps=1e-5)
         with pytest.raises(ValueError, match="var"):
-            batchnorm(Tensor(np.ones((1, 1))), Tensor([1.0]), Tensor([0.0]),
-                      Tensor([0.0]), Tensor([-1.0]), eps=1e-5)
+            bn.forward(Tensor(np.ones((1, 1))))
 
     def test_training_mode_constant_batch(self):
         # constant input: batch variance 0, output = beta everywhere

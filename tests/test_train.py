@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from spikingformer.data import synth_static
+from spikingformer.layers import ConvBN2d, Parameter
 from spikingformer.model import ModelConfig, build
 from spikingformer.tensor import Tensor
 from spikingformer.train import (
@@ -158,6 +159,25 @@ class TestTrainLoop:
         acc = evaluate(model, _dataset(16))
         assert 0.0 <= acc <= 1.0
 
+    def test_evaluate_restores_training_mode(self):
+        model = build(TINY, seed=0)
+        train(model, _dataset(16), dataclasses.replace(FAST, epochs=1))
+        stats = {name: buf.copy() for name, buf in model.named_buffers()}
+        acc = evaluate(model, _dataset(16, seed=1))
+        assert all(m.training for m in model.modules())
+        model.eval()
+        assert evaluate(model, _dataset(16, seed=1)) == acc
+        assert not any(m.training for m in model.modules())
+        for name, buf in model.named_buffers():
+            np.testing.assert_array_equal(buf, stats[name])
+
+    def test_evaluate_records_no_tape(self, monkeypatch):
+        model = build(TINY, seed=0)
+        forward, outputs = model.forward, []
+        monkeypatch.setattr(model, "forward", lambda x: outputs.append(forward(x)) or outputs[-1])
+        evaluate(model, _dataset(16), batch_size=8)
+        assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+
     def test_tiny_alpha_silences_neuron_gated_gradients(self):
         # layers whose only route to the loss passes through a neuron lose
         # their gradient when the surrogate slope collapses (the residual
@@ -257,3 +277,42 @@ class TestCheckpoints:
         path = tmp_path / "model.spkf"
         save_checkpoint(model, path)
         assert set(read_checkpoint(path)) == set(model.state())
+
+
+class TestFusedCheckpoint:
+    def _fused(self):
+        model = build(TINY, seed=0)
+        model.train()
+        model.forward(_dataset(8).x)  # non-trivial BN statistics
+        model.eval()
+        model.fuse()
+        return model
+
+    def test_state_holds_no_batchnorm(self):
+        assert not [name for name in self._fused().state() if ".bn." in name]
+
+    def test_every_convbn_has_kernel_and_bias(self):
+        model = self._fused()
+        convs = [m for m in model.modules() if isinstance(m, ConvBN2d)]
+        assert len(convs) == len(TINY.tokenizer_plan) + 1 + 6 * TINY.blocks
+        state = model.state()
+        for conv in convs:
+            assert conv.bn is None
+            assert isinstance(conv.weight, Parameter) and isinstance(conv.bias, Parameter)
+            assert state[f"{conv.name}.weight"] is conv.weight.data
+            assert state[f"{conv.name}.bias"] is conv.bias.data
+
+    def test_fused_file_is_smaller(self, tmp_path):
+        model = build(TINY, seed=0)
+        save_checkpoint(model, tmp_path / "unfused.spkf")
+        model.fuse()
+        save_checkpoint(model, tmp_path / "fused.spkf")
+        assert (tmp_path / "fused.spkf").stat().st_size < (tmp_path / "unfused.spkf").stat().st_size
+
+    def test_fused_file_loads_bit_equal(self, tmp_path):
+        model = self._fused()
+        path = tmp_path / "fused.spkf"
+        save_checkpoint(model, path)
+        x = _dataset(4, seed=2).x
+        loaded = load_checkpoint(path, TINY)
+        np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
