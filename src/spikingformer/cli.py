@@ -67,6 +67,9 @@ _SCHEMA = {
     "noise": (float, None),
 }
 
+# counts that must be at least 1
+_POSITIVE_KEYS = ("samples", "batch_size", "epochs", "timesteps")
+
 _MODEL_KEYS = ("blocks", "embed_dim", "heads", "timesteps", "num_classes", "in_channels",
                "scale", "head_variant", "residual_style", "mlp_ratio",
                "tau", "v_threshold", "v_reset", "alpha")
@@ -90,6 +93,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be {expected.__name__}")
         if allowed is not None and value not in allowed:
             raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
+        if key in _POSITIVE_KEYS and value < 1:
+            raise ConfigError(f"config key {key!r} must be >= 1, got {value}")
         cfg[key] = value
     return cfg
 
@@ -123,6 +128,8 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
 def dataset_from(cfg: dict, args, model_cfg: ModelConfig) -> Dataset:
     kind = cfg.get("dataset", "synthetic-static")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     caps = [v for v in (cfg.get("samples"), args.limit) if v is not None]
     if kind == "cifar10":
         path = args.data or cfg.get("data_path")

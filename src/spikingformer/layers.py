@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, conv2d, maxpool2d, default_dtype
+from .tensor import Tensor, _make, conv2d, maxpool2d, default_dtype
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -122,24 +122,52 @@ class BatchNorm(Module):
             )
         shape = self._param_shape(ndim)
         reduce_axes = tuple(a for a in range(ndim) if a != axis)
-        if self.training:
-            mu = x.mean(axis=reduce_axes, keepdims=True)
-            var = ((x - mu) ** 2.0).mean(axis=reduce_axes, keepdims=True)
+        data, dtype = x.data, x.data.dtype
+        inv_n = dtype.type(1.0 / math.prod(data.shape[a] for a in reduce_axes))
+        training = self.training
+        if training:
+            mu = data.sum(axis=reduce_axes, keepdims=True) * inv_n
+            centered = data - mu
+            var = (centered ** 2.0).sum(axis=reduce_axes, keepdims=True) * inv_n
             m = self.momentum
             self._buffers["running_mean"] = (
-                (1 - m) * self._buffers["running_mean"] + m * mu.data.reshape(-1)
-            ).astype(x.data.dtype)
+                (1 - m) * self._buffers["running_mean"] + m * mu.reshape(-1)
+            ).astype(dtype)
             self._buffers["running_var"] = (
-                (1 - m) * self._buffers["running_var"] + m * var.data.reshape(-1)
-            ).astype(x.data.dtype)
+                (1 - m) * self._buffers["running_var"] + m * var.reshape(-1)
+            ).astype(dtype)
             self.num_batches += 1
         else:
             if np.any(self._buffers["running_var"] + self.eps <= 0):
                 raise ValueError("batchnorm running variance + eps must be positive")
-            mu = Tensor(self._buffers["running_mean"].reshape(shape))
-            var = Tensor(self._buffers["running_var"].reshape(shape))
-        inv_std = (var + Tensor(np.asarray(self.eps, dtype=x.data.dtype))) ** -0.5
-        return (x - mu) * inv_std * self.gamma.reshape(shape) + self.beta.reshape(shape)
+            mu = self._buffers["running_mean"].astype(dtype, copy=False).reshape(shape)
+            var = self._buffers["running_var"].astype(dtype, copy=False).reshape(shape)
+            centered = data - mu
+        inv_std = (var + np.asarray(self.eps, dtype=dtype)) ** -0.5
+        gamma, beta = self.gamma, self.beta
+        gamma_r = gamma.data.reshape(shape)
+        x_hat = centered * inv_std
+        out = _make(x_hat * gamma_r + beta.data.reshape(shape), (x, gamma, beta))
+
+        def bwd(g):
+            # one node: the closed-form BN backward over the reduced axes
+            g_beta = g.sum(axis=reduce_axes)
+            g_gamma = (g * x_hat).sum(axis=reduce_axes)
+            if x.requires_grad or x._parents:
+                scale = gamma_r * inv_std
+                if training:
+                    gx = (g - (g_beta * inv_n).reshape(shape)
+                          - x_hat * (g_gamma * inv_n).reshape(shape)) * scale
+                else:
+                    gx = g * scale
+                x._accumulate(gx)
+            if gamma.requires_grad or gamma._parents:
+                gamma._accumulate(g_gamma)
+            if beta.requires_grad or beta._parents:
+                beta._accumulate(g_beta)
+
+        out._backward = bwd
+        return out
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""

@@ -329,19 +329,25 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return cols.reshape(b, c * kh * kw, oh * ow), (oh, ow)
 
 
-def _col2im(cols: np.ndarray, x_shape, kh: int, kw: int, stride: int, padding: int):
+def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray, x_shape, stride: int, padding: int):
+    """Gradient of conv2d wrt its [B, C, H, W] input, computed channels-last.
+
+    One broadcast GEMM gives every kernel tap's contribution laid out
+    (kh, kw, oh, ow, b, c); each tap is then added into a (hp, wp, b, c)
+    buffer, whose inner axis is b*c wide, and one transpose returns NCHW.
+    """
     b, c, h, w = x_shape
+    o, _, kh, kw = kernel.shape
+    oh, ow = g.shape[2:]
     hp, wp = h + 2 * padding, w + 2 * padding
-    oh = (hp - kh) // stride + 1
-    ow = (wp - kw) // stride + 1
-    xpad = np.zeros((b, c, hp, wp), dtype=cols.dtype)
-    cols = cols.reshape(b, c, kh, kw, oh, ow)
+    g_rows = g.transpose(2, 3, 0, 1).reshape(oh * ow * b, o)
+    taps = (g_rows @ kernel.transpose(2, 3, 0, 1)).reshape(kh, kw, oh, ow, b, c)
+    xpad = np.zeros((hp, wp, b, c), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
-            xpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols[:, :, i, j]
-    if padding:
-        return xpad[:, :, padding : padding + h, padding : padding + w]
-    return xpad
+            xpad[i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[i, j]
+    gx = xpad[padding : padding + h, padding : padding + w].transpose(2, 3, 0, 1)
+    return np.ascontiguousarray(gx)
 
 
 def conv2d(
@@ -361,21 +367,19 @@ def conv2d(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     cols, (oh, ow) = _im2col(x.data, kh, kw, stride, padding)
-    wmat = kernel.data.reshape(o, c * kh * kw)
-    y = (wmat @ cols).reshape(b, o, oh, ow)
+    k = kernel.data
+    y = (k.reshape(o, c * kh * kw) @ cols).reshape(b, o, oh, ow)
     if bias is not None:
         y = y + bias.data.reshape(1, o, 1, 1)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     out = _make(y, parents)
 
     def bwd(g):
-        gmat = g.reshape(b, o, oh * ow)
         if kernel.requires_grad or kernel._parents:
-            gw = np.einsum("bop,bkp->ok", gmat, cols, optimize=True)
+            gw = np.tensordot(g.reshape(b, o, oh * ow), cols, axes=([0, 2], [0, 2]))
             kernel._accumulate(gw.reshape(kernel.shape))
         if x.requires_grad or x._parents:
-            gcols = np.einsum("ok,bop->bkp", wmat, gmat, optimize=True)
-            x._accumulate(_col2im(gcols, x.shape, kh, kw, stride, padding))
+            x._accumulate(_conv2d_input_grad(g, k, (b, c, h, w), stride, padding))
         if bias is not None and (bias.requires_grad or bias._parents):
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 

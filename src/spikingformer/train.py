@@ -37,6 +37,8 @@ class TrainConfig:
             raise ValueError("lr must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 class AdamW:
@@ -160,24 +162,42 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def read_checkpoint(path) -> dict:
+    """Parse a file written by ``save_checkpoint``.
+
+    Any malformed file (bad magic or version, a short read anywhere, a
+    duplicate tensor name, trailing bytes) raises ``ValueError``.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic {magic!r}")
-        version, count = struct.unpack("<II", fh.read(8))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        state = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", fh.read(1))
-            dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
-            n_bytes = 4 * int(np.prod(dims, dtype=np.int64)) if rank else 4
-            payload = fh.read(n_bytes)
-            if len(payload) != n_bytes:
-                raise ValueError(f"truncated payload for tensor {name!r}")
-            state[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        blob = memoryview(fh.read())
+    pos = 0
+
+    def take(n: int, what: str) -> memoryview:
+        nonlocal pos
+        if n > len(blob) - pos:
+            raise ValueError(f"truncated checkpoint: {what} needs {n} bytes at offset {pos}, "
+                             f"{len(blob) - pos} left")
+        pos += n
+        return blob[pos - n: pos]
+
+    magic = bytes(take(4, "magic"))
+    if magic != CHECKPOINT_MAGIC:
+        raise ValueError(f"bad checkpoint magic {magic!r}")
+    version, count = struct.unpack("<II", take(8, "header"))
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+    state = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        # a name that is not UTF-8 raises UnicodeDecodeError, itself a ValueError
+        name = bytes(take(name_len, "tensor name")).decode("utf-8")
+        if name in state:
+            raise ValueError(f"duplicate tensor name {name!r} in checkpoint")
+        (rank,) = struct.unpack("<B", take(1, f"rank of tensor {name!r}"))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of tensor {name!r}"))
+        payload = take(4 * math.prod(dims), f"payload of tensor {name!r}")
+        state[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+    if pos != len(blob):
+        raise ValueError(f"{len(blob) - pos} trailing bytes after {count} checkpoint tensors")
     return state
 
 

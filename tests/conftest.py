@@ -4,6 +4,15 @@ import pytest
 from spikingformer import tensor as T
 
 
+@pytest.fixture(autouse=True)
+def _restore_engine_state():
+    """Put the engine's process-wide dtype and no_grad flag back after every
+    test, so a test that fails mid-way cannot leak them into later ones."""
+    yield
+    T.set_default_dtype(np.float32)
+    T._grad_enabled = True
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -64,6 +64,27 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="JSON object"):
             validate_config([1, 2, 3])
 
+    @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_non_positive_count_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}.*>= 1"):
+            validate_config({key: value})
+
+    @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps"])
+    def test_non_positive_count_exits_cleanly(self, tmp_path, key, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **{key: 0})))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "audit"])
+    def test_non_positive_limit_exits_cleanly(self, tmp_path, config_path, command, capsys):
+        argv = [command, "--config", config_path, "--out", str(tmp_path / "run"), "--limit", "0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --limit must be >= 1") and "Traceback" not in err
+
     def test_invalid_json_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -106,6 +127,16 @@ class TestEvalCommand:
     def test_requires_checkpoint(self, config_path, capsys):
         assert main(["eval", "--config", config_path]) == 2
         assert "checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cut", [8, 16])
+    def test_truncated_checkpoint_exits_cleanly(self, tmp_path, config_path, trained, cut,
+                                                capsys):
+        # 8 bytes: inside the header; 16: inside the first tensor name
+        path = tmp_path / "short.spkf"
+        path.write_bytes((trained / "checkpoint.spkf").read_bytes()[:cut])
+        assert main(["eval", "--config", config_path, "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: truncated checkpoint") and "Traceback" not in err
 
 
 class TestAuditCommand:

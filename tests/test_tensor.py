@@ -4,8 +4,10 @@ central finite differences."""
 import numpy as np
 import pytest
 
+from spikingformer.layers import BatchNorm
 from spikingformer.tensor import (
     Tensor,
+    _im2col,
     conv2d,
     log_softmax,
     maxpool2d,
@@ -80,6 +82,51 @@ class TestConv2d:
         assert np.all(y.data[0, 0] == 1.5) and np.all(y.data[0, 1] == -2.0)
 
 
+def _col2im_reference(cols, x_shape, kh, kw, stride, padding):
+    """Scatter-add im2col columns back to NCHW (the pre-channels-last path)."""
+    b, c, h, w = x_shape
+    hp, wp = h + 2 * padding, w + 2 * padding
+    oh = (hp - kh) // stride + 1
+    ow = (wp - kw) // stride + 1
+    xpad = np.zeros((b, c, hp, wp), dtype=cols.dtype)
+    cols = cols.reshape(b, c, kh, kw, oh, ow)
+    for i in range(kh):
+        for j in range(kw):
+            xpad[:, :, i : i + oh * stride : stride, j : j + ow * stride : stride] += cols[:, :, i, j]
+    return xpad[:, :, padding : padding + h, padding : padding + w]
+
+
+def _conv2d_grads_reference(x, kernel, g, stride, padding):
+    """(input, kernel) gradients of conv2d by the einsum + col2im reference."""
+    b = x.shape[0]
+    o, c, kh, kw = kernel.shape
+    cols, (oh, ow) = _im2col(x, kh, kw, stride, padding)
+    gmat = g.reshape(b, o, oh * ow)
+    wmat = kernel.reshape(o, c * kh * kw)
+    gw = np.einsum("bop,bkp->ok", gmat, cols, optimize=True).reshape(kernel.shape)
+    gcols = np.einsum("ok,bop->bkp", wmat, gmat, optimize=True)
+    return _col2im_reference(gcols, x.shape, kh, kw, stride, padding), gw
+
+
+class TestConv2dBackwardDifferential:
+    """The channels-last input gradient and tensordot weight gradient against
+    the einsum + col2im reference, in float64."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_einsum_col2im(self, float64_engine, rng, stride, padding, k):
+        x = Tensor(rng.standard_normal((3, 2, 5, 7)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2, k, k)), requires_grad=True)
+        y = conv2d(x, w, stride, padding)
+        g = rng.standard_normal(y.shape)
+        (y * Tensor(g)).sum().backward()
+        gx, gw = _conv2d_grads_reference(x.data, w.data, g, stride, padding)
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert relative_error(x.grad, gx).max() <= 1e-6
+        assert relative_error(w.grad, gw).max() <= 1e-6
+
+
 def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5, axis=1):
     from spikingformer.layers import BatchNorm
 
@@ -130,6 +177,87 @@ class TestBatchnorm:
         bn.forward(x)
         mu = x.data.mean(axis=(0, 2))
         np.testing.assert_allclose(bn._buffers["running_mean"], 0.1 * mu, rtol=1e-5)
+
+
+def _composed_batchnorm(bn, x):
+    """BN forward as a chain of tape ops: the reference for the one-node BN."""
+    ndim = x.ndim
+    axis = bn.axis % ndim
+    shape = bn._param_shape(ndim)
+    reduce_axes = tuple(a for a in range(ndim) if a != axis)
+    if bn.training:
+        mu = x.mean(axis=reduce_axes, keepdims=True)
+        var = ((x - mu) ** 2.0).mean(axis=reduce_axes, keepdims=True)
+        m = bn.momentum
+        bn._buffers["running_mean"] = (
+            (1 - m) * bn._buffers["running_mean"] + m * mu.data.reshape(-1)
+        ).astype(x.data.dtype)
+        bn._buffers["running_var"] = (
+            (1 - m) * bn._buffers["running_var"] + m * var.data.reshape(-1)
+        ).astype(x.data.dtype)
+    else:
+        mu = Tensor(bn._buffers["running_mean"].reshape(shape))
+        var = Tensor(bn._buffers["running_var"].reshape(shape))
+    inv_std = (var + Tensor(np.asarray(bn.eps, dtype=x.data.dtype))) ** -0.5
+    return (x - mu) * inv_std * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
+
+
+def _bn_pair(rng, channels, axis, training):
+    """Two BatchNorms with the same random affine and running statistics."""
+    gamma = rng.standard_normal(channels)
+    beta = rng.standard_normal(channels)
+    mean = rng.standard_normal(channels)
+    var = rng.uniform(0.5, 2.0, channels)
+    pair = []
+    for _ in range(2):
+        bn = BatchNorm(channels, axis=axis)
+        bn.gamma.data = gamma.astype(bn.gamma.data.dtype)
+        bn.beta.data = beta.astype(bn.beta.data.dtype)
+        bn._buffers["running_mean"] = mean.astype(bn.gamma.data.dtype)
+        bn._buffers["running_var"] = var.astype(bn.gamma.data.dtype)
+        pair.append(bn.train() if training else bn.eval())
+    return pair
+
+
+# (input shape, channel axis): spatial NCHW maps and [B, N, D] tokens, batch 1 too
+_BN_CASES = [((4, 3, 5, 5), 1), ((1, 3, 4, 4), 1), ((4, 6, 5), -1), ((1, 5, 6), -1)]
+
+
+class TestBatchNormNodeDifferential:
+    """The one-node BatchNorm against the composed tape-op reference."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,axis", _BN_CASES)
+    def test_float32_forward_and_buffers_bit_equal(self, rng, shape, axis, training):
+        fast, ref = _bn_pair(rng, shape[axis], axis, training)
+        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(np.float32)
+        for _ in range(2):  # the second call sees updated running statistics
+            y = fast.forward(Tensor(x))
+            want = _composed_batchnorm(ref, Tensor(x))
+            assert y.data.dtype == np.float32
+            np.testing.assert_array_equal(y.data, want.data)
+            for name in ("running_mean", "running_var"):
+                np.testing.assert_array_equal(fast._buffers[name], ref._buffers[name])
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,axis", _BN_CASES)
+    def test_float64_gradients_match(self, float64_engine, rng, shape, axis, training):
+        fast, ref = _bn_pair(rng, shape[axis], axis, training)
+        x = 3.0 * rng.standard_normal(shape) + 1.0
+        g = Tensor(rng.standard_normal(shape))
+        xf, xr = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        (fast.forward(xf) * g).sum().backward()
+        (_composed_batchnorm(ref, xr) * g).sum().backward()
+        for got, want in [(xf.grad, xr.grad), (fast.gamma.grad, ref.gamma.grad),
+                          (fast.beta.grad, ref.beta.grad)]:
+            assert got.shape == want.shape
+            assert relative_error(got, want).max() <= 1e-6
+
+    def test_one_tape_node_per_call(self, rng):
+        bn = BatchNorm(3, axis=1)
+        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        y = bn.forward(x)
+        assert set(y._parents) == {x, bn.gamma, bn.beta}
 
 
 class TestDenseOps:

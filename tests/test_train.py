@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ class TestAdamW:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_non_positive_counts_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+            dataclasses.replace(FAST, **{field: 0})
+
     def test_zero_lr_leaves_model_unchanged(self):
         model = build(TINY, seed=0)
         before = {k: v.copy() for k, v in model.state().items()
@@ -270,6 +276,49 @@ class TestCheckpoints:
         blob[4] = 9
         path.write_bytes(bytes(blob))
         with pytest.raises(ValueError, match="version"):
+            read_checkpoint(path)
+
+    def _small_checkpoint(self, tmp_path):
+        state = {"a": np.float32(1.5), "b.weight": np.arange(3, dtype=np.float32),
+                 "c": np.ones((2, 2), dtype=np.float32)}
+        path = tmp_path / "small.spkf"
+        save_checkpoint(SimpleNamespace(state=lambda: state), path)
+        assert set(read_checkpoint(path)) == set(state)
+        return path, path.read_bytes()
+
+    def test_every_truncation_raises_value_error(self, tmp_path):
+        path, blob = self._small_checkpoint(tmp_path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                read_checkpoint(path)
+
+    def test_byte_flips_raise_only_value_error(self, tmp_path):
+        # a flipped byte either still parses (payload, or a name that stays
+        # valid) or raises ValueError: never struct.error or MemoryError
+        path, blob = self._small_checkpoint(tmp_path)
+        for i in range(len(blob)):
+            path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+            try:
+                read_checkpoint(path)
+            except ValueError:
+                pass
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = tmp_path / "model.spkf"
+        save_checkpoint(build(TINY, seed=0), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="1 trailing bytes"):
+            read_checkpoint(path)
+
+    def test_rejects_duplicate_names(self, tmp_path):
+        path = tmp_path / "dup.spkf"
+        save_checkpoint(SimpleNamespace(state=lambda: {"a": np.zeros(2, np.float32)}), path)
+        blob = bytearray(path.read_bytes())
+        record = blob[12:]
+        blob[8:12] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob + record))
+        with pytest.raises(ValueError, match="duplicate tensor name 'a'"):
             read_checkpoint(path)
 
     def test_state_keys_preserved(self, tmp_path):
