@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -93,6 +94,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be {expected.__name__}")
         if allowed is not None and value not in allowed:
             raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"config key {key!r} must be finite, got {value}")
         if key in _POSITIVE_KEYS and value < 1:
             raise ConfigError(f"config key {key!r} must be >= 1, got {value}")
         cfg[key] = value

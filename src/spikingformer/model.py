@@ -48,6 +48,8 @@ class ModelConfig:
             raise ValueError("blocks must be >= 1")
         if self.timesteps < 1:
             raise ValueError("timesteps must be >= 1")
+        if not self.scale > 0:  # NaN fails too
+            raise ValueError(f"scale must be > 0, got {self.scale}")
         if self.embed_dim % self.heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
         if self.residual_style not in (SPIKE_DRIVEN, ADD):

@@ -36,11 +36,12 @@ class LIFParams:
     detach_reset: bool = True
 
     def __post_init__(self):
-        if self.tau < 1.0:
+        # written as ``not x >= bound`` so that NaN fails every check
+        if not self.tau >= 1.0:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
-        if self.v_threshold <= self.v_reset:
+        if not self.v_threshold > self.v_reset:
             raise ValueError("v_threshold must exceed v_reset")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
 
@@ -92,11 +93,12 @@ def multistep_lif(
     spikes = np.empty_like(xd)
     hs = np.empty_like(xd)  # H[t], kept for the backward
     v = np.full(xd.shape[1:], v_reset, dtype=xd.dtype)
-    reset = np.empty_like(v)
+    reset = np.empty_like(v) if v_reset else None
     for t in range(xd.shape[0]):  # lif_step's operations, in preallocated buffers
         h, s = hs[t], spikes[t]
         xt = xd[t] * dt(input_scale) if input_scale != 1.0 else xd[t]
-        np.subtract(xt, np.subtract(v, v_reset, out=h), out=h)
+        # with V_reset = 0, V - V_reset and + S * V_reset change no value
+        np.subtract(xt, np.subtract(v, v_reset, out=h) if v_reset else v, out=h)
         np.add(v, np.multiply(h, decay, out=h), out=h)
         if mode == SPIKING:
             np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
@@ -104,7 +106,8 @@ def multistep_lif(
             with np.errstate(over="ignore"):
                 s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
         np.multiply(h, np.subtract(1.0, s, out=v), out=v)
-        np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+        if v_reset:
+            np.add(v, np.multiply(s, v_reset, out=reset), out=v)
     out = _make(spikes, (x,))
     detach = params.detach_reset and mode == SPIKING
 

@@ -33,8 +33,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if not self.lr >= 0:  # NaN fails too
+            raise ValueError(f"lr must be >= 0, got {self.lr}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

@@ -85,6 +85,24 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --limit must be >= 1") and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["tau", "lr", "scale", "v_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=f"{key}.*finite"):
+            validate_config({key: value})
+
+    @pytest.mark.parametrize("command", ["audit", "train"])
+    @pytest.mark.parametrize("value,literal", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+    def test_non_finite_float_exits_cleanly(self, tmp_path, command, value, literal, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, tau=value)))
+        assert literal in path.read_text()  # json writes the non-standard literal
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "run")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "tau" in captured.err
+        assert "Traceback" not in captured.err and "verdict" not in captured.out
+
     def test_invalid_json_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

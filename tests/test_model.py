@@ -57,6 +57,11 @@ class TestConfigValidation:
             ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=1, num_classes=2,
                         image_size=(30, 30))
 
+    @pytest.mark.parametrize("scale", [0.0, -0.125, float("nan")])
+    def test_scale_must_be_positive(self, scale):
+        with pytest.raises(ValueError, match="scale must be > 0"):
+            ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=1, num_classes=2, scale=scale)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("spikingformer-99-1")

@@ -87,6 +87,8 @@ class TestSurrogate:
 class TestParamValidation:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.5}, {"v_threshold": 0.0, "v_reset": 0.0}, {"alpha": -1.0},
+        {"tau": float("nan")}, {"v_threshold": float("nan")}, {"v_reset": float("nan")},
+        {"alpha": float("nan")},
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ central finite differences."""
 import numpy as np
 import pytest
 
+from spikingformer import tensor as T
 from spikingformer.layers import BatchNorm
 from spikingformer.tensor import (
     Tensor,
@@ -282,6 +283,127 @@ class TestDenseOps:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             Tensor(np.ones((2, 3))) @ Tensor(np.ones((4, 2)))
+
+
+def _rows_with_silent(rng, shape, n_silent, dtype):
+    """Spike-like [..., K] input (binary, plus one float row) with n_silent all-zero rows."""
+    rows = (rng.random((int(np.prod(shape[:-1])), shape[-1])) < 0.3).astype(dtype)
+    rows[:, 0] = 1.0  # every row starts live
+    rows[-1] = rng.standard_normal(shape[-1])
+    rows[rng.permutation(len(rows))[:n_silent]] = 0.0
+    return rows.reshape(shape)
+
+
+class TestSilentRowGemm:
+    """matmul with a 2-D weight (one flat GEMM, live rows only when enough are
+    silent) against a dense ``a @ b`` reference."""
+
+    SHAPES = [(40, 6), (5, 8, 6), (2, 4, 5, 6)]  # 40 rows each
+
+    @staticmethod
+    def _silent_counts(m):
+        at = int(np.ceil(T._SILENT_ROW_SHARE * m))  # fewest silent rows that compact
+        return [0, at - 1, at, at + 1, m]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("which", range(5))
+    def test_matches_dense_reference(self, rng, dtype, shape, which):
+        T.set_default_dtype(dtype)
+        n_silent = self._silent_counts(40)[which]
+        a = _rows_with_silent(rng, shape, n_silent, dtype)
+        w = rng.standard_normal((shape[-1], 7)).astype(dtype)
+        y = (Tensor(a) @ Tensor(w)).data
+        ref = a @ w
+        assert y.shape == ref.shape and y.dtype == dtype
+        silent = ~a.any(axis=-1)
+        assert silent.sum() == n_silent
+        assert np.all(y[silent] == 0.0)
+        live = ~silent
+        scale = np.abs(ref[live]).max(axis=-1, keepdims=True) if live.any() else 1.0
+        assert np.all(np.abs(y[live] - ref[live]) <= 1e-6 * scale)
+
+    def test_empty_rows(self, rng):
+        w = Tensor(rng.standard_normal((6, 3)).astype(np.float32))
+        for shape in [(0, 6), (2, 0, 6)]:
+            y = Tensor(np.zeros(shape, np.float32)) @ w
+            assert y.shape == shape[:-1] + (3,)
+
+    @pytest.mark.parametrize("which", range(4))
+    def test_path_follows_silent_share(self, rng, which):
+        # a NaN weight turns silent rows to NaN in the dense GEMM (0 * NaN)
+        # but leaves them exact zeros when only the live rows are multiplied
+        n_silent = self._silent_counts(40)[which]
+        a = _rows_with_silent(rng, (40, 6), n_silent, np.float32)
+        w = rng.standard_normal((6, 3)).astype(np.float32)
+        w[2, 1] = np.nan
+        y = (Tensor(a) @ Tensor(w)).data[~a.any(axis=-1)]
+        compacted = n_silent >= T._SILENT_ROW_SHARE * 40
+        assert np.all(y == 0.0) if compacted else np.all(np.isnan(y[:, 1]))
+        assert compacted == (which >= 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_gradients_bit_equal_to_dense_path(self, rng, monkeypatch, dtype, shape):
+        T.set_default_dtype(dtype)
+        a = _rows_with_silent(rng, shape, 20, dtype)
+        w = rng.standard_normal((shape[-1], 7)).astype(dtype)
+        upstream = rng.standard_normal(shape[:-1] + (7,)).astype(dtype)
+
+        def grads():
+            x, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
+            ((x @ wt) * Tensor(upstream)).sum().backward()
+            return x.grad, wt.grad
+
+        compacted = grads()
+        monkeypatch.setattr(T, "_SILENT_ROW_SHARE", 2.0)  # never compact
+        dense = grads()
+        for c, d in zip(compacted, dense):
+            assert c.dtype == d.dtype and c.tobytes() == d.tobytes()
+
+
+def _maxpool_reference(x, g):
+    """The gather/scatter maxpool (argmax over each flattened 2x2 window)."""
+    b, c, h, w = x.shape
+    oh, ow = h // 2, w // 2
+    view = x[:, :, : oh * 2, : ow * 2].reshape(b, c, oh, 2, ow, 2)
+    patches = view.transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh, ow, 4)
+    arg = patches.argmax(axis=-1)
+    y = np.take_along_axis(patches, arg[..., None], axis=-1)[..., 0]
+    gp = np.zeros_like(patches)
+    np.put_along_axis(gp, arg[..., None], g[..., None], axis=-1)
+    gx = np.zeros_like(x)
+    gx[:, :, : oh * 2, : ow * 2] = (
+        gp.reshape(b, c, oh, ow, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(b, c, oh * 2, ow * 2)
+    )
+    return y, gx
+
+
+class TestMaxpoolDifferential:
+    @pytest.mark.parametrize("kind", ["spikes", "dense-spikes", "floats", "small-ints"])
+    @pytest.mark.parametrize("hw", [(4, 4), (5, 7), (8, 6), (3, 2)])
+    def test_bit_equal_to_gather_scatter(self, rng, kind, hw):
+        shape = (2, 3) + hw
+        if kind == "spikes":
+            x = (rng.random(shape) < 0.3).astype(np.float32)
+        elif kind == "dense-spikes":
+            x = (rng.random(shape) < 0.8).astype(np.float32)
+        elif kind == "small-ints":
+            x = rng.integers(-1, 2, shape).astype(np.float32)
+        else:
+            x = rng.standard_normal(shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        y = maxpool2d(xt)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        (y * Tensor(g)).sum().backward()
+        ref_y, ref_gx = _maxpool_reference(x, g)
+        assert y.data.tobytes() == ref_y.tobytes()
+        assert xt.grad.shape == x.shape and xt.grad.tobytes() == ref_gx.tobytes()
+
+    def test_ties_go_to_the_first_window_position(self):
+        x = Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
+        maxpool2d(x).sum().backward()
+        np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestBackward:

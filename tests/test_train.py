@@ -114,6 +114,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             dataclasses.replace(FAST, **{field: 0})
 
+    @pytest.mark.parametrize("lr", [-1e-3, float("nan")])
+    def test_invalid_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be >= 0"):
+            dataclasses.replace(FAST, lr=lr)
+
     def test_zero_lr_leaves_model_unchanged(self):
         model = build(TINY, seed=0)
         before = {k: v.copy() for k, v in model.state().items()
