@@ -31,8 +31,8 @@ HEAD_VARIANTS = (HEAD_AVGPOOL_FC, HEAD_SN_AVGPOOL_FC, HEAD_FC_AVGPOOL, HEAD_SN_F
 
 
 class Parameter(Tensor):
-    def __init__(self, data):
-        super().__init__(data, requires_grad=True)
+    def __init__(self, data, requires_grad: bool = True):
+        super().__init__(data, requires_grad=requires_grad)
 
 
 def _path(prefix: str, name) -> str:
@@ -147,7 +147,6 @@ class BatchNorm(Module):
         gamma, beta = self.gamma, self.beta
         gamma_r = gamma.data.reshape(shape)
         x_hat = centered * inv_std
-        out = _make(x_hat * gamma_r + beta.data.reshape(shape), (x, gamma, beta))
 
         def bwd(g):
             # one node: the closed-form BN backward over the reduced axes
@@ -166,8 +165,7 @@ class BatchNorm(Module):
             if beta.requires_grad or beta._parents:
                 beta._accumulate(g_beta)
 
-        out._backward = bwd
-        return out
+        return _make(x_hat * gamma_r + beta.data.reshape(shape), (x, gamma, beta), bwd)
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""
@@ -204,7 +202,7 @@ class ConvBN2d(Module):
     [out, in, k, k] kernel and BN on the channel axis. ``tokens=True``: a 1x1
     convolution over the token axis of [B, N, D] tensors, i.e. a shared
     per-token linear map ``x @ W`` with an [in, out] kernel and BN on the last
-    axis. ``fuse()`` folds the BN into the kernel and a bias in place.
+    axis. ``fuse()`` folds the BN into a frozen kernel and bias in place.
     """
 
     def __init__(self, in_channels, out_channels, rng, kernel_size=3, stride=1, padding=1,
@@ -244,14 +242,17 @@ class ConvBN2d(Module):
         """Fold the BN affine into the kernel and a bias, in place, and drop the BN.
 
         W = w_BN * w_conv per output channel, B = b_BN (the conv carries no bias
-        of its own: BN follows it immediately). A second call is a no-op.
+        of its own: BN follows it immediately). Both are frozen
+        (``requires_grad=False``): a fused layer is inference-only, so its
+        forward records no tape. A second call is a no-op.
         """
         if self.bn is None:
             return
         w_bn, b_bn = self.bn.scale_and_shift()
         self.weight = Parameter(self.weight.data * (w_bn if self.tokens
-                                                    else w_bn[:, None, None, None]))
-        self.bias = Parameter(b_bn)
+                                                    else w_bn[:, None, None, None]),
+                                requires_grad=False)
+        self.bias = Parameter(b_bn, requires_grad=False)
         self.bn = None
 
 

@@ -160,7 +160,7 @@ class Model(Module):
     # -- registry / instrumentation ------------------------------------------
 
     def param_count(self) -> int:
-        """Number of trainable scalars (conv kernels, BN affines, FC)."""
+        """Number of parameter scalars (conv kernels, BN affines, FC)."""
         return sum(p.size for _, p in self.named_parameters())
 
     def state(self) -> dict:
@@ -204,11 +204,25 @@ class Model(Module):
                 module.mode = mode
 
     def fuse(self) -> None:
-        """Fold every BN into its convolution in place (inference only); the
-        state then holds one kernel and one bias per ConvBN and no BN."""
+        """Fold every BN into its convolution in place; the state then holds
+        one kernel and one bias per ConvBN and no BN.
+
+        The fused model is inference-only: every parameter, the head's
+        included, is frozen (``requires_grad=False``), so a forward records
+        no tape and frees each intermediate as soon as its consumer returns,
+        and ``train()`` refuses the model. Parameters stay ``Parameter``s, so
+        ``state()`` and checkpoints do not change.
+        """
         for module in self.modules():
             if isinstance(module, ConvBN2d):
                 module.fuse()
+        for p in self.parameters():
+            p.requires_grad = False
+
+    @property
+    def fused(self) -> bool:
+        """True once ``fuse()`` has folded the BNs: the model is inference-only."""
+        return any(isinstance(m, ConvBN2d) and m.bn is None for m in self.modules())
 
 
 def build(config: ModelConfig, seed: int = 0) -> Model:

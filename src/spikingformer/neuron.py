@@ -108,7 +108,6 @@ def multistep_lif(
         np.multiply(h, np.subtract(1.0, s, out=v), out=v)
         if v_reset:
             np.add(v, np.multiply(s, v_reset, out=reset), out=v)
-    out = _make(spikes, (x,))
     detach = params.detach_reset and mode == SPIKING
 
     def bwd(g):
@@ -131,6 +130,4 @@ def multistep_lif(
                 gx[t] *= dt(input_scale)
         x._accumulate(gx)
 
-    if out._parents:
-        out._backward = bwd
-    return out
+    return _make(spikes, (x,), bwd)

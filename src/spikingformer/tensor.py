@@ -8,7 +8,10 @@ tensor created with ``requires_grad=True``.
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
 transpose, exp / log / sigmoid, and the hard-threshold op whose backward is
-the sigmoid surrogate derivative. Inside ``no_grad()`` ops record nothing.
+the sigmoid surrogate derivative. An op records a node only when one of
+its operands is tracked (``requires_grad`` or itself recorded); inside
+``no_grad()`` or over frozen operands it records nothing, and its result
+holds no reference to its inputs.
 
 Gradients are never written in place: ``_accumulate`` keeps the first array
 it receives, which may be shared with another tensor's gradient.
@@ -136,7 +139,6 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-        out = _make(self.data + other.data, (self, other))
 
         def bwd(g):
             if self.requires_grad or self._parents:
@@ -144,15 +146,12 @@ class Tensor:
             if other.requires_grad or other._parents:
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
-        out._backward = bwd
-        return out
+        return _make(self.data + other.data, (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = _make(-self.data, (self,))
-        out._backward = lambda g: self._accumulate(-g)
-        return out
+        return _make(-self.data, (self,), lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -162,7 +161,6 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._lift(other)
-        out = _make(self.data * other.data, (self, other))
 
         def bwd(g):
             if self.requires_grad or self._parents:
@@ -170,8 +168,7 @@ class Tensor:
             if other.requires_grad or other._parents:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        out._backward = bwd
-        return out
+        return _make(self.data * other.data, (self, other), bwd)
 
     __rmul__ = __mul__
 
@@ -180,18 +177,14 @@ class Tensor:
         return self * other ** -1.0
 
     def __pow__(self, exponent: float):
-        out = _make(self.data ** exponent, (self,))
-
         def bwd(g):
             self._accumulate(g * exponent * self.data ** (exponent - 1.0))
 
-        out._backward = bwd
-        return out
+        return _make(self.data ** exponent, (self,), bwd)
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
-        out = _make(_token_gemm(a, b) if b.ndim == 2 else a @ b, (self, other))
 
         def bwd(g):
             if self.requires_grad or self._parents:
@@ -204,23 +197,19 @@ class Tensor:
                     gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
                 other._accumulate(gb)
 
-        out._backward = bwd
-        return out
+        return _make(_token_gemm(a, b) if b.ndim == 2 else a @ b, (self, other), bwd)
 
     __matmul__ = matmul
 
     # -- reductions / shape -------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out = _make(self.data.sum(axis=axis, keepdims=keepdims), (self,))
-
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        out._backward = bwd
-        return out
+        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -233,36 +222,28 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        out = _make(self.data.reshape(shape), (self,))
-        out._backward = lambda g: self._accumulate(g.reshape(self.data.shape))
-        return out
+        return _make(self.data.reshape(shape), (self,),
+                     lambda g: self._accumulate(g.reshape(self.data.shape)))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = _make(self.data.transpose(axes), (self,))
-        out._backward = lambda g: self._accumulate(g.transpose(inv))
-        return out
+        return _make(self.data.transpose(axes), (self,),
+                     lambda g: self._accumulate(g.transpose(inv)))
 
     # -- pointwise nonlinearities --------------------------------------------
 
     def exp(self) -> "Tensor":
-        e = np.exp(self.data)  # captured instead of out, which would make a cycle
-        out = _make(e, (self,))
-        out._backward = lambda g: self._accumulate(g * e)
-        return out
+        e = np.exp(self.data)  # captured instead of the result, which would make a cycle
+        return _make(e, (self,), lambda g: self._accumulate(g * e))
 
     def log(self) -> "Tensor":
-        out = _make(np.log(self.data), (self,))
-        out._backward = lambda g: self._accumulate(g / self.data)
-        return out
+        return _make(np.log(self.data), (self,), lambda g: self._accumulate(g / self.data))
 
     def sigmoid(self) -> "Tensor":
         with np.errstate(over="ignore"):
             s = 1.0 / (1.0 + np.exp(-self.data))
-        out = _make(s, (self,))
-        out._backward = lambda g: self._accumulate(g * s * (1.0 - s))
-        return out
+        return _make(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s)))
 
 
 # Share of silent (all-zero) rows of a from which _token_gemm multiplies only
@@ -290,11 +271,12 @@ def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y.reshape(out_shape)
 
 
-def _make(data: np.ndarray, parents) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(data)
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents)
-    return Tensor(data, _parents=tracked)
+def _make(data: np.ndarray, parents, backward) -> Tensor:
+    """An op's result: a tape node over its tracked parents, or, when no
+    parent is tracked or inside ``no_grad()``, a plain tensor that keeps no
+    ``backward`` closure and so no reference to the op's inputs."""
+    tracked = tuple(p for p in parents if p.requires_grad or p._parents) if _grad_enabled else ()
+    return Tensor(data, _parents=tracked, _backward=backward if tracked else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -330,9 +312,8 @@ def spike_threshold(v: Tensor, alpha: float) -> Tensor:
     Forward emits exact binary spikes; the recorded backward replaces the
     (zero a.e.) step derivative with the surrogate evaluated at v.
     """
-    out = _make(heaviside(v.data), (v,))
-    out._backward = lambda g: v._accumulate(g * surrogate_grad(v.data, alpha))
-    return out
+    return _make(heaviside(v.data), (v,),
+                 lambda g: v._accumulate(g * surrogate_grad(v.data, alpha)))
 
 
 # -- structured ops -----------------------------------------------------------
@@ -397,7 +378,6 @@ def conv2d(
     if bias is not None:
         y = y + bias.data.reshape(1, o, 1, 1)
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    out = _make(y, parents)
 
     def bwd(g):
         if kernel.requires_grad or kernel._parents:
@@ -408,8 +388,7 @@ def conv2d(
         if bias is not None and (bias.requires_grad or bias._parents):
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
-    out._backward = bwd
-    return out
+    return _make(y, parents, bwd)
 
 
 def maxpool2d(x: Tensor) -> Tensor:
@@ -427,7 +406,6 @@ def maxpool2d(x: Tensor) -> Tensor:
                for i in (0, 1) for j in (0, 1)]
     views = [x.data[win] for win in windows]
     y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    out = _make(y, (x,))
 
     def bwd(g):
         gx = np.zeros_like(x.data)
@@ -439,8 +417,7 @@ def maxpool2d(x: Tensor) -> Tensor:
             free ^= hit
         x._accumulate(gx)
 
-    out._backward = bwd
-    return out
+    return _make(y, (x,), bwd)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -85,8 +85,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):
     """Train in place; returns the per-step metrics log.
 
     Static images are repeated across T inside the model's forward; event
-    datasets feed their own leading T axis.
+    datasets feed their own leading T axis. A fused model (``Model.fuse``)
+    is inference-only and raises ``ValueError``.
     """
+    if model.fused:
+        raise ValueError("model is fused and inference-only (its BNs are folded "
+                         "and its parameters frozen); train the unfused model")
     rng = np.random.default_rng(cfg.seed)
     model.train()
     optimizer = AdamW(model.parameters(), cfg)

@@ -300,7 +300,7 @@ def test_criterion_09_attention_core_exhaustive():
                 impl = attention_core(Tensor(qc[:, None, None]),
                                       Tensor(grid[None, :, None]),
                                       Tensor(grid[None, None, :])).data
-                oracle = np.einsum("qik,bckl->qbcil", qc, m_all)
+                oracle = np.einsum("qik,bckl->qbcil", qc, m_all, optimize=True)
                 if not np.array_equal(impl, oracle):
                     mismatches += int(np.count_nonzero(
                         np.any(impl != oracle, axis=(-1, -2))))

@@ -12,6 +12,7 @@ from spikingformer.layers import (
     BatchNorm,
     ClassificationHead,
     ConvBN2d,
+    Parameter,
     PatchEmbedUnit,
     SpikingMLP,
     SpikingSelfAttention,
@@ -308,6 +309,18 @@ class TestFusion:
         layer.bn._buffers["running_var"] = np.full(1, -1.0, dtype=np.float32)
         with pytest.raises(ValueError, match="variance"):
             layer.fuse()
+
+    @pytest.mark.parametrize("tokens", [False, True])
+    def test_fuse_freezes_weight_and_bias(self, tokens):
+        layer = ConvBN2d(2, 3, _rng(), tokens=tokens)
+        assert layer.weight.requires_grad
+        layer.fuse()
+        weight, bias = layer.weight, layer.bias
+        assert isinstance(weight, Parameter) and isinstance(bias, Parameter)
+        assert not weight.requires_grad and not bias.requires_grad
+        layer.fuse()
+        assert layer.weight is weight and layer.bias is bias
+        assert not weight.requires_grad and not bias.requires_grad
 
     def test_token_conv_fusion(self, rng):
         layer = ConvBN2d(4, 6, _rng(), tokens=True)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spikingformer.layers import ADD, SPIKE_DRIVEN
+from spikingformer.layers import ADD, SPIKE_DRIVEN, BatchNorm
 from spikingformer.model import (
     Model,
     ModelConfig,
@@ -13,7 +13,7 @@ from spikingformer.model import (
     max_convbn_input,
     preset_config,
 )
-from spikingformer.tensor import Tensor
+from spikingformer.tensor import Tensor, no_grad
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -217,3 +217,60 @@ class TestFusedModel:
         before = model.forward(x).data
         model.fuse()
         np.testing.assert_array_equal(model.forward(x).data, before)
+
+    def test_fuse_freezes_every_parameter(self):
+        model = build(TINY, seed=0)
+        model.fuse()
+        assert model.fused
+        params = dict(model.named_parameters())
+        assert "head.weight" in params and "head.bias" in params
+        assert not [name for name, p in params.items() if p.requires_grad]
+
+    def test_fused_forward_records_no_tape(self, rng, monkeypatch):
+        model = build(TINY, seed=0)
+        model.eval()
+        model.fuse()
+        tracked = []
+        init = Tensor.__init__
+
+        def spy(self, data, requires_grad=False, _parents=(), _backward=None):
+            if _parents:
+                tracked.append(_parents)
+            init(self, data, requires_grad, _parents, _backward)
+
+        monkeypatch.setattr(Tensor, "__init__", spy)
+        logits = model.forward(_batch(rng))
+        assert logits._parents == () and logits._backward is None
+        assert tracked == []
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_fused_logits_bit_equal_to_no_grad_and_tape(self, style):
+        import dataclasses
+
+        cfg = dataclasses.replace(TINY, residual_style=style)
+        model = build(cfg, seed=0)
+        rng = np.random.default_rng(1)
+        # BN calibrated from one train-mode batch with momentum 1
+        for bn in model.modules():
+            if isinstance(bn, BatchNorm):
+                bn.momentum = 1.0
+        model.train()
+        model.forward(_batch(rng, b=4))
+        model.eval()
+        model.fuse()
+        x = _batch(rng, b=4)
+        fused = model.forward(x)
+        with no_grad():
+            untracked = model.forward(x).data
+        for p in model.parameters():
+            p.requires_grad = True
+        taped = model.forward(x)
+        assert taped._parents and not fused._parents
+        np.testing.assert_array_equal(fused.data, untracked)
+        np.testing.assert_array_equal(fused.data, taped.data)
+
+    def test_unfused_eval_model_stays_trainable(self, rng):
+        model = build(TINY, seed=0)
+        model.eval()
+        assert all(p.requires_grad for p in model.parameters())
+        assert model.forward(_batch(rng))._parents

@@ -1,11 +1,15 @@
 """Tensor engine: forward semantics against naive oracles, gradients against
 central finite differences."""
 
+import contextlib
+import weakref
+
 import numpy as np
 import pytest
 
 from spikingformer import tensor as T
 from spikingformer.layers import BatchNorm
+from spikingformer.neuron import LIFParams, multistep_lif
 from spikingformer.tensor import (
     Tensor,
     _im2col,
@@ -522,6 +526,61 @@ class TestNoGrad:
             with no_grad():
                 raise RuntimeError("raised inside no_grad")
         assert (w * 2.0)._parents == (w,)
+
+
+_LIF = LIFParams()
+# every kind of op, applied to a [2, 2, 4, 4] input
+_UNTRACKED_OPS = {
+    "add": lambda x: x + 1.0,
+    "mul": lambda x: x * 2.0,
+    "sub": lambda x: 1.0 - x,
+    "pow": lambda x: x ** 2.0,
+    "matmul": lambda x: x @ Tensor(np.ones((4, 3), dtype=np.float32)),
+    "matmul_4d": lambda x: x @ Tensor(np.ones((2, 2, 4, 3), dtype=np.float32)),
+    "sum": lambda x: x.sum(axis=1),
+    "reshape": lambda x: x.reshape(4, 16),
+    "transpose": lambda x: x.transpose((0, 2, 3, 1)),
+    "exp": lambda x: x.exp(),
+    "log": lambda x: (x * x + 1.0).log(),
+    "sigmoid": lambda x: x.sigmoid(),
+    "log_softmax": lambda x: log_softmax(x),
+    "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
+    "conv2d": lambda x: conv2d(x, Tensor(np.ones((3, 2, 3, 3), dtype=np.float32)), 1, 1,
+                               bias=Tensor(np.zeros(3, dtype=np.float32))),
+    "maxpool2d": lambda x: maxpool2d(x),
+    "multistep_lif": lambda x: multistep_lif(x, _LIF),
+    "batchnorm": lambda x: _frozen_batchnorm().forward(x),
+}
+
+
+def _frozen_batchnorm():
+    bn = BatchNorm(2)
+    bn.gamma.requires_grad = bn.beta.requires_grad = False
+    return bn
+
+
+class TestUntrackedResults:
+    """An op over untracked operands records nothing and holds no reference
+    to its inputs, so an intermediate dies with its last consumer."""
+
+    @pytest.mark.parametrize("name", sorted(_UNTRACKED_OPS))
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "no_grad"])
+    def test_result_keeps_no_input_alive(self, name, frozen):
+        x = Tensor(np.random.default_rng(0).random((2, 2, 4, 4)).astype(np.float32),
+                   requires_grad=not frozen)
+        alive = weakref.ref(x)
+        with contextlib.nullcontext() if frozen else no_grad():
+            out = _UNTRACKED_OPS[name](x)
+        del x
+        assert alive() is None
+        assert out._parents == () and out._backward is None
+
+    @pytest.mark.parametrize("name", sorted(_UNTRACKED_OPS))
+    def test_tracked_result_records_its_input(self, name):
+        x = Tensor(np.random.default_rng(0).random((2, 2, 4, 4)).astype(np.float32),
+                   requires_grad=True)
+        out = _UNTRACKED_OPS[name](x)
+        assert out._parents and out._backward is not None
 
 
 def test_forward_determinism(rng):

@@ -165,6 +165,17 @@ class TestTrainLoop:
         with pytest.raises(TrainingDiverged):
             train(model, _dataset(16), dataclasses.replace(FAST, epochs=1))
 
+    def test_fused_model_rejected(self):
+        model = build(TINY, seed=0)
+        model.eval()
+        model.fuse()
+        before = {name: p.data.copy() for name, p in model.named_parameters()}
+        with pytest.raises(ValueError, match="fused and inference-only"):
+            train(model, _dataset(16), FAST)
+        for name, p in model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name])
+            assert p.grad is None
+
     def test_evaluate_bounds(self):
         model = build(TINY, seed=0)
         acc = evaluate(model, _dataset(16))
@@ -370,3 +381,11 @@ class TestFusedCheckpoint:
         x = _dataset(4, seed=2).x
         loaded = load_checkpoint(path, TINY)
         np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
+
+    def test_loaded_fused_model_is_frozen(self, tmp_path):
+        path = tmp_path / "fused.spkf"
+        save_checkpoint(self._fused(), path)
+        loaded = load_checkpoint(path, TINY)
+        assert loaded.fused
+        assert not [name for name, p in loaded.named_parameters() if p.requires_grad]
+        assert loaded.forward(_dataset(4, seed=2).x)._parents == ()
