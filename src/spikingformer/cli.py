@@ -128,9 +128,15 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
     return ModelConfig(**overrides)
 
 
-def dataset_from(cfg: dict, args, model_cfg: ModelConfig) -> Dataset:
-    kind = cfg.get("dataset", "synthetic-static")
+def _load(args) -> tuple:
+    """(validated config, its ModelConfig, seed: --seed, else the config's, else 0)."""
+    cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    return cfg, model_config_from(cfg, args), seed
+
+
+def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
+    kind = cfg.get("dataset", "synthetic-static")
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     caps = [v for v in (cfg.get("samples"), args.limit) if v is not None]
@@ -150,16 +156,15 @@ def dataset_from(cfg: dict, args, model_cfg: ModelConfig) -> Dataset:
 
 def _eval_setup(args, need_checkpoint=True) -> tuple:
     """(model in eval mode, its config, the dataset) for an inference command."""
-    cfg = load_config(args.config)
-    model_cfg = model_config_from(cfg, args)
+    cfg, model_cfg, seed = _load(args)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint, model_cfg)
     elif need_checkpoint:
         raise ConfigError("this command requires --checkpoint")
     else:
-        model = build(model_cfg, seed=args.seed if args.seed is not None else cfg.get("seed", 0))
+        model = build(model_cfg, seed=seed)
     model.eval()
-    return model, model_cfg, dataset_from(cfg, args, model_cfg)
+    return model, model_cfg, dataset_from(cfg, args, model_cfg, seed)
 
 
 def _out_dir(args) -> str:
@@ -169,9 +174,7 @@ def _out_dir(args) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg = load_config(args.config)
-    model_cfg = model_config_from(cfg, args)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    cfg, model_cfg, seed = _load(args)
     train_cfg = TrainConfig(
         epochs=cfg.get("epochs", 50),
         batch_size=cfg.get("batch_size", 64),
@@ -179,7 +182,7 @@ def cmd_train(args) -> int:
         weight_decay=cfg.get("weight_decay", 0.05),
         seed=seed,
     )
-    dataset = dataset_from(cfg, args, model_cfg)
+    dataset = dataset_from(cfg, args, model_cfg, seed)
     model = build(model_cfg, seed=seed)
     out = _out_dir(args)
     metrics = train(model, dataset, train_cfg, metrics_path=os.path.join(out, "metrics.csv"))
@@ -251,8 +254,7 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_params(args) -> int:
-    cfg = load_config(args.config)
-    model_cfg = model_config_from(cfg, args)
+    cfg, model_cfg, _ = _load(args)
     model = build(model_cfg, seed=0)
     count = model.param_count()
     print(f"trainable parameters: {count} ({count / 1e6:.2f}M)")

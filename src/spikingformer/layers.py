@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, _make, conv2d, maxpool2d, default_dtype
+from .tensor import Tensor, _make, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -31,8 +31,8 @@ HEAD_VARIANTS = (HEAD_AVGPOOL_FC, HEAD_SN_AVGPOOL_FC, HEAD_FC_AVGPOOL, HEAD_SN_F
 
 
 class Parameter(Tensor):
-    def __init__(self, data, requires_grad: bool = True):
-        super().__init__(data, requires_grad=requires_grad)
+    def __init__(self, data, requires_grad: bool = True, dtype=np.float32):
+        super().__init__(data, requires_grad=requires_grad, dtype=dtype)
 
 
 def _path(prefix: str, name) -> str:
@@ -84,10 +84,27 @@ class Module:
     def parameters(self):
         return [p for _, p in self.named_parameters()]
 
+    def astype(self, dtype):
+        """Cast every parameter and buffer in place and return the module
+        (built in float32; float64 is for finite-difference checks)."""
+        if dtype not in (np.float32, np.float64):
+            raise ValueError(f"unsupported dtype {dtype!r}")
+        self._map_arrays(lambda _, arr: arr.astype(dtype))
+        return self
+
+    def _map_arrays(self, fn):
+        """Replace every parameter's data and every buffer by fn(dotted name, array)."""
+        for name, p in self.named_parameters():
+            p.data = fn(name, p.data)
+        for path, module in self.named_modules():
+            buffers = getattr(module, "_buffers", {})
+            for key, buf in buffers.items():
+                buffers[key] = fn(_path(path, key), buf)
+
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class BatchNorm(Module):
@@ -100,13 +117,12 @@ class BatchNorm(Module):
         self.axis = axis
         self.eps = eps
         self.momentum = momentum
-        self.gamma = Parameter(np.ones(num_features, dtype=default_dtype()))
-        self.beta = Parameter(np.zeros(num_features, dtype=default_dtype()))
+        self.gamma = Parameter(np.ones(num_features))
+        self.beta = Parameter(np.zeros(num_features))
         self._buffers = {
-            "running_mean": np.zeros(num_features, dtype=default_dtype()),
-            "running_var": np.ones(num_features, dtype=default_dtype()),
+            "running_mean": np.zeros(num_features, dtype=np.float32),
+            "running_var": np.ones(num_features, dtype=np.float32),
         }
-        self.num_batches = 0
 
     def _param_shape(self, ndim: int):
         shape = [1] * ndim
@@ -136,7 +152,6 @@ class BatchNorm(Module):
             self._buffers["running_var"] = (
                 (1 - m) * self._buffers["running_var"] + m * var.reshape(-1)
             ).astype(dtype)
-            self.num_batches += 1
         else:
             if np.any(self._buffers["running_var"] + self.eps <= 0):
                 raise ValueError("batchnorm running variance + eps must be positive")
@@ -152,7 +167,7 @@ class BatchNorm(Module):
             # one node: the closed-form BN backward over the reduced axes
             g_beta = g.sum(axis=reduce_axes)
             g_gamma = (g * x_hat).sum(axis=reduce_axes)
-            if x.requires_grad or x._parents:
+            if x.tracked:
                 scale = gamma_r * inv_std
                 if training:
                     gx = (g - (g_beta * inv_n).reshape(shape)
@@ -160,9 +175,9 @@ class BatchNorm(Module):
                 else:
                     gx = g * scale
                 x._accumulate(gx)
-            if gamma.requires_grad or gamma._parents:
+            if gamma.tracked:
                 gamma._accumulate(g_gamma)
-            if beta.requires_grad or beta._parents:
+            if beta.tracked:
                 beta._accumulate(g_beta)
 
         return _make(x_hat * gamma_r + beta.data.reshape(shape), (x, gamma, beta), bwd)
@@ -249,10 +264,9 @@ class ConvBN2d(Module):
         if self.bn is None:
             return
         w_bn, b_bn = self.bn.scale_and_shift()
-        self.weight = Parameter(self.weight.data * (w_bn if self.tokens
-                                                    else w_bn[:, None, None, None]),
-                                requires_grad=False)
-        self.bias = Parameter(b_bn, requires_grad=False)
+        w = self.weight.data * (w_bn if self.tokens else w_bn[:, None, None, None])
+        self.weight = Parameter(w, requires_grad=False, dtype=w.dtype)
+        self.bias = Parameter(b_bn, requires_grad=False, dtype=b_bn.dtype)
         self.bn = None
 
 
@@ -316,7 +330,6 @@ class SpikingTokenizer(Module):
         self.units.append(
             PatchEmbedUnit(embed_dim, embed_dim, rng, lif, downsample=False, style=style)
         )
-        self.downsample_factor = 2 ** sum(1 for k in plan if k == "sped")
 
     def forward(self, x: Tensor, t_steps: int) -> Tensor:
         for unit in self.units:
@@ -432,7 +445,7 @@ class ClassificationHead(Module):
             raise ValueError(f"unknown head variant {variant!r}; expected one of {HEAD_VARIANTS}")
         self.variant = variant
         self.weight = Parameter(_kaiming_uniform(rng, (embed_dim, num_classes), embed_dim))
-        self.bias = Parameter(np.zeros(num_classes, dtype=default_dtype()))
+        self.bias = Parameter(np.zeros(num_classes))
         self.sn = SN(lif)
 
     def forward(self, x: Tensor, t_steps: int) -> Tensor:

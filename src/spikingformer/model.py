@@ -18,7 +18,6 @@ from .layers import (
     SpikingSelfAttention,
     SpikingTokenizer,
     SpikingTransformerBlock,
-    _path,
 )
 from .neuron import LIFParams
 from .tensor import Tensor
@@ -44,10 +43,12 @@ class ModelConfig:
     alpha: float = 4.0
 
     def __post_init__(self):
-        if self.blocks < 1:
-            raise ValueError("blocks must be >= 1")
-        if self.timesteps < 1:
-            raise ValueError("timesteps must be >= 1")
+        for key in ("blocks", "embed_dim", "heads", "timesteps", "num_classes",
+                    "in_channels", "image_size", "mlp_ratio"):
+            if not np.min(getattr(self, key)) >= 1:  # both image_size dims
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.tokenizer_plan:
+            raise ValueError("tokenizer_plan must name at least one unit")
         if not self.scale > 0:  # NaN fails too
             raise ValueError(f"scale must be > 0, got {self.scale}")
         if self.embed_dim % self.heads:
@@ -65,11 +66,6 @@ class ModelConfig:
     def lif(self) -> LIFParams:
         return LIFParams(tau=self.tau, v_threshold=self.v_threshold,
                          v_reset=self.v_reset, alpha=self.alpha)
-
-    @property
-    def tokens(self) -> int:
-        down = 2 ** sum(1 for k in self.tokenizer_plan if k == "sped")
-        return (self.image_size[0] // down) * (self.image_size[1] // down)
 
 
 # published Spikingformer-L-D configurations
@@ -133,14 +129,15 @@ class Model(Module):
         """Run a batch to logits.
 
         Accepts static batches [B, C, H, W] (repeated across T at the input)
-        or event batches [T, B, C, H, W] with T matching the config.
+        or event batches [T, B, C, H, W] with T matching the config. The
+        input, an array or a Tensor, becomes a leaf in the parameters' dtype.
         """
         t = self.config.timesteps
-        if isinstance(x, np.ndarray):
-            x = Tensor(x)
+        dtype = self.head.weight.data.dtype
+        x = Tensor(x, dtype=dtype)
         if x.ndim == 4:
             data = np.broadcast_to(x.data, (t,) + x.shape).reshape((t * x.shape[0],) + x.shape[1:])
-            x = Tensor(np.ascontiguousarray(data))
+            x = Tensor(np.ascontiguousarray(data), dtype=dtype)
         elif x.ndim == 5:
             if x.shape[0] != t:
                 raise ValueError(f"event input has T={x.shape[0]}, model expects {t}")
@@ -173,25 +170,19 @@ class Model(Module):
         return out
 
     def load_state(self, state: dict) -> None:
-        params = dict(self.named_parameters())
-        buffer_names = {name for name, _ in self.named_buffers()}
-        own = set(params) | buffer_names
+        """Copy a ``state()`` registry in, each array cast to the model's dtype."""
+        own = set(self.state())
         missing = own - set(state)
         extra = set(state) - own
         if missing or extra:
             raise ValueError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
-        for name, p in params.items():
-            arr = state[name]
-            if p.data.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {p.data.shape} vs {arr.shape}")
-            p.data = arr.astype(p.data.dtype).copy()
-        for path, module in self.named_modules():
-            buffers = getattr(module, "_buffers", {})
-            for key, buf in buffers.items():
-                name = _path(path, key)
-                if buf.shape != state[name].shape:
-                    raise ValueError(f"shape mismatch for {name}")
-                buffers[key] = state[name].astype(buf.dtype).copy()
+
+        def take(name, arr):
+            if arr.shape != state[name].shape:
+                raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {state[name].shape}")
+            return state[name].astype(arr.dtype)
+
+        self._map_arrays(take)
 
     def set_recorder(self, recorder) -> None:
         for module in self.modules():

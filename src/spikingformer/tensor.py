@@ -1,9 +1,9 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays (float32 by default) and record the operations
-applied to them. Calling ``backward()`` on a scalar result walks the recorded
-graph in exact reverse creation order and accumulates gradients into every
-tensor created with ``requires_grad=True``.
+Tensors wrap numpy arrays and record the operations applied to them.
+Calling ``backward()`` on a scalar result walks the recorded graph in exact
+reverse creation order and accumulates gradients into every tensor created
+with ``requires_grad=True``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -12,6 +12,10 @@ the sigmoid surrogate derivative. An op records a node only when one of
 its operands is tracked (``requires_grad`` or itself recorded); inside
 ``no_grad()`` or over frozen operands it records nothing, and its result
 holds no reference to its inputs.
+
+A new tensor is float32 unless built with another ``dtype`` (float64 is for
+finite-difference checks); an op result keeps the dtype numpy computed, and a
+constant it lifts takes the dtype of the tensor it meets.
 
 Gradients are never written in place: ``_accumulate`` keeps the first array
 it receives, which may be shared with another tensor's gradient.
@@ -25,25 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-_DEFAULT_DTYPE = np.float32
 _seq_counter = itertools.count()
 _grad_enabled = True
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the float dtype for newly created tensors (float32 or float64).
-
-    float64 exists for finite-difference gradient checking only; production
-    paths run in float32.
-    """
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype!r}")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 @contextlib.contextmanager
@@ -62,10 +49,11 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32,
+                 _parents=(), _backward=None):
         if isinstance(data, Tensor):
             data = data.data
-        self.data = np.asarray(data, dtype=_DEFAULT_DTYPE)
+        self.data = np.asarray(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents = tuple(_parents)
@@ -86,6 +74,11 @@ class Tensor:
     def size(self):
         return self.data.size
 
+    @property
+    def tracked(self) -> bool:
+        """A gradient flows into this tensor: it requires one or was recorded."""
+        return self.requires_grad or bool(self._parents)
+
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -93,10 +86,7 @@ class Tensor:
         return float(self.data)
 
     def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
+        return Tensor(self.data, dtype=self.data.dtype)
 
     # -- graph machinery ----------------------------------------------------
 
@@ -131,9 +121,9 @@ class Tensor:
 
     # -- helpers ------------------------------------------------------------
 
-    @staticmethod
-    def _lift(other) -> "Tensor":
-        return other if isinstance(other, Tensor) else Tensor(np.asarray(other))
+    def _lift(self, other) -> "Tensor":
+        """other as a Tensor; a constant takes this tensor's dtype."""
+        return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -141,9 +131,9 @@ class Tensor:
         other = self._lift(other)
 
         def bwd(g):
-            if self.requires_grad or self._parents:
+            if self.tracked:
                 self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad or other._parents:
+            if other.tracked:
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
         return _make(self.data + other.data, (self, other), bwd)
@@ -163,9 +153,9 @@ class Tensor:
         other = self._lift(other)
 
         def bwd(g):
-            if self.requires_grad or self._parents:
+            if self.tracked:
                 self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad or other._parents:
+            if other.tracked:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         return _make(self.data * other.data, (self, other), bwd)
@@ -187,10 +177,10 @@ class Tensor:
         a, b = self.data, other.data
 
         def bwd(g):
-            if self.requires_grad or self._parents:
+            if self.tracked:
                 ga = g @ np.swapaxes(b, -1, -2)
                 self._accumulate(_unbroadcast(ga, a.shape))
-            if other.requires_grad or other._parents:
+            if other.tracked:
                 if b.ndim == 2:  # one GEMM over every leading axis of a
                     gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
@@ -275,8 +265,8 @@ def _make(data: np.ndarray, parents, backward) -> Tensor:
     """An op's result: a tape node over its tracked parents, or, when no
     parent is tracked or inside ``no_grad()``, a plain tensor that keeps no
     ``backward`` closure and so no reference to the op's inputs."""
-    tracked = tuple(p for p in parents if p.requires_grad or p._parents) if _grad_enabled else ()
-    return Tensor(data, _parents=tracked, _backward=backward if tracked else None)
+    tracked = tuple(p for p in parents if p.tracked) if _grad_enabled else ()
+    return Tensor(data, dtype=None, _parents=tracked, _backward=backward if tracked else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -380,12 +370,12 @@ def conv2d(
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
-        if kernel.requires_grad or kernel._parents:
+        if kernel.tracked:
             gw = np.tensordot(g.reshape(b, o, oh * ow), cols, axes=([0, 2], [0, 2]))
             kernel._accumulate(gw.reshape(kernel.shape))
-        if x.requires_grad or x._parents:
+        if x.tracked:
             x._accumulate(_conv2d_input_grad(g, k, (b, c, h, w), stride, padding))
-        if bias is not None and (bias.requires_grad or bias._parents):
+        if bias is not None and bias.tracked:
             bias._accumulate(g.sum(axis=(0, 2, 3)))
 
     return _make(y, parents, bwd)
@@ -423,5 +413,5 @@ def maxpool2d(x: Tensor) -> Tensor:
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     # the max shift is a constant wrt gradients, so it can live outside the tape
     shift = x.data.max(axis=axis, keepdims=True)
-    z = x - Tensor(shift)
+    z = x - shift
     return z - z.exp().sum(axis=axis, keepdims=True).log()

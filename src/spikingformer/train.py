@@ -78,7 +78,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
     logp = log_softmax(logits, axis=-1)
     onehot = np.zeros(logits.shape, dtype=logits.data.dtype)
     onehot[np.arange(len(labels)), labels] = 1.0
-    return -(logp * Tensor(onehot)).sum() * (1.0 / len(labels))
+    return -(logp * onehot).sum() * (1.0 / len(labels))
 
 
 def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):

@@ -6,10 +6,9 @@ from spikingformer import tensor as T
 
 @pytest.fixture(autouse=True)
 def _restore_engine_state():
-    """Put the engine's process-wide dtype and no_grad flag back after every
-    test, so a test that fails mid-way cannot leak them into later ones."""
+    """Put the engine's no_grad flag back after every test, so a test that
+    fails mid-way cannot leak it into later ones."""
     yield
-    T.set_default_dtype(np.float32)
     T._grad_enabled = True
 
 
@@ -18,12 +17,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture
-def float64_engine():
-    """Run a test with the tensor engine in float64 (finite-difference work)."""
-    T.set_default_dtype(np.float64)
-    yield
-    T.set_default_dtype(np.float32)
+def tensor64(data, requires_grad=False):
+    """A float64 leaf, for finite-difference work."""
+    return T.Tensor(data, requires_grad, dtype=np.float64)
 
 
 def finite_difference(f, params, h=1e-3):

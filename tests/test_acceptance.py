@@ -37,7 +37,7 @@ from spikingformer.model import (
     preset_config,
 )
 from spikingformer.neuron import LIFParams, MembraneState, lif_step
-from spikingformer.tensor import Tensor, set_default_dtype
+from spikingformer.tensor import Tensor
 from spikingformer.train import TrainConfig, cross_entropy, train
 
 DESK = ModelConfig(blocks=2, embed_dim=32, heads=4, timesteps=2, num_classes=4,
@@ -151,42 +151,38 @@ def test_criterion_04_convbn_fusion_equivalence():
 
 
 def test_criterion_05_gradients_match_finite_differences():
-    set_default_dtype(np.float64)
-    try:
-        cfg = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
-                          image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
-        model = build(cfg, seed=3)
-        model.eval()
-        model.set_neuron_mode("relaxed")
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, (2, 3, 8, 8))
-        y = np.array([0, 2])
+    cfg = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
+                      image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
+    model = build(cfg, seed=3).astype(np.float64)
+    model.eval()
+    model.set_neuron_mode("relaxed")
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0, 1, (2, 3, 8, 8))
+    y = np.array([0, 2])
 
-        def loss_fn():
-            return cross_entropy(model.forward(x), y)
+    def loss_fn():
+        return cross_entropy(model.forward(x), y)
 
-        loss = loss_fn()
-        loss.backward()
-        h = 1e-4
-        worst, worst_name, checked = 0.0, "", 0
-        for name, p in model.named_parameters():
-            flat = p.data.reshape(-1)
-            grad = (p.grad.reshape(-1) if p.grad is not None
-                    else np.zeros_like(flat))
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = loss_fn().item()
-                flat[i] = orig - h
-                lo = loss_fn().item()
-                flat[i] = orig
-                fd = (hi - lo) / (2 * h)
-                rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6)
-                checked += 1
-                if rel > worst:
-                    worst, worst_name = rel, name
-    finally:
-        set_default_dtype(np.float32)
+    loss = loss_fn()
+    loss.backward()
+    h = 1e-4
+    worst, worst_name, checked = 0.0, "", 0
+    for name, p in model.named_parameters():
+        flat = p.data.reshape(-1)
+        grad = (p.grad.reshape(-1) if p.grad is not None
+                else np.zeros_like(flat))
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            hi = loss_fn().item()
+            flat[i] = orig - h
+            lo = loss_fn().item()
+            flat[i] = orig
+            fd = (hi - lo) / (2 * h)
+            rel = abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6)
+            checked += 1
+            if rel > worst:
+                worst, worst_name = rel, name
     _verdict(5, "backprop vs central differences", worst <= 1e-3,
              f"worst relative error {worst:.2e} at {worst_name} "
              f"over {checked} parameters (tol 1e-3)")

@@ -70,13 +70,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"{key}.*>= 1"):
             validate_config({key: value})
 
-    @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps"])
+    @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps", "blocks",
+                                     "embed_dim", "heads", "num_classes", "in_channels",
+                                     "mlp_ratio"])
     def test_non_positive_count_exits_cleanly(self, tmp_path, key, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CFG, **{key: 0})))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("heads", -2, "heads"), ("image_height", 0, "image_size"),
+        ("image_width", 0, "image_size"), ("tokenizer_plan", [], "tokenizer_plan"),
+    ])
+    def test_bad_model_shape_exits_cleanly(self, tmp_path, key, value, named, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **{key: value})))
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["train", "audit"])
     def test_non_positive_limit_exits_cleanly(self, tmp_path, config_path, command, capsys):

@@ -62,6 +62,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="scale must be > 0"):
             ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=1, num_classes=2, scale=scale)
 
+    @pytest.mark.parametrize("key,value", [
+        ("blocks", 0), ("embed_dim", 0), ("heads", 0), ("heads", -2), ("timesteps", 0),
+        ("num_classes", 0), ("in_channels", 0), ("image_size", (0, 8)),
+        ("image_size", (8, -1)), ("mlp_ratio", 0), ("tokenizer_plan", ()),
+    ])
+    def test_counts_must_be_positive(self, key, value):
+        import dataclasses
+
+        with pytest.raises(ValueError, match=key):
+            dataclasses.replace(TINY, **{key: value})
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("spikingformer-99-1")
@@ -233,10 +244,10 @@ class TestFusedModel:
         tracked = []
         init = Tensor.__init__
 
-        def spy(self, data, requires_grad=False, _parents=(), _backward=None):
-            if _parents:
-                tracked.append(_parents)
-            init(self, data, requires_grad, _parents, _backward)
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if self._parents:
+                tracked.append(self._parents)
 
         monkeypatch.setattr(Tensor, "__init__", spy)
         logits = model.forward(_batch(rng))
@@ -274,3 +285,92 @@ class TestFusedModel:
         model.eval()
         assert all(p.requires_grad for p in model.parameters())
         assert model.forward(_batch(rng))._parents
+
+
+DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
+                   image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
+
+
+class TestDtype:
+    """Tensors keep their operands' dtype: a float32 model never promotes,
+    and a model cast to float64 stays float64."""
+
+    @staticmethod
+    def _spy_make(monkeypatch):
+        """Record the dtype of every op result, in every module that binds _make."""
+        from spikingformer import layers, neuron
+        from spikingformer import tensor as T
+
+        make, seen = T._make, []
+
+        def spy(data, parents, backward):
+            out = make(data, parents, backward)
+            seen.append(out.data.dtype)
+            return out
+
+        for module in (T, layers, neuron):
+            monkeypatch.setattr(module, "_make", spy)
+        return seen
+
+    def test_float32_train_step_and_forwards(self, rng, monkeypatch):
+        import importlib
+
+        from spikingformer.data import synth_static
+
+        train_mod = importlib.import_module("spikingformer.train")
+        seen = self._spy_make(monkeypatch)
+        model = build(DESK, seed=0)
+        train_mod.train(model, synth_static(4, 64, seed=0),
+                        train_mod.TrainConfig(epochs=1, batch_size=64))
+        grads = {name: p.grad.dtype for name, p in model.named_parameters()}
+        assert set(grads.values()) == {np.dtype(np.float32)}, grads
+        model.eval()
+        unfused = model.forward(_batch(rng, cfg=DESK))
+        model.fuse()
+        fused = model.forward(_batch(rng, cfg=DESK))
+        assert unfused.data.dtype == fused.data.dtype == np.float32
+        assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
+
+    def test_float64_model_stays_float64(self, rng, monkeypatch):
+        from spikingformer.train import cross_entropy
+
+        model = build(TINY, seed=0).astype(np.float64)
+        assert {a.dtype for a in model.state().values()} == {np.dtype(np.float64)}
+        seen = self._spy_make(monkeypatch)
+        logits = model.forward(_batch(rng))  # a float32 batch is cast to the model's dtype
+        cross_entropy(logits, np.array([0, 3])).backward()
+        assert logits.data.dtype == np.float64
+        assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float64)}
+        other = build(TINY, seed=1).astype(np.float64)
+        other.load_state(model.state())
+        for name, arr in other.state().items():
+            assert arr.dtype == np.float64 and arr.tobytes() == model.state()[name].tobytes()
+        model.eval()
+        model.fuse()
+        assert {a.dtype for a in model.state().values()} == {np.dtype(np.float64)}
+        assert model.forward(_batch(rng)).data.dtype == np.float64
+        assert set(seen) == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("as_tensor", [False, True])
+    @pytest.mark.parametrize("events", [False, True])
+    def test_input_cast_to_model_dtype(self, rng, model_dtype, as_tensor, events):
+        model = build(TINY, seed=0).astype(model_dtype)
+        x = rng.uniform(0, 1, ((TINY.timesteps,) if events else ()) + (2, 3, 8, 8))
+        x = (x < 0.5) if events else x  # float64 frames or boolean events
+        logits = model.forward(Tensor(x, dtype=np.float64) if as_tensor else x)
+        assert logits.data.dtype == model_dtype
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float16])
+    def test_astype_rejects_other_dtypes(self, dtype):
+        model = build(TINY, seed=0)
+        with pytest.raises(ValueError, match="unsupported dtype"):
+            model.astype(dtype)
+        assert {a.dtype for a in model.state().values()} == {np.dtype(np.float32)}
+
+    def test_astype_round_trip_returns_module(self, rng):
+        model = build(TINY, seed=0)
+        before = model.state()
+        assert model.astype(np.float64).astype(np.float32) is model
+        for name, arr in model.state().items():
+            assert arr.dtype == np.float32 and arr.tobytes() == before[name].tobytes()

@@ -12,7 +12,7 @@ from spikingformer.neuron import (
     lif_step,
     multistep_lif,
 )
-from spikingformer.tensor import Tensor, heaviside, set_default_dtype, surrogate_grad
+from spikingformer.tensor import Tensor, heaviside, surrogate_grad
 
 DEFAULTS = LIFParams()
 
@@ -178,8 +178,8 @@ def composed_lif(x, params, mode="spiking", input_scale=1.0):
     Returns (spikes [T, ...], per-step input leaves whose .grad is dL/dX[t]).
     """
     step = lif_step if mode == "spiking" else _relaxed_step
-    leaves = [Tensor(x[t], requires_grad=True) for t in range(x.shape[0])]
-    state = state_of(np.full(x.shape[1:], params.v_reset))
+    leaves = [Tensor(x[t], requires_grad=True, dtype=x.dtype) for t in range(x.shape[0])]
+    state = MembraneState(Tensor(np.full(x.shape[1:], params.v_reset), dtype=x.dtype))
     outs = []
     for leaf in leaves:
         xt = leaf * input_scale if input_scale != 1.0 else leaf
@@ -222,22 +222,17 @@ class TestFusedAgainstComposed:
     @pytest.mark.parametrize("mode,detach", [("spiking", True), ("spiking", False),
                                              ("relaxed", False)])
     def test_input_gradient_float64(self, rng, params, scale, mode, detach):
-        set_default_dtype(np.float64)
-        try:
-            params = LIFParams(tau=params.tau, v_threshold=params.v_threshold,
-                               v_reset=params.v_reset, detach_reset=detach)
-            x = 2.0 * rng.standard_normal((4, 3, 5)) / scale
-            weight = rng.standard_normal(x.shape)
-            xt = Tensor(x, requires_grad=True)
-            (multistep_lif(xt, params, mode=mode, input_scale=scale)
-             * Tensor(weight)).sum().backward()
-            outs, leaves = composed_lif(x, params, mode=mode, input_scale=scale)
-            loss = outs[0] * Tensor(weight[0])
-            for t in range(1, len(outs)):
-                loss = loss + outs[t] * Tensor(weight[t])
-            loss.sum().backward()
-        finally:
-            set_default_dtype(np.float32)
+        params = LIFParams(tau=params.tau, v_threshold=params.v_threshold,
+                           v_reset=params.v_reset, detach_reset=detach)
+        x = 2.0 * rng.standard_normal((4, 3, 5)) / scale
+        weight = rng.standard_normal(x.shape)
+        xt = Tensor(x, requires_grad=True, dtype=np.float64)
+        (multistep_lif(xt, params, mode=mode, input_scale=scale) * weight).sum().backward()
+        outs, leaves = composed_lif(x, params, mode=mode, input_scale=scale)
+        loss = outs[0] * weight[0]
+        for t in range(1, len(outs)):
+            loss = loss + outs[t] * weight[t]
+        loss.sum().backward()
         expected = np.stack([leaf.grad for leaf in leaves])
         assert np.any(expected != 0)
         np.testing.assert_allclose(xt.grad, expected, rtol=0, atol=1e-6)

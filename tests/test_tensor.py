@@ -17,10 +17,9 @@ from spikingformer.tensor import (
     log_softmax,
     maxpool2d,
     no_grad,
-    set_default_dtype,
 )
 
-from conftest import finite_difference, relative_error
+from conftest import finite_difference, relative_error, tensor64
 
 
 def naive_conv2d(x, w, stride, padding):
@@ -120,12 +119,12 @@ class TestConv2dBackwardDifferential:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_einsum_col2im(self, float64_engine, rng, stride, padding, k):
-        x = Tensor(rng.standard_normal((3, 2, 5, 7)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 2, k, k)), requires_grad=True)
+    def test_matches_einsum_col2im(self, rng, stride, padding, k):
+        x = tensor64(rng.standard_normal((3, 2, 5, 7)), requires_grad=True)
+        w = tensor64(rng.standard_normal((4, 2, k, k)), requires_grad=True)
         y = conv2d(x, w, stride, padding)
         g = rng.standard_normal(y.shape)
-        (y * Tensor(g)).sum().backward()
+        (y * tensor64(g)).sum().backward()
         gx, gw = _conv2d_grads_reference(x.data, w.data, g, stride, padding)
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         assert relative_error(x.grad, gx).max() <= 1e-6
@@ -201,13 +200,13 @@ def _composed_batchnorm(bn, x):
             (1 - m) * bn._buffers["running_var"] + m * var.data.reshape(-1)
         ).astype(x.data.dtype)
     else:
-        mu = Tensor(bn._buffers["running_mean"].reshape(shape))
-        var = Tensor(bn._buffers["running_var"].reshape(shape))
-    inv_std = (var + Tensor(np.asarray(bn.eps, dtype=x.data.dtype))) ** -0.5
+        mu = Tensor(bn._buffers["running_mean"].reshape(shape), dtype=x.data.dtype)
+        var = Tensor(bn._buffers["running_var"].reshape(shape), dtype=x.data.dtype)
+    inv_std = (var + bn.eps) ** -0.5  # eps lifted to x's dtype
     return (x - mu) * inv_std * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
 
 
-def _bn_pair(rng, channels, axis, training):
+def _bn_pair(rng, channels, axis, training, dtype=np.float32):
     """Two BatchNorms with the same random affine and running statistics."""
     gamma = rng.standard_normal(channels)
     beta = rng.standard_normal(channels)
@@ -215,7 +214,7 @@ def _bn_pair(rng, channels, axis, training):
     var = rng.uniform(0.5, 2.0, channels)
     pair = []
     for _ in range(2):
-        bn = BatchNorm(channels, axis=axis)
+        bn = BatchNorm(channels, axis=axis).astype(dtype)
         bn.gamma.data = gamma.astype(bn.gamma.data.dtype)
         bn.beta.data = beta.astype(bn.beta.data.dtype)
         bn._buffers["running_mean"] = mean.astype(bn.gamma.data.dtype)
@@ -246,11 +245,11 @@ class TestBatchNormNodeDifferential:
 
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape,axis", _BN_CASES)
-    def test_float64_gradients_match(self, float64_engine, rng, shape, axis, training):
-        fast, ref = _bn_pair(rng, shape[axis], axis, training)
+    def test_float64_gradients_match(self, rng, shape, axis, training):
+        fast, ref = _bn_pair(rng, shape[axis], axis, training, np.float64)
         x = 3.0 * rng.standard_normal(shape) + 1.0
-        g = Tensor(rng.standard_normal(shape))
-        xf, xr = Tensor(x, requires_grad=True), Tensor(x, requires_grad=True)
+        g = tensor64(rng.standard_normal(shape))
+        xf, xr = tensor64(x, requires_grad=True), tensor64(x, requires_grad=True)
         (fast.forward(xf) * g).sum().backward()
         (_composed_batchnorm(ref, xr) * g).sum().backward()
         for got, want in [(xf.grad, xr.grad), (fast.gamma.grad, ref.gamma.grad),
@@ -313,11 +312,10 @@ class TestSilentRowGemm:
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("which", range(5))
     def test_matches_dense_reference(self, rng, dtype, shape, which):
-        T.set_default_dtype(dtype)
         n_silent = self._silent_counts(40)[which]
         a = _rows_with_silent(rng, shape, n_silent, dtype)
         w = rng.standard_normal((shape[-1], 7)).astype(dtype)
-        y = (Tensor(a) @ Tensor(w)).data
+        y = (Tensor(a, dtype=dtype) @ Tensor(w, dtype=dtype)).data
         ref = a @ w
         assert y.shape == ref.shape and y.dtype == dtype
         silent = ~a.any(axis=-1)
@@ -349,14 +347,14 @@ class TestSilentRowGemm:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", SHAPES)
     def test_gradients_bit_equal_to_dense_path(self, rng, monkeypatch, dtype, shape):
-        T.set_default_dtype(dtype)
         a = _rows_with_silent(rng, shape, 20, dtype)
         w = rng.standard_normal((shape[-1], 7)).astype(dtype)
         upstream = rng.standard_normal(shape[:-1] + (7,)).astype(dtype)
 
         def grads():
-            x, wt = Tensor(a, requires_grad=True), Tensor(w, requires_grad=True)
-            ((x @ wt) * Tensor(upstream)).sum().backward()
+            x = Tensor(a, requires_grad=True, dtype=dtype)
+            wt = Tensor(w, requires_grad=True, dtype=dtype)
+            ((x @ wt) * upstream).sum().backward()
             return x.grad, wt.grad
 
         compacted = grads()
@@ -430,11 +428,11 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             (w * 2.0).backward()
 
-    def test_two_layer_affine_chain_fd(self, float64_engine, rng):
-        w1 = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
-        b1 = Tensor(rng.standard_normal(5), requires_grad=True)
-        w2 = Tensor(rng.standard_normal((5, 2)), requires_grad=True)
-        x = Tensor(rng.standard_normal((3, 4)))
+    def test_two_layer_affine_chain_fd(self, rng):
+        w1 = tensor64(rng.standard_normal((4, 5)), requires_grad=True)
+        b1 = tensor64(rng.standard_normal(5), requires_grad=True)
+        w2 = tensor64(rng.standard_normal((5, 2)), requires_grad=True)
+        x = tensor64(rng.standard_normal((3, 4)))
 
         def run():
             h = (x @ w1 + b1).sigmoid()
@@ -446,10 +444,10 @@ class TestBackward:
         for p, g in zip([w1, b1, w2], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
-    def test_rank3_input_weight_gradient_fd(self, float64_engine, rng):
+    def test_rank3_input_weight_gradient_fd(self, rng):
         # [T*B, N, D] @ [D, D'] takes the weight gradient as one flattened GEMM
-        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((4, 5)), requires_grad=True)
+        x = tensor64(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = tensor64(rng.standard_normal((4, 5)), requires_grad=True)
 
         def run():
             return ((x @ w) ** 2.0).sum()
@@ -460,10 +458,10 @@ class TestBackward:
             assert relative_error(p.grad, g).max() <= 1e-3
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
-    def test_conv2d_gradients_fd(self, float64_engine, rng, stride, padding):
-        x = Tensor(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
-        w = Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
-        b = Tensor(rng.standard_normal(3), requires_grad=True)
+    def test_conv2d_gradients_fd(self, rng, stride, padding):
+        x = tensor64(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        w = tensor64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = tensor64(rng.standard_normal(3), requires_grad=True)
 
         def run():
             return (conv2d(x, w, stride, padding, bias=b) ** 2.0).sum()
@@ -473,8 +471,8 @@ class TestBackward:
         for p, g in zip([x, w, b], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
-    def test_maxpool_gradients_fd(self, float64_engine, rng):
-        x = Tensor(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+    def test_maxpool_gradients_fd(self, rng):
+        x = tensor64(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
 
         def run():
             return (maxpool2d(x) ** 2.0).sum()
@@ -483,15 +481,15 @@ class TestBackward:
         (fd,) = finite_difference(lambda: run().item(), [x], h=1e-5)
         assert relative_error(x.grad, fd).max() <= 1e-3
 
-    def test_batchnorm_gradients_fd(self, float64_engine, rng):
-        x = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-        gamma = Tensor(rng.standard_normal(3), requires_grad=True)
-        beta = Tensor(rng.standard_normal(3), requires_grad=True)
+    def test_batchnorm_gradients_fd(self, rng):
+        x = tensor64(rng.standard_normal((4, 3)), requires_grad=True)
+        gamma = tensor64(rng.standard_normal(3), requires_grad=True)
+        beta = tensor64(rng.standard_normal(3), requires_grad=True)
 
         def run():
             mu = x.mean(axis=0, keepdims=True)
             var = ((x - mu) ** 2.0).mean(axis=0, keepdims=True)
-            y = (x - mu) * (var + Tensor(1e-5)) ** -0.5 * gamma + beta
+            y = (x - mu) * (var + tensor64(1e-5)) ** -0.5 * gamma + beta
             return (y ** 2.0).sum()
 
         run().backward()
@@ -499,9 +497,9 @@ class TestBackward:
         for p, g in zip([x, gamma, beta], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
-    def test_log_softmax_gradient_fd(self, float64_engine, rng):
-        x = Tensor(rng.standard_normal((2, 5)), requires_grad=True)
-        mask = Tensor(rng.standard_normal((2, 5)))
+    def test_log_softmax_gradient_fd(self, rng):
+        x = tensor64(rng.standard_normal((2, 5)), requires_grad=True)
+        mask = tensor64(rng.standard_normal((2, 5)))
 
         def run():
             return (log_softmax(x) * mask).sum()
@@ -509,6 +507,47 @@ class TestBackward:
         run().backward()
         (fd,) = finite_difference(lambda: run().item(), [x])
         assert relative_error(x.grad, fd).max() <= 1e-3
+
+
+class TestDtypeRule:
+    """A new tensor is float32 unless asked otherwise; op results keep numpy's
+    dtype; a lifted constant takes the dtype of the tensor it meets."""
+
+    def test_new_tensor_is_float32_unless_asked(self):
+        assert Tensor(np.ones(3)).data.dtype == np.float32
+        assert Tensor([1, 2]).data.dtype == np.float32
+        assert Tensor(tensor64(np.ones(3))).data.dtype == np.float32
+        assert tensor64(np.ones(3, dtype=np.float32)).data.dtype == np.float64
+
+    def test_op_result_keeps_numpy_dtype(self):
+        a, b = Tensor(np.ones((2, 2))), tensor64(np.ones((2, 2)))
+        assert (a * a).data.dtype == (a @ a).data.dtype == np.float32
+        assert (a + b).data.dtype == (a @ b).data.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("const", [2, 0.5, np.float64(0.5), np.float32(0.5),
+                                       np.full(3, 0.5), np.full(3, 0.5, np.float32)])
+    def test_constant_takes_tensor_dtype(self, dtype, const):
+        x = Tensor(np.ones(3), requires_grad=True, dtype=dtype)
+        for y in (x + const, x - const, x * const, x / const, 1.0 - x, 2.0 * x):
+            assert y.data.dtype == dtype
+        (x * const).sum().backward()
+        assert x.grad.dtype == dtype
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_detach_and_log_softmax_keep_dtype(self, rng, dtype):
+        x = Tensor(rng.standard_normal((2, 5)), requires_grad=True, dtype=dtype)
+        assert x.detach().data.dtype == dtype
+        y = log_softmax(x)
+        y.sum().backward()
+        assert y.data.dtype == x.grad.dtype == dtype
+
+    def test_tracked(self):
+        leaf, const = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(2))
+        assert leaf.tracked and not const.tracked
+        assert (leaf * const).tracked and not (const * const).tracked
+        with no_grad():
+            assert not (leaf * const).tracked
 
 
 class TestNoGrad:
