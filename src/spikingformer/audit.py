@@ -1,8 +1,10 @@
 """Instrumentation: per-ConvBN input histograms, firing rates, purity verdicts.
 
 A ForwardRecorder hooks every ConvBN (and the attention matmuls) during a
-forward pass. Input values are binned at the nearest integer; anything more
-than 1e-5 away from an integer lands in an anomaly bucket instead of a bin.
+forward pass. Input values are binned at the nearest integer in linear time
+(two counts decide a binary input; anything else goes through ``np.bincount``);
+anything more than 1e-5 away from an integer, or not finite, lands in an
+anomaly bucket instead of a bin.
 The purity verdict asserts the spike-driven claim: every conv input except
 the encoder conv is exactly binary.
 """
@@ -66,13 +68,24 @@ class ForwardRecorder:
         obs.flops_per_item = flops_per_item
         obs.items += x.shape[0]
         obs.elements += x.size
-        obs.nonzero += int(np.count_nonzero(x))
+        nonzero = int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
+        obs.nonzero += nonzero
+        if int(np.count_nonzero(x == 1)) == nonzero:  # binary: no rounding needed
+            for v, c in ((0, x.size - nonzero), (1, nonzero)):
+                if c:
+                    obs.histogram[v] += c
+            return
         rounded = np.rint(x)
-        anomalous = np.abs(x - rounded) > INTEGER_TOLERANCE
-        obs.anomalies += int(anomalous.sum())
-        values, counts = np.unique(rounded[~anomalous].astype(np.int64), return_counts=True)
-        for v, c in zip(values.tolist(), counts.tolist()):
-            obs.histogram[v] += c
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN: an anomaly
+            integral = np.abs(x - rounded) <= INTEGER_TOLERANCE
+        values = rounded[integral].astype(np.int64)
+        obs.anomalies += x.size - values.size
+        if values.size:
+            low = int(values.min())
+            values -= low
+            counts = np.bincount(values)
+            for v in np.flatnonzero(counts).tolist():
+                obs.histogram[v + low] += int(counts[v])
 
     def observe_attention(self, attn, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
         """Record the two matmuls of Q K^T V with exact event counts.

@@ -108,13 +108,12 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 
 
 class BatchNorm(Module):
-    """Per-channel batch normalization over an arbitrary channel axis."""
+    """Per-channel batch normalization over the last (channel) axis."""
 
-    def __init__(self, num_features: int, axis: int = 1, eps: float = 1e-5, momentum: float = 0.1):
+    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
         super().__init__()
         if eps <= 0:
             raise ValueError("batchnorm eps must be > 0")
-        self.axis = axis
         self.eps = eps
         self.momentum = momentum
         self.gamma = Parameter(np.ones(num_features))
@@ -124,22 +123,14 @@ class BatchNorm(Module):
             "running_var": np.ones(num_features, dtype=np.float32),
         }
 
-    def _param_shape(self, ndim: int):
-        shape = [1] * ndim
-        shape[self.axis] = -1
-        return tuple(shape)
-
     def forward(self, x: Tensor) -> Tensor:
-        ndim = x.ndim
-        axis = self.axis % ndim
-        if x.shape[axis] != self.gamma.size:
+        if x.shape[-1] != self.gamma.size:
             raise ValueError(
-                f"batchnorm expects {self.gamma.size} channels on axis {axis}, got {x.shape[axis]}"
+                f"batchnorm expects {self.gamma.size} channels on the last axis, got {x.shape[-1]}"
             )
-        shape = self._param_shape(ndim)
-        reduce_axes = tuple(a for a in range(ndim) if a != axis)
+        reduce_axes = tuple(range(x.ndim - 1))
         data, dtype = x.data, x.data.dtype
-        inv_n = dtype.type(1.0 / math.prod(data.shape[a] for a in reduce_axes))
+        inv_n = dtype.type(1.0 / math.prod(data.shape[:-1]))
         training = self.training
         if training:
             mu = data.sum(axis=reduce_axes, keepdims=True) * inv_n
@@ -155,23 +146,23 @@ class BatchNorm(Module):
         else:
             if np.any(self._buffers["running_var"] + self.eps <= 0):
                 raise ValueError("batchnorm running variance + eps must be positive")
-            mu = self._buffers["running_mean"].astype(dtype, copy=False).reshape(shape)
-            var = self._buffers["running_var"].astype(dtype, copy=False).reshape(shape)
+            mu = self._buffers["running_mean"].astype(dtype, copy=False)
+            var = self._buffers["running_var"].astype(dtype, copy=False)
             centered = data - mu
         inv_std = (var + np.asarray(self.eps, dtype=dtype)) ** -0.5
         gamma, beta = self.gamma, self.beta
-        gamma_r = gamma.data.reshape(shape)
-        x_hat = centered * inv_std
+        x_hat = np.multiply(centered, inv_std, out=centered)
+        y = x_hat * gamma.data
+        y += beta.data
 
         def bwd(g):
             # one node: the closed-form BN backward over the reduced axes
             g_beta = g.sum(axis=reduce_axes)
             g_gamma = (g * x_hat).sum(axis=reduce_axes)
             if x.tracked:
-                scale = gamma_r * inv_std
+                scale = gamma.data * inv_std
                 if training:
-                    gx = (g - (g_beta * inv_n).reshape(shape)
-                          - x_hat * (g_gamma * inv_n).reshape(shape)) * scale
+                    gx = (g - g_beta * inv_n - x_hat * (g_gamma * inv_n)) * scale
                 else:
                     gx = g * scale
                 x._accumulate(gx)
@@ -180,7 +171,7 @@ class BatchNorm(Module):
             if beta.tracked:
                 beta._accumulate(g_beta)
 
-        return _make(x_hat * gamma_r + beta.data.reshape(shape), (x, gamma, beta), bwd)
+        return _make(y, (x, gamma, beta), bwd)
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""
@@ -213,11 +204,11 @@ class SN(Module):
 class ConvBN2d(Module):
     """Convolution + batchnorm: the one ConvBN unit, spatial or token-space.
 
-    Spatial (default): a kxk convolution on [B, C, H, W] maps with an
-    [out, in, k, k] kernel and BN on the channel axis. ``tokens=True``: a 1x1
-    convolution over the token axis of [B, N, D] tensors, i.e. a shared
-    per-token linear map ``x @ W`` with an [in, out] kernel and BN on the last
-    axis. ``fuse()`` folds the BN into a frozen kernel and bias in place.
+    Spatial (default): a kxk convolution on channels-last [B, H, W, C] maps
+    with an [out, in, k, k] kernel. ``tokens=True``: a 1x1 convolution over
+    the token axis of [B, N, D] tensors, i.e. a shared per-token linear map
+    ``x @ W`` with an [in, out] kernel. Either way BN runs on the last axis.
+    ``fuse()`` folds the BN into a frozen kernel and bias in place.
     """
 
     def __init__(self, in_channels, out_channels, rng, kernel_size=3, stride=1, padding=1,
@@ -232,7 +223,7 @@ class ConvBN2d(Module):
                          else ((out_channels, in_channels, k, k), in_channels * k * k))
         self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in))
         self.bias = None
-        self.bn = BatchNorm(out_channels, axis=-1 if tokens else 1)
+        self.bn = BatchNorm(out_channels)
         self.recorder = None
         self.name = ""
 
@@ -242,7 +233,7 @@ class ConvBN2d(Module):
                 positions = x.shape[-2]
             else:
                 k = self.weight.shape[-1]
-                oh, ow = ((s + 2 * self.padding - k) // self.stride + 1 for s in x.shape[-2:])
+                oh, ow = ((s + 2 * self.padding - k) // self.stride + 1 for s in x.shape[1:3])
                 positions = oh * ow
             self.recorder.observe_conv(self, x.data, positions * self.weight.size)
         if self.tokens:
@@ -271,7 +262,8 @@ class ConvBN2d(Module):
 
 
 class PatchEmbedUnit(Module):
-    """One SPE/SPED tokenizer unit: optional SN, optional stride-2 maxpool, ConvBN.
+    """One SPE/SPED tokenizer unit: optional SN, optional stride-2 maxpool, ConvBN,
+    over channels-last [T*B, H, W, C] maps.
 
     ``spike-driven`` order is SN -> (MP) -> ConvBN; ``add`` order is
     ConvBN -> SN -> (MP). The tokenizer's first unit carries no leading SN in
@@ -306,8 +298,10 @@ class PatchEmbedUnit(Module):
 class SpikingTokenizer(Module):
     """Input stage: a stack of SPE/SPED units plus a final D->D embedding unit.
 
-    Channel widths double per unit, ending at the embedding dimension; the
-    output spatial grid is flattened into N tokens.
+    Channel widths double per unit, ending at the embedding dimension. The
+    input is [T*B, C, H, W]; it is viewed channels-last once on entry, every
+    unit works on [T*B, H, W, C] maps, and the output grid becomes N tokens
+    by a reshape alone.
     """
 
     def __init__(self, plan, in_channels, embed_dim, rng, lif: LIFParams, style: str):
@@ -332,10 +326,11 @@ class SpikingTokenizer(Module):
         )
 
     def forward(self, x: Tensor, t_steps: int) -> Tensor:
+        x = x.transpose((0, 2, 3, 1))
         for unit in self.units:
             x = unit.forward(x, t_steps)
-        tb, d, h, w = x.shape
-        return x.reshape(tb, d, h * w).transpose((0, 2, 1))  # [T*B, N, D]
+        tb, h, w, d = x.shape
+        return x.reshape(tb, h * w, d)  # [T*B, N, D]
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:

@@ -309,41 +309,44 @@ def spike_threshold(v: Tensor, alpha: float) -> Tensor:
 # -- structured ops -----------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    b, c, h, w = x.shape
+def _patch_rows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
+    """[B*OH*OW, kh*kw*C] patch rows of a [B, H, W, C] map, K in (kh, kw, c)
+    order: the reshape of one strided view of the padded map copies each patch once."""
+    b, h, w, c = x.shape
     if padding:
-        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding : padding + h, padding : padding + w] = x
+        x = xp
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (w + 2 * padding - kw) // stride + 1
-    sb, sc, sh, sw = x.strides
-    cols = np.lib.stride_tricks.as_strided(
+    sb, sh, sw, sc = x.strides
+    patches = np.lib.stride_tricks.as_strided(
         x,
-        shape=(b, c, kh, kw, oh, ow),
-        strides=(sb, sc, sh, sw, sh * stride, sw * stride),
+        shape=(b, oh, ow, kh, kw, c),
+        strides=(sb, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return cols.reshape(b, c * kh * kw, oh * ow), (oh, ow)
+    return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
 
 
-def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray, x_shape, stride: int, padding: int):
-    """Gradient of conv2d wrt its [B, C, H, W] input, computed channels-last.
+def _conv2d_input_grad(g_rows: np.ndarray, kernel: np.ndarray, x_shape, stride: int, padding: int):
+    """Gradient of conv2d wrt its [B, H, W, C] input.
 
-    One broadcast GEMM gives every kernel tap's contribution laid out
-    (kh, kw, oh, ow, b, c); each tap is then added into a (hp, wp, b, c)
-    buffer, whose inner axis is b*c wide, and one transpose returns NCHW.
+    One GEMM against the [O, C*kh*kw] view of the kernel gives every kernel
+    tap's contribution laid out (b, oh, ow, c, kh, kw); each tap is then added
+    into a (b, hp, wp, c) buffer, whose interior is copied out (so the padded
+    buffer is freed) as the gradient.
     """
-    b, c, h, w = x_shape
+    b, h, w, c = x_shape
     o, _, kh, kw = kernel.shape
-    oh, ow = g.shape[2:]
     hp, wp = h + 2 * padding, w + 2 * padding
-    g_rows = g.transpose(2, 3, 0, 1).reshape(oh * ow * b, o)
-    taps = (g_rows @ kernel.transpose(2, 3, 0, 1)).reshape(kh, kw, oh, ow, b, c)
-    xpad = np.zeros((hp, wp, b, c), dtype=taps.dtype)
+    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    taps = (g_rows @ kernel.reshape(o, -1)).reshape(b, oh, ow, c, kh, kw)
+    xpad = np.zeros((b, hp, wp, c), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
-            xpad[i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[i, j]
-    gx = xpad[padding : padding + h, padding : padding + w].transpose(2, 3, 0, 1)
-    return np.ascontiguousarray(gx)
+            xpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[..., i, j]
+    return np.ascontiguousarray(xpad[:, padding : padding + h, padding : padding + w])
 
 
 def conv2d(
@@ -353,46 +356,56 @@ def conv2d(
     padding: int = 0,
     bias: Optional[Tensor] = None,
 ) -> Tensor:
-    """2D cross-correlation over [B, C, H, W] with an [O, C, kh, kw] kernel."""
-    b, c, h, w = x.shape
+    """2D cross-correlation of a channels-last [B, H, W, C] map with an
+    [O, C, kh, kw] kernel, giving [B, OH, OW, O].
+
+    The patch rows [B*OH*OW, kh*kw*C] meet the kernel reshaped to
+    [kh*kw*C, O] in one dense GEMM; the weight gradient is ``rows.T @ g_rows``.
+    """
+    b, h, w, c = x.shape
     o, ck, kh, kw = kernel.shape
     if ck != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ck}")
+        raise ValueError(
+            f"conv2d channel mismatch: input of shape {x.shape} read as [B, H, W, C] has "
+            f"C={c}, kernel [O, C, kh, kw] expects C={ck}"
+        )
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ValueError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    cols, (oh, ow) = _im2col(x.data, kh, kw, stride, padding)
+    rows, (oh, ow) = _patch_rows(x.data, kh, kw, stride, padding)
     k = kernel.data
-    y = (k.reshape(o, c * kh * kw) @ cols).reshape(b, o, oh, ow)
+    y = rows @ k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
     if bias is not None:
-        y = y + bias.data.reshape(1, o, 1, 1)
+        y += bias.data
     parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
+        g_rows = g.reshape(-1, o)
         if kernel.tracked:
-            gw = np.tensordot(g.reshape(b, o, oh * ow), cols, axes=([0, 2], [0, 2]))
-            kernel._accumulate(gw.reshape(kernel.shape))
+            gw = (rows.T @ g_rows).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
+            kernel._accumulate(gw)
         if x.tracked:
-            x._accumulate(_conv2d_input_grad(g, k, (b, c, h, w), stride, padding))
+            x._accumulate(_conv2d_input_grad(g_rows, k, x.shape, stride, padding))
         if bias is not None and bias.tracked:
-            bias._accumulate(g.sum(axis=(0, 2, 3)))
+            bias._accumulate(g_rows.sum(axis=0))
 
-    return _make(y, parents, bwd)
+    return _make(y.reshape(b, oh, ow, o), parents, bwd)
 
 
 def maxpool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; odd trailing rows/cols are dropped.
+    """2x2 max pooling with stride 2 over axes 1-2 of a channels-last
+    [B, H, W, C] map; odd trailing rows/cols are dropped.
 
     The forward is the max of the four strided views; the backward sends each
     gradient to the first maximal view in (0,0), (0,1), (1,0), (1,1) order,
     which is where argmax over the window would send it when spikes tie.
     """
-    b, c, h, w = x.shape
+    h, w = x.shape[1:3]
     if h < 2 or w < 2:
         raise ValueError(f"maxpool2d needs spatial dims >= 2, got {h}x{w}")
     oh, ow = h // 2, w // 2
-    windows = [(slice(None), slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
+    windows = [(slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
                for i in (0, 1) for j in (0, 1)]
     views = [x.data[win] for win in windows]
     y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))

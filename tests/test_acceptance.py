@@ -131,7 +131,7 @@ def test_criterion_04_convbn_fusion_equivalence():
         layer.bn._buffers["running_mean"] = rng.standard_normal(3).astype(np.float32)
         layer.bn._buffers["running_var"] = rng.uniform(0.05, 2.0, 3).astype(np.float32)
         layer.eval()
-        x = Tensor(rng.integers(0, 2, (1, 2, 5, 5)).astype(np.float32))
+        x = Tensor(rng.integers(0, 2, (1, 2, 5, 5)).astype(np.float32).transpose(0, 2, 3, 1))
         before = layer.forward(x).data
         layer.fuse()
         worst_layer = max(worst_layer, float(np.max(np.abs(before - layer.forward(x).data))))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -90,6 +91,56 @@ class TestRecorderHistogram:
         rec.observe_conv(layer, np.zeros((2, 3)), 1)
         obs = rec.layers["l"]
         assert obs.elements == 12 and obs.firing_rate == 0.5
+
+    def test_non_finite_values_are_anomalies(self):
+        rec = ForwardRecorder()
+        x = np.array([[0.0, 1.0, np.nan, np.inf, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec.observe_conv(_FakeLayer("l"), x, 1)
+        obs = rec.layers["l"]
+        assert dict(obs.histogram) == {0: 1, 1: 1, 2: 1}
+        assert obs.anomalies == 2 and not obs.is_binary
+
+
+def _sorting_observe_conv(x, tol=1e-5):
+    """The np.unique recorder the bincount one replaced:
+    (histogram, anomalies, nonzero, elements, items) of one conv input."""
+    rounded = np.rint(x)
+    anomalous = np.abs(x - rounded) > tol
+    values, counts = np.unique(rounded[~anomalous].astype(np.int64), return_counts=True)
+    histogram = dict(zip(values.tolist(), counts.tolist()))
+    return histogram, int(anomalous.sum()), int(np.count_nonzero(x)), x.size, x.shape[0]
+
+
+def _recorder_inputs():
+    rng = np.random.default_rng(7)
+    shape = (6, 5, 4, 3)
+    near = rng.integers(-2, 3, shape).astype(np.float64)
+    return {
+        "binary": (rng.random(shape) < 0.3).astype(np.float32),
+        "all-zero": np.zeros(shape, np.float32),
+        "all-one": np.ones(shape, np.float32),
+        "signed-ints": rng.integers(-3, 9, shape).astype(np.float32),
+        "analog": rng.uniform(-2, 2, shape).astype(np.float32),
+        "near-inside": near + rng.choice([-1, 1], shape) * rng.uniform(0, 0.99e-5, shape),
+        "near-outside": near + rng.choice([-1, 1], shape) * rng.uniform(1.01e-5, 3e-5, shape),
+    }
+
+
+class TestRecorderDifferential:
+    """The linear-time recorder against the np.unique recorder it replaced."""
+
+    @pytest.mark.parametrize("kind", list(_recorder_inputs()))
+    def test_matches_sorting_recorder(self, kind):
+        x = _recorder_inputs()[kind]
+        rec = ForwardRecorder()
+        rec.observe_conv(_FakeLayer("l"), x, 1)
+        obs = rec.layers["l"]
+        histogram, anomalies, nonzero, elements, items = _sorting_observe_conv(x)
+        assert dict(obs.histogram) == histogram  # no zero-count bins: all-one is {1: n}
+        assert (obs.anomalies, obs.nonzero, obs.elements, obs.items) == (
+            anomalies, nonzero, elements, items)
 
 
 class TestAttentionEvents:

@@ -50,19 +50,19 @@ def is_binary(arr):
 class TestPatchEmbedding:
     def test_spe_preserves_geometry(self):
         unit = PatchEmbedUnit(3, 8, _rng(), LIF, downsample=False, style=SPIKE_DRIVEN)
-        x = Tensor(_rng().uniform(0, 1, (4, 3, 8, 8)).astype(np.float32))
+        x = Tensor(_rng().uniform(0, 1, (4, 3, 8, 8)).astype(np.float32).transpose(0, 2, 3, 1))
         assert unit.forward(x, 2).shape == (4, 8, 8, 8)
 
     def test_sped_halves_geometry(self):
         unit = PatchEmbedUnit(3, 8, _rng(), LIF, downsample=True, style=SPIKE_DRIVEN)
-        x = Tensor(_rng().uniform(0, 1, (4, 3, 32, 32)).astype(np.float32))
-        assert unit.forward(x, 2).shape == (4, 8, 16, 16)
+        x = Tensor(_rng().uniform(0, 1, (4, 3, 32, 32)).astype(np.float32).transpose(0, 2, 3, 1))
+        assert unit.forward(x, 2).shape == (4, 16, 16, 8)
 
     def test_conv_input_is_binary(self):
         unit = PatchEmbedUnit(3, 8, _rng(), LIF, downsample=True, style=SPIKE_DRIVEN)
         catcher = _InputCatcher()
         unit.conv.recorder = catcher
-        x = Tensor(_rng().uniform(0, 3, (4, 3, 8, 8)).astype(np.float32))
+        x = Tensor(_rng().uniform(0, 3, (4, 3, 8, 8)).astype(np.float32).transpose(0, 2, 3, 1))
         unit.forward(x, 2)
         assert all(is_binary(arr) for _, arr in catcher.inputs)
 
@@ -72,7 +72,7 @@ class TestPatchEmbedding:
         unit.conv.bn.eval()
         unit.sn.eval()
         unit.conv.eval()
-        x = Tensor(np.zeros((2, 3, 4, 4), dtype=np.float32))  # sits at V_reset
+        x = Tensor(np.zeros((2, 4, 4, 3), dtype=np.float32))  # sits at V_reset
         y = unit.forward(x, 1)
         np.testing.assert_allclose(y.data, 0.25, atol=1e-6)
 
@@ -298,7 +298,7 @@ class TestFusion:
             layer.bn._buffers["running_mean"] = rng.standard_normal(4).astype(np.float32)
             layer.bn._buffers["running_var"] = rng.uniform(0.1, 2.0, 4).astype(np.float32)
             layer.eval()
-            x = Tensor(rng.integers(0, 2, (2, 2, 6, 6)).astype(np.float32))
+            x = Tensor(rng.integers(0, 2, (2, 2, 6, 6)).astype(np.float32).transpose(0, 2, 3, 1))
             before = layer.forward(x).data
             layer.fuse()
             after = layer.forward(x).data

@@ -12,7 +12,6 @@ from spikingformer.layers import BatchNorm
 from spikingformer.neuron import LIFParams, multistep_lif
 from spikingformer.tensor import (
     Tensor,
-    _im2col,
     conv2d,
     log_softmax,
     maxpool2d,
@@ -22,8 +21,18 @@ from spikingformer.tensor import (
 from conftest import finite_difference, relative_error, tensor64
 
 
+def nhwc(a):
+    """A [B, C, H, W] array laid out channels-last, [B, H, W, C]."""
+    return np.ascontiguousarray(np.asarray(a).transpose(0, 2, 3, 1))
+
+
+def nchw(a):
+    """A channels-last [B, H, W, C] array back in [B, C, H, W] layout."""
+    return np.asarray(a).transpose(0, 3, 1, 2)
+
+
 def naive_conv2d(x, w, stride, padding):
-    """Direct 6-loop cross-correlation reference."""
+    """Direct 6-loop cross-correlation reference over [B, C, H, W]."""
     b, c, h, ww = x.shape
     o, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -45,14 +54,14 @@ def naive_conv2d(x, w, stride, padding):
 
 class TestConv2d:
     def test_identity_kernel(self):
-        x = Tensor(np.ones((1, 1, 3, 3), dtype=np.float32))
+        x = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
         k = np.zeros((1, 1, 3, 3), dtype=np.float32)
         k[0, 0, 1, 1] = 1.0
         y = conv2d(x, Tensor(k), stride=1, padding=1)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_all_ones_sum(self):
-        x = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
+        x = Tensor(np.ones((1, 2, 2, 1), dtype=np.float32))
         k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
         y = conv2d(x, k, stride=1, padding=0)
         assert y.data.shape == (1, 1, 1, 1)
@@ -62,28 +71,68 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         for stride, padding in [(1, 0), (1, 1), (2, 1)]:
-            got = conv2d(Tensor(x), Tensor(w), stride, padding).data
+            got = nchw(conv2d(Tensor(nhwc(x)), Tensor(w), stride, padding).data)
             want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_channel_mismatch_raises(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 5, 5)))
+        x = Tensor(rng.standard_normal((1, 5, 5, 2)))
         w = Tensor(rng.standard_normal((3, 4, 3, 3)))
         with pytest.raises(ValueError, match="channel mismatch"):
             conv2d(x, w)
+        # an NCHW array passed by habit: the message names the layout it expects
+        with pytest.raises(ValueError, match=r"channel mismatch.*\[B, H, W, C\].*C=5"):
+            conv2d(Tensor(rng.standard_normal((1, 4, 5, 5))), w)
 
     def test_oversized_kernel_raises(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 2, 2)))
+        x = Tensor(rng.standard_normal((1, 2, 2, 1)))
         w = Tensor(rng.standard_normal((1, 1, 5, 5)))
         with pytest.raises(ValueError, match="larger than"):
             conv2d(x, w, padding=0)
 
     def test_bias(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 3, 3)).astype(np.float32))
+        x = Tensor(rng.standard_normal((1, 3, 3, 1)).astype(np.float32))
         w = Tensor(np.zeros((2, 1, 3, 3), dtype=np.float32))
         b = Tensor(np.array([1.5, -2.0], dtype=np.float32))
         y = conv2d(x, w, padding=1, bias=b)
-        assert np.all(y.data[0, 0] == 1.5) and np.all(y.data[0, 1] == -2.0)
+        assert np.all(y.data[..., 0] == 1.5) and np.all(y.data[..., 1] == -2.0)
+
+
+def _im2col(x, kh, kw, stride, padding):
+    """[B, C*kh*kw, OH*OW] patch columns of an NCHW map (the pre-channels-last path)."""
+    b, c, h, w = x.shape
+    if padding:
+        x = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (w + 2 * padding - kw) // stride + 1
+    sb, sc, sh, sw = x.strides
+    cols = np.lib.stride_tricks.as_strided(
+        x,
+        shape=(b, c, kh, kw, oh, ow),
+        strides=(sb, sc, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+    return cols.reshape(b, c * kh * kw, oh * ow), (oh, ow)
+
+
+def _im2col_conv2d(x, kernel, g, stride, padding):
+    """NCHW (output, input gradient, kernel gradient) of the im2col conv2d:
+    a batched [O, CK^2] @ [B, CK^2, P] GEMM, a tensordot weight gradient and
+    the per-tap scatter of the input gradient."""
+    b, c, h, w = x.shape
+    o, _, kh, kw = kernel.shape
+    cols, (oh, ow) = _im2col(x, kh, kw, stride, padding)
+    y = (kernel.reshape(o, c * kh * kw) @ cols).reshape(b, o, oh, ow)
+    gw = np.tensordot(g.reshape(b, o, oh * ow), cols, axes=([0, 2], [0, 2])).reshape(kernel.shape)
+    hp, wp = h + 2 * padding, w + 2 * padding
+    g_rows = g.transpose(2, 3, 0, 1).reshape(oh * ow * b, o)
+    taps = (g_rows @ kernel.transpose(2, 3, 0, 1)).reshape(kh, kw, oh, ow, b, c)
+    xpad = np.zeros((hp, wp, b, c), dtype=taps.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            xpad[i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[i, j]
+    gx = xpad[padding : padding + h, padding : padding + w].transpose(2, 3, 0, 1)
+    return y, gx, gw
 
 
 def _col2im_reference(cols, x_shape, kh, kw, stride, padding):
@@ -101,7 +150,7 @@ def _col2im_reference(cols, x_shape, kh, kw, stride, padding):
 
 
 def _conv2d_grads_reference(x, kernel, g, stride, padding):
-    """(input, kernel) gradients of conv2d by the einsum + col2im reference."""
+    """NCHW (input, kernel) gradients of conv2d by the einsum + col2im reference."""
     b = x.shape[0]
     o, c, kh, kw = kernel.shape
     cols, (oh, ow) = _im2col(x, kh, kw, stride, padding)
@@ -112,29 +161,58 @@ def _conv2d_grads_reference(x, kernel, g, stride, padding):
     return _col2im_reference(gcols, x.shape, kh, kw, stride, padding), gw
 
 
+def _conv2d_with_grads(x, kernel, g, stride, padding):
+    """conv2d on the channels-last view of an NCHW x, in float64: NCHW
+    (output, input gradient, kernel gradient) for upstream gradient g (NCHW)."""
+    xt = tensor64(nhwc(x), requires_grad=True)
+    wt = tensor64(kernel, requires_grad=True)
+    y = conv2d(xt, wt, stride, padding)
+    (y * tensor64(nhwc(g))).sum().backward()
+    assert xt.grad.shape == xt.shape and wt.grad.shape == wt.shape
+    return nchw(y.data), nchw(xt.grad), wt.grad
+
+
 class TestConv2dBackwardDifferential:
-    """The channels-last input gradient and tensordot weight gradient against
-    the einsum + col2im reference, in float64."""
+    """The channels-last input gradient and the patch-row weight gradient
+    against the einsum + col2im reference, in float64."""
 
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("padding", [0, 1])
     @pytest.mark.parametrize("k", [1, 3])
     def test_matches_einsum_col2im(self, rng, stride, padding, k):
-        x = tensor64(rng.standard_normal((3, 2, 5, 7)), requires_grad=True)
-        w = tensor64(rng.standard_normal((4, 2, k, k)), requires_grad=True)
-        y = conv2d(x, w, stride, padding)
-        g = rng.standard_normal(y.shape)
-        (y * tensor64(g)).sum().backward()
-        gx, gw = _conv2d_grads_reference(x.data, w.data, g, stride, padding)
-        assert x.grad.shape == x.shape and w.grad.shape == w.shape
-        assert relative_error(x.grad, gx).max() <= 1e-6
-        assert relative_error(w.grad, gw).max() <= 1e-6
+        x = rng.standard_normal((3, 2, 5, 7))
+        w = rng.standard_normal((4, 2, k, k))
+        oh, ow = (5 + 2 * padding - k) // stride + 1, (7 + 2 * padding - k) // stride + 1
+        g = rng.standard_normal((3, 4, oh, ow))
+        _, gx, gw = _conv2d_with_grads(x, w, g, stride, padding)
+        want_gx, want_gw = _conv2d_grads_reference(x, w, g, stride, padding)
+        assert relative_error(gx, want_gx).max() <= 1e-6
+        assert relative_error(gw, want_gw).max() <= 1e-6
 
 
-def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5, axis=1):
+class TestConv2dIm2colDifferential:
+    """The channels-last patch-row conv2d against the NCHW im2col conv2d it
+    replaced: forward and both gradients, float64 within 1e-6."""
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("padding", [0, 1])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_im2col_conv(self, rng, stride, padding, k):
+        x = rng.standard_normal((3, 5, 6, 7))
+        w = rng.standard_normal((4, 5, k, k))
+        oh, ow = (6 + 2 * padding - k) // stride + 1, (7 + 2 * padding - k) // stride + 1
+        g = rng.standard_normal((3, 4, oh, ow))
+        got = _conv2d_with_grads(x, w, g, stride, padding)
+        want = _im2col_conv2d(x, w, g, stride, padding)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert relative_error(a, b).max() <= 1e-6
+
+
+def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5):
     from spikingformer.layers import BatchNorm
 
-    bn = BatchNorm(len(gamma), axis=axis, eps=eps)
+    bn = BatchNorm(len(gamma), eps=eps)
     bn.gamma.data = np.asarray(gamma, dtype=np.float32)
     bn.beta.data = np.asarray(beta, dtype=np.float32)
     bn._buffers["running_mean"] = np.asarray(mean, dtype=np.float32)
@@ -145,7 +223,7 @@ def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5, axis=1):
 class TestBatchnorm:
     def test_identity_normalization(self, rng):
         eps = 1e-5
-        x = rng.standard_normal((2, 3, 4)).astype(np.float32)
+        x = rng.standard_normal((2, 4, 3)).astype(np.float32)
         bn = _eval_batchnorm(np.ones(3), np.zeros(3), np.zeros(3), np.full(3, 1.0 - eps), eps=eps)
         y = bn.forward(Tensor(x))
         np.testing.assert_allclose(y.data, x, atol=1e-6)
@@ -166,29 +244,27 @@ class TestBatchnorm:
         # constant input: batch variance 0, output = beta everywhere
         from spikingformer.layers import BatchNorm
 
-        bn = BatchNorm(3, axis=1)
+        bn = BatchNorm(3)
         bn.beta.data = np.array([0.1, -0.5, 2.0], dtype=np.float32)
-        x = Tensor(np.full((4, 3, 5), 7.0, dtype=np.float32))
+        x = Tensor(np.full((4, 5, 3), 7.0, dtype=np.float32))
         y = bn.forward(x)
-        want = np.broadcast_to(bn.beta.data[None, :, None], y.data.shape)
+        want = np.broadcast_to(bn.beta.data, y.data.shape)
         np.testing.assert_allclose(y.data, want, atol=1e-5)
 
     def test_running_stats_update(self, rng):
         from spikingformer.layers import BatchNorm
 
-        bn = BatchNorm(2, axis=1, momentum=0.1)
-        x = Tensor(rng.standard_normal((16, 2, 3)).astype(np.float32))
+        bn = BatchNorm(2, momentum=0.1)
+        x = Tensor(rng.standard_normal((16, 3, 2)).astype(np.float32))
         bn.forward(x)
-        mu = x.data.mean(axis=(0, 2))
+        mu = x.data.mean(axis=(0, 1))
         np.testing.assert_allclose(bn._buffers["running_mean"], 0.1 * mu, rtol=1e-5)
 
 
 def _composed_batchnorm(bn, x):
     """BN forward as a chain of tape ops: the reference for the one-node BN."""
-    ndim = x.ndim
-    axis = bn.axis % ndim
-    shape = bn._param_shape(ndim)
-    reduce_axes = tuple(a for a in range(ndim) if a != axis)
+    shape = (1,) * (x.ndim - 1) + (-1,)
+    reduce_axes = tuple(range(x.ndim - 1))
     if bn.training:
         mu = x.mean(axis=reduce_axes, keepdims=True)
         var = ((x - mu) ** 2.0).mean(axis=reduce_axes, keepdims=True)
@@ -206,7 +282,7 @@ def _composed_batchnorm(bn, x):
     return (x - mu) * inv_std * bn.gamma.reshape(shape) + bn.beta.reshape(shape)
 
 
-def _bn_pair(rng, channels, axis, training, dtype=np.float32):
+def _bn_pair(rng, channels, training, dtype=np.float32):
     """Two BatchNorms with the same random affine and running statistics."""
     gamma = rng.standard_normal(channels)
     beta = rng.standard_normal(channels)
@@ -214,7 +290,7 @@ def _bn_pair(rng, channels, axis, training, dtype=np.float32):
     var = rng.uniform(0.5, 2.0, channels)
     pair = []
     for _ in range(2):
-        bn = BatchNorm(channels, axis=axis).astype(dtype)
+        bn = BatchNorm(channels).astype(dtype)
         bn.gamma.data = gamma.astype(bn.gamma.data.dtype)
         bn.beta.data = beta.astype(bn.beta.data.dtype)
         bn._buffers["running_mean"] = mean.astype(bn.gamma.data.dtype)
@@ -223,8 +299,13 @@ def _bn_pair(rng, channels, axis, training, dtype=np.float32):
     return pair
 
 
-# (input shape, channel axis): spatial NCHW maps and [B, N, D] tokens, batch 1 too
+# (drawn shape, channel axis moved last): spatial maps drawn NCHW and laid
+# out channels-last, and [B, N, D] tokens, batch 1 too
 _BN_CASES = [((4, 3, 5, 5), 1), ((1, 3, 4, 4), 1), ((4, 6, 5), -1), ((1, 5, 6), -1)]
+
+
+def _channels_last(a, axis):
+    return np.ascontiguousarray(np.moveaxis(a, axis, -1))
 
 
 class TestBatchNormNodeDifferential:
@@ -233,8 +314,8 @@ class TestBatchNormNodeDifferential:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape,axis", _BN_CASES)
     def test_float32_forward_and_buffers_bit_equal(self, rng, shape, axis, training):
-        fast, ref = _bn_pair(rng, shape[axis], axis, training)
-        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(np.float32)
+        fast, ref = _bn_pair(rng, shape[axis], training)
+        x = _channels_last((3.0 * rng.standard_normal(shape) + 1.0).astype(np.float32), axis)
         for _ in range(2):  # the second call sees updated running statistics
             y = fast.forward(Tensor(x))
             want = _composed_batchnorm(ref, Tensor(x))
@@ -246,9 +327,9 @@ class TestBatchNormNodeDifferential:
     @pytest.mark.parametrize("training", [True, False])
     @pytest.mark.parametrize("shape,axis", _BN_CASES)
     def test_float64_gradients_match(self, rng, shape, axis, training):
-        fast, ref = _bn_pair(rng, shape[axis], axis, training, np.float64)
-        x = 3.0 * rng.standard_normal(shape) + 1.0
-        g = tensor64(rng.standard_normal(shape))
+        fast, ref = _bn_pair(rng, shape[axis], training, np.float64)
+        x = _channels_last(3.0 * rng.standard_normal(shape) + 1.0, axis)
+        g = tensor64(_channels_last(rng.standard_normal(shape), axis))
         xf, xr = tensor64(x, requires_grad=True), tensor64(x, requires_grad=True)
         (fast.forward(xf) * g).sum().backward()
         (_composed_batchnorm(ref, xr) * g).sum().backward()
@@ -258,8 +339,8 @@ class TestBatchNormNodeDifferential:
             assert relative_error(got, want).max() <= 1e-6
 
     def test_one_tape_node_per_call(self, rng):
-        bn = BatchNorm(3, axis=1)
-        x = Tensor(rng.standard_normal((2, 3, 4, 4)), requires_grad=True)
+        bn = BatchNorm(3)
+        x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
         y = bn.forward(x)
         assert set(y._parents) == {x, bn.gamma, bn.beta}
 
@@ -271,12 +352,12 @@ class TestDenseOps:
         np.testing.assert_array_equal((a @ b).data, [[2.0], [5.0]])
 
     def test_maxpool_hand(self):
-        x = Tensor(np.array([[[[1.0, 2.0], [3.0, 4.0]]]]))
+        x = Tensor(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
         np.testing.assert_array_equal(maxpool2d(x).data, [[[[4.0]]]])
 
     def test_maxpool_odd_dims_floor(self, rng):
-        x = Tensor(rng.standard_normal((1, 1, 5, 7)))
-        assert maxpool2d(x).shape == (1, 1, 2, 3)
+        x = Tensor(rng.standard_normal((1, 5, 7, 1)))
+        assert maxpool2d(x).shape == (1, 2, 3, 1)
 
     def test_gap_identical_rows(self):
         row = np.array([1.0, 2.0, 3.0])
@@ -394,18 +475,18 @@ class TestMaxpoolDifferential:
             x = rng.integers(-1, 2, shape).astype(np.float32)
         else:
             x = rng.standard_normal(shape).astype(np.float32)
-        xt = Tensor(x, requires_grad=True)
+        xt = Tensor(nhwc(x), requires_grad=True)
         y = maxpool2d(xt)
         g = rng.standard_normal(y.shape).astype(np.float32)
         (y * Tensor(g)).sum().backward()
-        ref_y, ref_gx = _maxpool_reference(x, g)
-        assert y.data.tobytes() == ref_y.tobytes()
-        assert xt.grad.shape == x.shape and xt.grad.tobytes() == ref_gx.tobytes()
+        ref_y, ref_gx = _maxpool_reference(x, nchw(g))
+        assert y.data.tobytes() == nhwc(ref_y).tobytes()
+        assert xt.grad.shape == xt.shape and xt.grad.tobytes() == nhwc(ref_gx).tobytes()
 
     def test_ties_go_to_the_first_window_position(self):
-        x = Tensor(np.ones((1, 1, 2, 2), np.float32), requires_grad=True)
+        x = Tensor(np.ones((1, 2, 2, 1), np.float32), requires_grad=True)
         maxpool2d(x).sum().backward()
-        np.testing.assert_array_equal(x.grad[0, 0], [[1.0, 0.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(x.grad[0, ..., 0], [[1.0, 0.0], [0.0, 0.0]])
 
 
 class TestBackward:
@@ -459,7 +540,7 @@ class TestBackward:
 
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
     def test_conv2d_gradients_fd(self, rng, stride, padding):
-        x = tensor64(rng.standard_normal((2, 2, 4, 4)), requires_grad=True)
+        x = tensor64(nhwc(rng.standard_normal((2, 2, 4, 4))), requires_grad=True)
         w = tensor64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
         b = tensor64(rng.standard_normal(3), requires_grad=True)
 
@@ -472,7 +553,7 @@ class TestBackward:
             assert relative_error(p.grad, g).max() <= 1e-3
 
     def test_maxpool_gradients_fd(self, rng):
-        x = tensor64(rng.standard_normal((1, 2, 4, 4)), requires_grad=True)
+        x = tensor64(nhwc(rng.standard_normal((1, 2, 4, 4))), requires_grad=True)
 
         def run():
             return (maxpool2d(x) ** 2.0).sum()
@@ -584,7 +665,7 @@ _UNTRACKED_OPS = {
     "sigmoid": lambda x: x.sigmoid(),
     "log_softmax": lambda x: log_softmax(x),
     "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
-    "conv2d": lambda x: conv2d(x, Tensor(np.ones((3, 2, 3, 3), dtype=np.float32)), 1, 1,
+    "conv2d": lambda x: conv2d(x, Tensor(np.ones((3, 4, 3, 3), dtype=np.float32)), 1, 1,
                                bias=Tensor(np.zeros(3, dtype=np.float32))),
     "maxpool2d": lambda x: maxpool2d(x),
     "multistep_lif": lambda x: multistep_lif(x, _LIF),
@@ -593,7 +674,7 @@ _UNTRACKED_OPS = {
 
 
 def _frozen_batchnorm():
-    bn = BatchNorm(2)
+    bn = BatchNorm(4)
     bn.gamma.requires_grad = bn.beta.requires_grad = False
     return bn
 
@@ -627,7 +708,7 @@ def test_forward_determinism(rng):
     out = []
     for _ in range(2):
         r = np.random.default_rng(seed_state)
-        x = Tensor(r.standard_normal((2, 2, 6, 6)).astype(np.float32))
+        x = Tensor(nhwc(r.standard_normal((2, 2, 6, 6)).astype(np.float32)))
         w = Tensor(r.standard_normal((3, 2, 3, 3)).astype(np.float32))
         out.append(conv2d(x, w, 1, 1).data)
     np.testing.assert_array_equal(out[0], out[1])
