@@ -2,7 +2,8 @@
 
 A ForwardRecorder hooks every ConvBN (and the attention matmuls) during a
 forward pass. Input values are binned at the nearest integer in linear time
-(two counts decide a binary input; anything else goes through ``np.bincount``);
+(two counts decide a binary input; anything else goes through ``np.bincount``,
+or through a sort when its values span more integers than there are values);
 anything more than 1e-5 away from an integer, or not finite, lands in an
 anomaly bucket instead of a bin.
 The purity verdict asserts the spike-driven claim: every conv input except
@@ -70,7 +71,10 @@ class ForwardRecorder:
         obs.elements += x.size
         nonzero = int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
         obs.nonzero += nonzero
-        if int(np.count_nonzero(x == 1)) == nonzero:  # binary: no rounding needed
+        # Binary (every spike input): no rounding needed. On the 4-384 audit's
+        # binary inputs this is ~15x faster than the bincount path below, and
+        # costs one bool pass (~3%) on the integer ones.
+        if int(np.count_nonzero(x == 1)) == nonzero:
             for v, c in ((0, x.size - nonzero), (1, nonzero)):
                 if c:
                     obs.histogram[v] += c
@@ -80,12 +84,18 @@ class ForwardRecorder:
             integral = np.abs(x - rounded) <= INTEGER_TOLERANCE
         values = rounded[integral].astype(np.int64)
         obs.anomalies += x.size - values.size
-        if values.size:
-            low = int(values.min())
+        if not values.size:
+            return
+        low, high = int(values.min()), int(values.max())
+        if high - low < values.size:  # bins no more than values: count in linear time
             values -= low
             counts = np.bincount(values)
             for v in np.flatnonzero(counts).tolist():
                 obs.histogram[v + low] += int(counts[v])
+        else:  # a wide span would allocate one bin per integer in it: sort instead
+            values, counts = np.unique(values, return_counts=True)
+            for v, c in zip(values.tolist(), counts.tolist()):
+                obs.histogram[v] += c
 
     def observe_attention(self, attn, q: np.ndarray, k: np.ndarray, v: np.ndarray) -> None:
         """Record the two matmuls of Q K^T V with exact event counts.

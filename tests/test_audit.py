@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -125,6 +126,9 @@ def _recorder_inputs():
         "analog": rng.uniform(-2, 2, shape).astype(np.float32),
         "near-inside": near + rng.choice([-1, 1], shape) * rng.uniform(0, 0.99e-5, shape),
         "near-outside": near + rng.choice([-1, 1], shape) * rng.uniform(1.01e-5, 3e-5, shape),
+        "wide-span": np.array([[0.0, 1.0, 2.0, 1e7]]),
+        # 2**63 casts to INT64_MIN on both sides, so min..max spans all of int64
+        "beyond-int64": np.array([[0.0, 1.0, 2.0 ** 63, -5.0]]),
     }
 
 
@@ -135,12 +139,24 @@ class TestRecorderDifferential:
     def test_matches_sorting_recorder(self, kind):
         x = _recorder_inputs()[kind]
         rec = ForwardRecorder()
-        rec.observe_conv(_FakeLayer("l"), x, 1)
+        with np.errstate(invalid="ignore"):  # the beyond-int64 cast
+            rec.observe_conv(_FakeLayer("l"), x, 1)
+            histogram, anomalies, nonzero, elements, items = _sorting_observe_conv(x)
         obs = rec.layers["l"]
-        histogram, anomalies, nonzero, elements, items = _sorting_observe_conv(x)
         assert dict(obs.histogram) == histogram  # no zero-count bins: all-one is {1: n}
         assert (obs.anomalies, obs.nonzero, obs.elements, obs.items) == (
             anomalies, nonzero, elements, items)
+
+    def test_wide_span_allocates_no_bin_per_integer(self):
+        x = np.array([[0.0, 1.0, 2.0, 1e7]])  # a bin per integer would be 80 MB
+        tracemalloc.start()
+        try:
+            ForwardRecorder().observe_conv(_FakeLayer("l"), x, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 
 class TestAttentionEvents:
