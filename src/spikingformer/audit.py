@@ -106,14 +106,16 @@ class ForwardRecorder:
         """
         items, heads, n, d = q.shape
         flops = heads * n * n * d
+        core = np.matmul(q, np.swapaxes(k, -1, -2))
         qk = self._layer(f"{attn.name}.qk", KIND_SSA, False)
         qk.flops_per_item = flops
         qk.items += items
-        qk.events += int(np.einsum("bhik,bhjk->", q, k, optimize=True))
+        # each entry of Q K^T counts its products exactly; a float64 sum of
+        # them stays exact past float32's 2^24
+        qk.events += int(core.sum(dtype=np.float64))
         av = self._layer(f"{attn.name}.av", KIND_SSA, False)
         av.flops_per_item = flops
         av.items += items
-        core = np.matmul(q, np.swapaxes(k, -1, -2))
         # events = sum_{i,j,l} [A[i,j] != 0] * [V[j,l] != 0]
         av.events += int(np.einsum("bhij,bhj->", (core != 0).astype(np.float64),
                                    v.sum(axis=-1).astype(np.float64), optimize=True))

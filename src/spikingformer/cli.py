@@ -8,12 +8,6 @@ import math
 import os
 import sys
 
-# honor the thread cap before numpy spins up its BLAS pools
-_threads = os.environ.get("SPKF_THREADS")
-if _threads:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, _threads)
-
 import numpy as np
 
 from . import audit as audit_mod

@@ -204,8 +204,9 @@ class SN(Module):
 class ConvBN2d(Module):
     """Convolution + batchnorm: the one ConvBN unit, spatial or token-space.
 
+    Every kernel is stored as its GEMM operand, output channels last.
     Spatial (default): a kxk convolution on channels-last [B, H, W, C] maps
-    with an [out, in, k, k] kernel. ``tokens=True``: a 1x1 convolution over
+    with a [k, k, in, out] kernel. ``tokens=True``: a 1x1 convolution over
     the token axis of [B, N, D] tensors, i.e. a shared per-token linear map
     ``x @ W`` with an [in, out] kernel. Either way BN runs on the last axis.
     ``fuse()`` folds the BN into a frozen kernel and bias in place.
@@ -219,43 +220,40 @@ class ConvBN2d(Module):
         self.padding = padding
         self.first_encoding = first_encoding
         self.tokens = tokens
-        shape, fan_in = (((in_channels, out_channels), in_channels) if tokens
-                         else ((out_channels, in_channels, k, k), in_channels * k * k))
-        self.weight = Parameter(_kaiming_uniform(rng, shape, fan_in))
+        if tokens:
+            w = _kaiming_uniform(rng, (in_channels, out_channels), in_channels)
+        else:  # drawn [out, in, k, k], stored as one C-contiguous [k, k, in, out] copy
+            w = _kaiming_uniform(rng, (out_channels, in_channels, k, k), in_channels * k * k)
+            w = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
+        self.weight = Parameter(w)
         self.bias = None
         self.bn = BatchNorm(out_channels)
         self.recorder = None
         self.name = ""
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.recorder is not None:
-            if self.tokens:
-                positions = x.shape[-2]
-            else:
-                k = self.weight.shape[-1]
-                oh, ow = ((s + 2 * self.padding - k) // self.stride + 1 for s in x.shape[1:3])
-                positions = oh * ow
-            self.recorder.observe_conv(self, x.data, positions * self.weight.size)
         if self.tokens:
             y = x @ self.weight
             if self.bias is not None:
                 y = y + self.bias
         else:
             y = conv2d(x, self.weight, self.stride, self.padding, bias=self.bias)
+        if self.recorder is not None:  # MACs per item: output positions x kernel size
+            self.recorder.observe_conv(self, x.data, math.prod(y.shape[1:-1]) * self.weight.size)
         return y if self.bn is None else self.bn.forward(y)
 
     def fuse(self):
         """Fold the BN affine into the kernel and a bias, in place, and drop the BN.
 
-        W = w_BN * w_conv per output channel, B = b_BN (the conv carries no bias
-        of its own: BN follows it immediately). Both are frozen
-        (``requires_grad=False``): a fused layer is inference-only, so its
-        forward records no tape. A second call is a no-op.
+        W = w_BN * w_conv per output channel (the kernel's last axis), B = b_BN
+        (the conv carries no bias of its own: BN follows it immediately). Both
+        are frozen (``requires_grad=False``): a fused layer is inference-only,
+        so its forward records no tape. A second call is a no-op.
         """
         if self.bn is None:
             return
         w_bn, b_bn = self.bn.scale_and_shift()
-        w = self.weight.data * (w_bn if self.tokens else w_bn[:, None, None, None])
+        w = self.weight.data * w_bn
         self.weight = Parameter(w, requires_grad=False, dtype=w.dtype)
         self.bias = Parameter(b_bn, requires_grad=False, dtype=b_bn.dtype)
         self.bn = None

@@ -32,8 +32,6 @@ class LIFParams:
     v_threshold: float = 1.0
     v_reset: float = 0.0
     alpha: float = 4.0
-    # treat the reset term's dependence on the spike as a constant in backward
-    detach_reset: bool = True
 
     def __post_init__(self):
         # written as ``not x >= bound`` so that NaN fails every check
@@ -62,7 +60,7 @@ def lif_step(state: MembraneState, x: Tensor, params: LIFParams):
     v = state.v
     h = v + (x - (v - params.v_reset)) * (1.0 / params.tau)
     s = spike_threshold(h - params.v_threshold, params.alpha)
-    s_reset = s.detach() if params.detach_reset else s
+    s_reset = s.detach()  # the reset's dependence on the spike is a constant in backward
     v_next = h * (1.0 - s_reset) + s_reset * params.v_reset
     return s, MembraneState(v_next)
 
@@ -108,19 +106,18 @@ def multistep_lif(
         np.multiply(h, np.subtract(1.0, s, out=v), out=v)
         if v_reset:
             np.add(v, np.multiply(s, v_reset, out=reset), out=v)
-    detach = params.detach_reset and mode == SPIKING
 
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed
         # lif_step tape takes them. dS/dH is the surrogate at H - V_th; dV/dH
-        # is (1 - S), plus (V_reset - H) dS/dH when the reset is not detached;
+        # is (1 - S), plus (V_reset - H) dS/dH in relaxed mode (reset not detached);
         # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau.
         gx = np.empty_like(xd)
         g_v = np.zeros_like(hs[0])
         for t in range(xd.shape[0] - 1, -1, -1):
             sg = surrogate_grad(hs[t] - v_th, params.alpha)
             g_h = g_v * (1.0 - spikes[t])
-            if detach:
+            if mode == SPIKING:  # the reset is detached
                 g_h += g[t] * sg
             else:
                 g_h += ((g[t] + g_v * v_reset) - g_v * hs[t]) * sg

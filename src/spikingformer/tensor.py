@@ -329,23 +329,22 @@ def _patch_rows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
     return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
 
 
-def _conv2d_input_grad(g_rows: np.ndarray, kernel: np.ndarray, x_shape, stride: int, padding: int):
-    """Gradient of conv2d wrt its [B, H, W, C] input.
+def _conv2d_input_grad(g_rows: np.ndarray, k2d: np.ndarray, x_shape, kh: int, kw: int,
+                       stride: int, padding: int):
+    """Gradient of conv2d wrt its [B, H, W, C] input: the adjoint of _patch_rows.
 
-    One GEMM against the [O, C*kh*kw] view of the kernel gives every kernel
-    tap's contribution laid out (b, oh, ow, c, kh, kw); each tap is then added
-    into a (b, hp, wp, c) buffer, whose interior is copied out (so the padded
-    buffer is freed) as the gradient.
+    ``g_rows @ k2d.T`` gives the gradient of every patch row, K in the same
+    (kh, kw, c) order; each tap's slice is added back into a (b, hp, wp, c)
+    buffer, whose interior is copied out (so the padded buffer is freed).
     """
     b, h, w, c = x_shape
-    o, _, kh, kw = kernel.shape
     hp, wp = h + 2 * padding, w + 2 * padding
     oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    taps = (g_rows @ kernel.reshape(o, -1)).reshape(b, oh, ow, c, kh, kw)
+    taps = (g_rows @ k2d.T).reshape(b, oh, ow, kh, kw, c)
     xpad = np.zeros((b, hp, wp, c), dtype=taps.dtype)
     for i in range(kh):
         for j in range(kw):
-            xpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[..., i, j]
+            xpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[..., i, j, :]
     return np.ascontiguousarray(xpad[:, padding : padding + h, padding : padding + w])
 
 
@@ -356,26 +355,27 @@ def conv2d(
     padding: int = 0,
     bias: Optional[Tensor] = None,
 ) -> Tensor:
-    """2D cross-correlation of a channels-last [B, H, W, C] map with an
-    [O, C, kh, kw] kernel, giving [B, OH, OW, O].
+    """2D cross-correlation of a channels-last [B, H, W, C] map with a
+    [kh, kw, C, O] kernel, giving [B, OH, OW, O].
 
-    The patch rows [B*OH*OW, kh*kw*C] meet the kernel reshaped to
-    [kh*kw*C, O] in one dense GEMM; the weight gradient is ``rows.T @ g_rows``.
+    The kernel is stored as its GEMM operand: the patch rows [B*OH*OW, kh*kw*C]
+    meet its [kh*kw*C, O] view in one dense GEMM, and the weight gradient is
+    ``rows.T @ g_rows`` in the kernel's own shape.
     """
     b, h, w, c = x.shape
-    o, ck, kh, kw = kernel.shape
+    kh, kw, ck, o = kernel.shape
     if ck != c:
         raise ValueError(
             f"conv2d channel mismatch: input of shape {x.shape} read as [B, H, W, C] has "
-            f"C={c}, kernel [O, C, kh, kw] expects C={ck}"
+            f"C={c}, kernel [kh, kw, C, O] expects C={ck}"
         )
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise ValueError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     rows, (oh, ow) = _patch_rows(x.data, kh, kw, stride, padding)
-    k = kernel.data
-    y = rows @ k.transpose(2, 3, 1, 0).reshape(kh * kw * c, o)
+    k2d = kernel.data.reshape(-1, o)
+    y = rows @ k2d
     if bias is not None:
         y += bias.data
     parents = (x, kernel) if bias is None else (x, kernel, bias)
@@ -383,10 +383,9 @@ def conv2d(
     def bwd(g):
         g_rows = g.reshape(-1, o)
         if kernel.tracked:
-            gw = (rows.T @ g_rows).reshape(kh, kw, c, o).transpose(3, 2, 0, 1)
-            kernel._accumulate(gw)
+            kernel._accumulate((rows.T @ g_rows).reshape(kernel.shape))
         if x.tracked:
-            x._accumulate(_conv2d_input_grad(g_rows, k, x.shape, stride, padding))
+            x._accumulate(_conv2d_input_grad(g_rows, k2d, x.shape, kh, kw, stride, padding))
         if bias is not None and bias.tracked:
             bias._accumulate(g_rows.sum(axis=0))
 

@@ -14,7 +14,7 @@ from .model import Model, ModelConfig, build
 from .tensor import Tensor, log_softmax, no_grad
 
 CHECKPOINT_MAGIC = b"SPKF"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v1 stored spatial kernels [O, C, kh, kw]; v2 [kh, kw, C, O]
 
 
 class TrainingDiverged(RuntimeError):
@@ -166,8 +166,10 @@ def save_checkpoint(model: Model, path) -> None:
 
 
 def read_checkpoint(path) -> dict:
-    """Parse a file written by ``save_checkpoint``.
+    """Parse a file written by ``save_checkpoint``, this version or v1.
 
+    A v1 file's rank-4 tensors (the only ones are spatial kernels) are
+    transposed from [O, C, kh, kw] into contiguous [kh, kw, C, O] arrays.
     Any malformed file (bad magic or version, a short read anywhere, a
     duplicate tensor name, trailing bytes) raises ``ValueError``.
     """
@@ -187,7 +189,7 @@ def read_checkpoint(path) -> dict:
     if magic != CHECKPOINT_MAGIC:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     version, count = struct.unpack("<II", take(8, "header"))
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint version {version}")
     state = {}
     for _ in range(count):
@@ -199,7 +201,10 @@ def read_checkpoint(path) -> dict:
         (rank,) = struct.unpack("<B", take(1, f"rank of tensor {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of tensor {name!r}"))
         payload = take(4 * math.prod(dims), f"payload of tensor {name!r}")
-        state[name] = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        if version == 1 and rank == 4:
+            arr = np.ascontiguousarray(arr.transpose(2, 3, 1, 0))
+        state[name] = arr
     if pos != len(blob):
         raise ValueError(f"{len(blob) - pos} trailing bytes after {count} checkpoint tensors")
     return state

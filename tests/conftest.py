@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,20 @@ def finite_difference(f, params, h=1e-3):
 def relative_error(a, b, floor=1e-6):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def write_v1_checkpoint(state: dict, path) -> None:
+    """Write ``state`` in checkpoint format version 1, as the code of that
+    version did: the same records as version 2, but every rank-4 tensor (a
+    spatial kernel, [kh, kw, C, O] in memory) stored as [O, C, kh, kw]."""
+    with open(path, "wb") as fh:
+        fh.write(b"SPKF" + struct.pack("<II", 1, len(state)))
+        for name in sorted(state):
+            arr = state[name]
+            if arr.ndim == 4:
+                arr = arr.transpose(3, 2, 0, 1)
+            arr = np.ascontiguousarray(arr, dtype="<f4")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(encoded)) + encoded)
+            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())

@@ -184,6 +184,14 @@ class TestAttentionEvents:
             )
             assert rec.layers["a.av"].events == expected
 
+    def test_events_exact_above_float32_range(self):
+        # 63 * 63 * 8455 = 33,557,895 is odd and above 2^25: no float32 holds it
+        q = np.ones((1, 1, 63, 8455), dtype=np.float32)
+        rec = ForwardRecorder()
+        rec.observe_attention(_FakeLayer("a"), q, q, q)
+        assert rec.layers["a.qk"].events == 33_557_895
+        assert rec.layers["a.av"].events == 33_557_895
+
     def test_full_rate_bounds(self, rng):
         q = np.ones((2, 2, 3, 4))
         rec = ForwardRecorder()

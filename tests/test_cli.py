@@ -5,10 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from spikingformer import cli
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
 from spikingformer.data import write_cifar10_binary
 from spikingformer.model import build
+from spikingformer.tensor import no_grad
 from spikingformer.train import save_checkpoint
+
+from conftest import write_v1_checkpoint
 
 TINY_CFG = {
     "blocks": 1,
@@ -168,6 +172,34 @@ class TestEvalCommand:
         assert main(["eval", "--config", config_path, "--checkpoint", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: truncated checkpoint") and "Traceback" not in err
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_version_1_checkpoint_gives_bit_equal_logits(self, tmp_path, monkeypatch, fused):
+        # embed_dim 12 makes the encoder conv 3 -> 3 channels: a [3, 3, 3, 3]
+        # kernel whose v1 layout would also load, silently, untransposed
+        cfg = dict(TINY_CFG, embed_dim=12)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg))
+        model = build(model_config_from(cfg, None), seed=0)
+        assert model.tokenizer.units[0].conv.weight.shape == (3, 3, 3, 3)
+        with no_grad():
+            model.forward(np.random.default_rng(0).random((8, 3, 8, 8)))  # BN statistics
+        model.eval()
+        if fused:
+            model.fuse()
+        path = tmp_path / "v1.spkf"
+        write_v1_checkpoint(model.state(), path)
+        logits = []
+
+        def evaluate(loaded, dataset):
+            with no_grad():
+                logits.append((loaded.forward(dataset.x).data, model.forward(dataset.x).data))
+            return 1.0
+
+        monkeypatch.setattr(cli, "evaluate", evaluate)
+        assert main(["eval", "--config", str(config_path), "--checkpoint", str(path)]) == 0
+        (got, want), = logits
+        np.testing.assert_array_equal(got, want)
 
 
 class TestAuditCommand:

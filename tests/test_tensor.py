@@ -31,6 +31,11 @@ def nchw(a):
     return np.asarray(a).transpose(0, 3, 1, 2)
 
 
+def hwio(w):
+    """An [O, C, kh, kw] kernel laid out as conv2d's [kh, kw, C, O] GEMM operand."""
+    return np.ascontiguousarray(np.asarray(w).transpose(2, 3, 1, 0))
+
+
 def naive_conv2d(x, w, stride, padding):
     """Direct 6-loop cross-correlation reference over [B, C, H, W]."""
     b, c, h, ww = x.shape
@@ -57,12 +62,12 @@ class TestConv2d:
         x = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
         k = np.zeros((1, 1, 3, 3), dtype=np.float32)
         k[0, 0, 1, 1] = 1.0
-        y = conv2d(x, Tensor(k), stride=1, padding=1)
+        y = conv2d(x, Tensor(hwio(k)), stride=1, padding=1)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_all_ones_sum(self):
         x = Tensor(np.ones((1, 2, 2, 1), dtype=np.float32))
-        k = Tensor(np.ones((1, 1, 2, 2), dtype=np.float32))
+        k = Tensor(hwio(np.ones((1, 1, 2, 2), dtype=np.float32)))
         y = conv2d(x, k, stride=1, padding=0)
         assert y.data.shape == (1, 1, 1, 1)
         assert y.data[0, 0, 0, 0] == 4.0
@@ -71,13 +76,13 @@ class TestConv2d:
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
         for stride, padding in [(1, 0), (1, 1), (2, 1)]:
-            got = nchw(conv2d(Tensor(nhwc(x)), Tensor(w), stride, padding).data)
+            got = nchw(conv2d(Tensor(nhwc(x)), Tensor(hwio(w)), stride, padding).data)
             want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), stride, padding)
             np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 5, 5, 2)))
-        w = Tensor(rng.standard_normal((3, 4, 3, 3)))
+        w = Tensor(hwio(rng.standard_normal((3, 4, 3, 3))))
         with pytest.raises(ValueError, match="channel mismatch"):
             conv2d(x, w)
         # an NCHW array passed by habit: the message names the layout it expects
@@ -86,13 +91,13 @@ class TestConv2d:
 
     def test_oversized_kernel_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 2, 1)))
-        w = Tensor(rng.standard_normal((1, 1, 5, 5)))
+        w = Tensor(hwio(rng.standard_normal((1, 1, 5, 5))))
         with pytest.raises(ValueError, match="larger than"):
             conv2d(x, w, padding=0)
 
     def test_bias(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 3, 1)).astype(np.float32))
-        w = Tensor(np.zeros((2, 1, 3, 3), dtype=np.float32))
+        w = Tensor(hwio(np.zeros((2, 1, 3, 3), dtype=np.float32)))
         b = Tensor(np.array([1.5, -2.0], dtype=np.float32))
         y = conv2d(x, w, padding=1, bias=b)
         assert np.all(y.data[..., 0] == 1.5) and np.all(y.data[..., 1] == -2.0)
@@ -162,14 +167,15 @@ def _conv2d_grads_reference(x, kernel, g, stride, padding):
 
 
 def _conv2d_with_grads(x, kernel, g, stride, padding):
-    """conv2d on the channels-last view of an NCHW x, in float64: NCHW
-    (output, input gradient, kernel gradient) for upstream gradient g (NCHW)."""
+    """conv2d on the channels-last view of an NCHW x and an [O, C, kh, kw]
+    kernel, in float64: NCHW (output, input gradient) and the [O, C, kh, kw]
+    kernel gradient for upstream gradient g (NCHW)."""
     xt = tensor64(nhwc(x), requires_grad=True)
-    wt = tensor64(kernel, requires_grad=True)
+    wt = tensor64(hwio(kernel), requires_grad=True)
     y = conv2d(xt, wt, stride, padding)
     (y * tensor64(nhwc(g))).sum().backward()
     assert xt.grad.shape == xt.shape and wt.grad.shape == wt.shape
-    return nchw(y.data), nchw(xt.grad), wt.grad
+    return nchw(y.data), nchw(xt.grad), wt.grad.transpose(3, 2, 0, 1)
 
 
 class TestConv2dBackwardDifferential:
@@ -541,7 +547,7 @@ class TestBackward:
     @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
     def test_conv2d_gradients_fd(self, rng, stride, padding):
         x = tensor64(nhwc(rng.standard_normal((2, 2, 4, 4))), requires_grad=True)
-        w = tensor64(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        w = tensor64(hwio(rng.standard_normal((3, 2, 3, 3))), requires_grad=True)
         b = tensor64(rng.standard_normal(3), requires_grad=True)
 
         def run():
@@ -665,7 +671,7 @@ _UNTRACKED_OPS = {
     "sigmoid": lambda x: x.sigmoid(),
     "log_softmax": lambda x: log_softmax(x),
     "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
-    "conv2d": lambda x: conv2d(x, Tensor(np.ones((3, 4, 3, 3), dtype=np.float32)), 1, 1,
+    "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))), 1, 1,
                                bias=Tensor(np.zeros(3, dtype=np.float32))),
     "maxpool2d": lambda x: maxpool2d(x),
     "multistep_lif": lambda x: multistep_lif(x, _LIF),
@@ -709,6 +715,6 @@ def test_forward_determinism(rng):
     for _ in range(2):
         r = np.random.default_rng(seed_state)
         x = Tensor(nhwc(r.standard_normal((2, 2, 6, 6)).astype(np.float32)))
-        w = Tensor(r.standard_normal((3, 2, 3, 3)).astype(np.float32))
+        w = Tensor(hwio(r.standard_normal((3, 2, 3, 3)).astype(np.float32)))
         out.append(conv2d(x, w, 1, 1).data)
     np.testing.assert_array_equal(out[0], out[1])

@@ -12,7 +12,7 @@ import pytest
 from spikingformer.data import synth_static
 from spikingformer.layers import ConvBN2d, Parameter
 from spikingformer.model import ModelConfig, build
-from spikingformer.tensor import Tensor
+from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import (
     AdamW,
     TrainConfig,
@@ -25,6 +25,8 @@ from spikingformer.train import (
     save_checkpoint,
     train,
 )
+
+from conftest import write_v1_checkpoint
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -268,7 +270,7 @@ class TestCheckpoints:
         assert blob[:4] == b"SPKF"
         version = int.from_bytes(blob[4:8], "little")
         count = int.from_bytes(blob[8:12], "little")
-        assert version == 1 and count == len(model.state())
+        assert version == 2 and count == len(model.state())
 
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.spkf"
@@ -337,6 +339,27 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="duplicate tensor name 'a'"):
             read_checkpoint(path)
 
+    def _small_v1_checkpoint(self, tmp_path):
+        state = {"a": np.float32(1.5), "k": np.arange(12, dtype=np.float32).reshape(1, 1, 3, 4),
+                 "c": np.ones((2, 2), dtype=np.float32)}
+        path = tmp_path / "small-v1.spkf"
+        write_v1_checkpoint(state, path)
+        assert read_checkpoint(path)["k"].shape == (1, 1, 3, 4)
+        return path, path.read_bytes()
+
+    def test_version_1_truncations_and_byte_flips_raise_only_value_error(self, tmp_path):
+        path, blob = self._small_v1_checkpoint(tmp_path)
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError):
+                read_checkpoint(path)
+        for i in range(len(blob)):
+            path.write_bytes(blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:])
+            try:
+                read_checkpoint(path)
+            except ValueError:
+                pass
+
     def test_state_keys_preserved(self, tmp_path):
         model = build(TINY, seed=0)
         path = tmp_path / "model.spkf"
@@ -389,3 +412,56 @@ class TestFusedCheckpoint:
         assert loaded.fused
         assert not [name for name, p in loaded.named_parameters() if p.requires_grad]
         assert loaded.forward(_dataset(4, seed=2).x)._parents == ()
+
+
+def _assert_gemm_kernels(model):
+    """Every ConvBN kernel is C-contiguous and laid out as its GEMM operand:
+    [kh, kw, in, out] spatial or [in, out] token-space, out channels last."""
+    convs = [m for m in model.modules() if isinstance(m, ConvBN2d)]
+    assert convs
+    for conv in convs:
+        w = conv.weight.data
+        out = (conv.bias if conv.bn is None else conv.bn.gamma).size
+        assert w.flags.c_contiguous, conv.name
+        assert w.ndim == (2 if conv.tokens else 4) and w.shape[-1] == out, conv.name
+        if not conv.tokens:
+            assert w.shape[:2] == (3, 3), conv.name
+
+
+class TestKernelLayout:
+    """A strided kernel would make conv2d copy it on every call."""
+
+    def _calibrated(self):
+        model = build(TINY, seed=0)
+        with no_grad():
+            model.forward(_dataset(8).x)  # non-trivial BN statistics
+        return model.eval()
+
+    def test_after_build(self):
+        _assert_gemm_kernels(build(TINY, seed=0))
+
+    def test_after_fuse(self):
+        model = self._calibrated()
+        model.fuse()
+        _assert_gemm_kernels(model)
+
+    def test_after_astype(self):
+        _assert_gemm_kernels(build(TINY, seed=0).astype(np.float64))
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    def test_after_checkpoint_load(self, tmp_path, version, fused):
+        model = self._calibrated()
+        if fused:
+            model.fuse()
+        path = tmp_path / "model.spkf"
+        if version == 1:
+            write_v1_checkpoint(model.state(), path)
+        else:
+            save_checkpoint(model, path)
+        loaded = load_checkpoint(path, TINY).eval()
+        _assert_gemm_kernels(loaded)
+        assert loaded.fused == fused
+        x = _dataset(4, seed=2).x
+        with no_grad():
+            np.testing.assert_array_equal(loaded.forward(x).data, model.forward(x).data)
