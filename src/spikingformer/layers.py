@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, _make, conv2d, maxpool2d
+from .tensor import Tensor, _make, _records, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -152,7 +152,11 @@ class BatchNorm(Module):
         inv_std = (var + np.asarray(self.eps, dtype=dtype)) ** -0.5
         gamma, beta = self.gamma, self.beta
         x_hat = np.multiply(centered, inv_std, out=centered)
-        y = x_hat * gamma.data
+        if _records((x, gamma, beta)):
+            y = x_hat * gamma.data
+        else:  # no backward reads x_hat: scale it in place
+            y = x_hat
+            y *= gamma.data
         y += beta.data
 
         def bwd(g):

@@ -14,14 +14,19 @@ finite-difference checking only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _make, spike_threshold, surrogate_grad
+from .tensor import Tensor, _make, _records, spike_threshold, surrogate_grad
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
+
+# Neurons per block of multistep_lif's T loop: 256 KB of float32 per buffer,
+# so each step's x, H, S and V slices stay in a 2 MB L2 cache.
+_LIF_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -79,7 +84,8 @@ def multistep_lif(
     mode repeats ``lif_step``'s float operations in the same order, so its
     spikes are bit-equal to a loop of ``lif_step``; relaxed mode fires
     sigmoid(alpha * (H - V_th)) and never detaches the reset. The backward
-    runs the BPTT recurrence in reverse over T.
+    runs the BPTT recurrence in reverse over T; H is stored for it only when
+    the call records a tape node.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -88,24 +94,38 @@ def multistep_lif(
     xd = x.data
     dt = xd.dtype.type
     decay, v_th, v_reset = dt(1.0 / params.tau), dt(params.v_threshold), dt(params.v_reset)
-    spikes = np.empty_like(xd)
-    hs = np.empty_like(xd)  # H[t], kept for the backward
-    v = np.full(xd.shape[1:], v_reset, dtype=xd.dtype)
-    reset = np.empty_like(v) if v_reset else None
-    for t in range(xd.shape[0]):  # lif_step's operations, in preallocated buffers
-        h, s = hs[t], spikes[t]
-        xt = xd[t] * dt(input_scale) if input_scale != 1.0 else xd[t]
-        # with V_reset = 0, V - V_reset and + S * V_reset change no value
-        np.subtract(xt, np.subtract(v, v_reset, out=h) if v_reset else v, out=h)
-        np.add(v, np.multiply(h, decay, out=h), out=h)
-        if mode == SPIKING:
-            np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
-        else:
-            with np.errstate(over="ignore"):
-                s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
-        np.multiply(h, np.subtract(1.0, s, out=v), out=v)
-        if v_reset:
-            np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+    steps, n = xd.shape[0], math.prod(xd.shape[1:])
+    x2 = xd.reshape(steps, n)
+    spikes = np.empty((steps, n), dtype=xd.dtype)
+    # H[t] is kept for the backward only; a tape-free call reuses one chunk of scratch
+    hs = np.empty((steps, n), dtype=xd.dtype) if _records((x,)) else None
+    bufs = [np.empty(min(n, _LIF_CHUNK), dtype=xd.dtype) for _ in range(4)]
+    for lo in range(0, n, _LIF_CHUNK):  # the whole T loop per chunk, so its slices stay in cache
+        hi = min(lo + _LIF_CHUNK, n)
+        v, h_tmp, x_tmp, reset = (buf[: hi - lo] for buf in bufs)
+        v.fill(v_reset)
+        for t in range(steps):  # lif_step's operations, in preallocated buffers
+            h = h_tmp if hs is None else hs[t, lo:hi]
+            s = spikes[t, lo:hi]
+            xt = x2[t, lo:hi]
+            if input_scale != 1.0:
+                xt = np.multiply(xt, dt(input_scale), out=x_tmp)
+            # with V_reset = 0, V - V_reset and + S * V_reset change no value
+            np.subtract(xt, np.subtract(v, v_reset, out=h) if v_reset else v, out=h)
+            np.add(v, np.multiply(h, decay, out=h), out=h)
+            if mode == SPIKING:
+                np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
+            else:
+                with np.errstate(over="ignore"):
+                    s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
+            if t + 1 == steps:  # nothing reads the membrane after the last step
+                break
+            np.multiply(h, np.subtract(1.0, s, out=v), out=v)
+            if v_reset:
+                np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+    spikes = spikes.reshape(xd.shape)
+    if hs is not None:
+        hs = hs.reshape(xd.shape)
 
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed

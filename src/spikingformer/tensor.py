@@ -10,8 +10,8 @@ elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
 transpose, exp / log / sigmoid, and the hard-threshold op whose backward is
 the sigmoid surrogate derivative. An op records a node only when one of
 its operands is tracked (``requires_grad`` or itself recorded); inside
-``no_grad()`` or over frozen operands it records nothing, and its result
-holds no reference to its inputs.
+``no_grad()`` or over frozen operands it records nothing, its result holds
+no reference to its inputs, and it skips work that only a backward needs.
 
 A new tensor is float32 unless built with another ``dtype`` (float64 is for
 finite-difference checks); an op result keeps the dtype numpy computed, and a
@@ -237,10 +237,20 @@ class Tensor:
 
 
 # Share of silent (all-zero) rows of a from which _token_gemm multiplies only
-# the live rows. On the 4-384 token GEMMs (2048 rows of 384 or 1536) the
-# gather and scatter break even at 15-22% silent rows; at 1/4 the live-row
-# GEMM is 5-14% faster on every shape.
+# the live rows, and of silent images from which a tape-free conv2d builds
+# patch rows for the live images only. On the 4-384 token GEMMs (2048 rows of
+# 384 or 1536) the gather and scatter break even at 15-22% silent rows; at 1/4
+# the live-row GEMM is 5-14% faster on every shape.
 _SILENT_ROW_SHARE = 0.25
+
+
+def _live_if_sparse(x: np.ndarray, axis):
+    """Which entries of x's first axis hold a nonzero (``x.any(axis=axis)``),
+    or None when fewer than _SILENT_ROW_SHARE of them are silent."""
+    live = x.any(axis=axis)
+    if len(live) - np.count_nonzero(live) < _SILENT_ROW_SHARE * len(live):
+        return None
+    return live
 
 
 def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -252,21 +262,29 @@ def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     rows = a.reshape(-1, a.shape[-1])
     out_shape = a.shape[:-1] + b.shape[1:]
-    live = rows.any(axis=1)
-    n_live = np.count_nonzero(live)
-    if len(rows) - n_live < _SILENT_ROW_SHARE * len(rows):
+    live = _live_if_sparse(rows, axis=1)
+    if live is None:
         return (rows @ b).reshape(out_shape)
     y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b))
     y[live] = rows[live] @ b
     return y.reshape(out_shape)
 
 
+def _records(parents) -> bool:
+    """An op over these operands records a tape node: grad is enabled and one
+    of them is tracked. An op that does not record may skip work that only its
+    backward needs."""
+    return _grad_enabled and any(p.tracked for p in parents)
+
+
 def _make(data: np.ndarray, parents, backward) -> Tensor:
-    """An op's result: a tape node over its tracked parents, or, when no
-    parent is tracked or inside ``no_grad()``, a plain tensor that keeps no
-    ``backward`` closure and so no reference to the op's inputs."""
-    tracked = tuple(p for p in parents if p.tracked) if _grad_enabled else ()
-    return Tensor(data, dtype=None, _parents=tracked, _backward=backward if tracked else None)
+    """An op's result: a tape node over its tracked parents, or, when the op
+    does not record (``_records``), a plain tensor that keeps no ``backward``
+    closure and so no reference to the op's inputs."""
+    if not _records(parents):
+        return Tensor(data, dtype=None)
+    tracked = tuple(p for p in parents if p.tracked)
+    return Tensor(data, dtype=None, _parents=tracked, _backward=backward)
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -360,7 +378,10 @@ def conv2d(
 
     The kernel is stored as its GEMM operand: the patch rows [B*OH*OW, kh*kw*C]
     meet its [kh*kw*C, O] view in one dense GEMM, and the weight gradient is
-    ``rows.T @ g_rows`` in the kernel's own shape.
+    ``rows.T @ g_rows`` in the kernel's own shape. A call that records no tape
+    node is event-driven: once at least _SILENT_ROW_SHARE of the images are
+    all-zero, only the live images are patched and multiplied, and a silent
+    image's output is the bias (or zero).
     """
     b, h, w, c = x.shape
     kh, kw, ck, o = kernel.shape
@@ -373,12 +394,19 @@ def conv2d(
         raise ValueError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
-    rows, (oh, ow) = _patch_rows(x.data, kh, kw, stride, padding)
+    parents = (x, kernel) if bias is None else (x, kernel, bias)
     k2d = kernel.data.reshape(-1, o)
-    y = rows @ k2d
+    # the weight gradient needs every patch row, so a recording call stays dense
+    live = None if _records(parents) else _live_if_sparse(x.data, axis=(1, 2, 3))
+    if live is None:
+        rows, (oh, ow) = _patch_rows(x.data, kh, kw, stride, padding)
+        y = rows @ k2d
+    else:  # event-driven: patch rows and GEMM for the images that carry a spike
+        rows, (oh, ow) = _patch_rows(x.data[live], kh, kw, stride, padding)
+        y = np.zeros((b, oh * ow, o), dtype=np.result_type(rows, k2d))
+        y[live] = (rows @ k2d).reshape(-1, oh * ow, o)
     if bias is not None:
         y += bias.data
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
 
     def bwd(g):
         g_rows = g.reshape(-1, o)

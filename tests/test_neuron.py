@@ -1,18 +1,21 @@
 """LIF dynamics: hand-derived step values, reset/monotonicity properties,
 relaxed-mode agreement."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spikingformer import neuron
 from spikingformer.neuron import (
     LIFParams,
     MembraneState,
     lif_step,
     multistep_lif,
 )
-from spikingformer.tensor import Tensor, heaviside, surrogate_grad
+from spikingformer.tensor import Tensor, heaviside, no_grad, surrogate_grad
 
 DEFAULTS = LIFParams()
 
@@ -234,3 +237,71 @@ class TestFusedAgainstComposed:
         expected = np.stack([leaf.grad for leaf in leaves])
         assert np.any(expected != 0)
         np.testing.assert_allclose(xt.grad, expected, rtol=0, atol=1e-6)
+
+
+class TestChunkedTimeLoop:
+    """multistep_lif runs its T loop per block of _LIF_CHUNK neurons: any block
+    size gives the spikes and input gradients of the unchunked run, and
+    both match a loop of composed steps."""
+
+    CASES = [
+        ("spiking", LIFParams(), 1.0),
+        ("spiking", LIFParams(tau=1.5, v_threshold=1.0, v_reset=-0.5), 0.125),
+        ("relaxed", LIFParams(), 1.0),
+        ("relaxed", LIFParams(tau=1.5, v_threshold=1.0, v_reset=-0.5), 0.125),
+    ]
+    # 35 neurons per step: 7 divides it, 16 does not, 35 and 1 << 20 cover it in one
+    CHUNKS = [1, 7, 16, 35, 1 << 20]
+
+    @staticmethod
+    def _run(x, params, mode, scale, record):
+        xt = Tensor(x, requires_grad=record, dtype=x.dtype)
+        out = multistep_lif(xt, params, mode=mode, input_scale=scale)
+        assert bool(out._parents) == record
+        if record:
+            weight = np.linspace(-1.0, 1.0, x.size).reshape(x.shape).astype(x.dtype)
+            (out * Tensor(weight, dtype=x.dtype)).sum().backward()
+        return out.data, xt.grad
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode,params,scale", CASES)
+    @pytest.mark.parametrize("record", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_bit_equal_to_unchunked(self, rng, monkeypatch, dtype, mode, params, scale,
+                                    record, chunk):
+        x = (2.0 * rng.standard_normal((4, 5, 7)) / scale).astype(dtype)
+        spikes, grad = self._run(x, params, mode, scale, record)  # 35 < _LIF_CHUNK: one block
+        monkeypatch.setattr(neuron, "_LIF_CHUNK", chunk)
+        context = contextlib.nullcontext() if record else no_grad()
+        with context:
+            got_spikes, got_grad = self._run(x, params, mode, scale, record)
+        assert got_spikes.dtype == dtype and got_spikes.tobytes() == spikes.tobytes()
+        if record:
+            assert got_grad.dtype == dtype and got_grad.tobytes() == grad.tobytes()
+        else:
+            assert got_grad is None
+        outs, leaves = composed_lif(x, params, mode=mode, input_scale=scale)
+        ref = np.stack([s.data for s in outs])
+        if mode == "spiking":
+            np.testing.assert_array_equal(got_spikes, ref)
+        else:
+            np.testing.assert_allclose(got_spikes, ref, rtol=0, atol=1e-6)
+        if record and dtype == np.float64:
+            weight = np.linspace(-1.0, 1.0, x.size).reshape(x.shape)
+            loss = outs[0] * weight[0]
+            for t in range(1, len(outs)):
+                loss = loss + outs[t] * weight[t]
+            loss.sum().backward()
+            np.testing.assert_allclose(got_grad, np.stack([leaf.grad for leaf in leaves]),
+                                       rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["tape", "no_grad"])
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    def test_empty_neuron_axis(self, monkeypatch, record, chunk):
+        monkeypatch.setattr(neuron, "_LIF_CHUNK", chunk)
+        x = Tensor(np.zeros((3, 0, 4), np.float32), requires_grad=record)
+        out = multistep_lif(x, DEFAULTS)
+        assert out.shape == (3, 0, 4) and out.data.dtype == np.float32
+        if record:
+            out.sum().backward()
+            assert x.grad.shape == (3, 0, 4)

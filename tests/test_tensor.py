@@ -3,10 +3,12 @@ central finite differences."""
 
 import contextlib
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from spikingformer import neuron
 from spikingformer import tensor as T
 from spikingformer.layers import BatchNorm
 from spikingformer.neuron import LIFParams, multistep_lif
@@ -344,6 +346,22 @@ class TestBatchNormNodeDifferential:
             assert got.shape == want.shape
             assert relative_error(got, want).max() <= 1e-6
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("shape,axis", _BN_CASES)
+    def test_tape_free_forward_bit_equal(self, rng, shape, axis, training):
+        # a forward that records no node scales and shifts its centred buffer in place
+        free, recording = _bn_pair(rng, shape[axis], training)
+        x = _channels_last((3.0 * rng.standard_normal(shape) + 1.0).astype(np.float32), axis)
+        before = x.copy()
+        with no_grad():
+            y = free.forward(Tensor(x, requires_grad=True))
+        want = recording.forward(Tensor(x, requires_grad=True))
+        assert y._parents == () and want._parents
+        assert y.data.dtype == want.data.dtype and y.data.tobytes() == want.data.tobytes()
+        assert x.tobytes() == before.tobytes()
+        for name in ("running_mean", "running_var"):
+            np.testing.assert_array_equal(free._buffers[name], recording._buffers[name])
+
     def test_one_tape_node_per_call(self, rng):
         bn = BatchNorm(3)
         x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
@@ -449,6 +467,100 @@ class TestSilentRowGemm:
         dense = grads()
         for c, d in zip(compacted, dense):
             assert c.dtype == d.dtype and c.tobytes() == d.tobytes()
+
+
+def _images_with_silent(rng, n_silent, dtype, transposed):
+    """Spike-like [8, 5, 5, 3] maps (binary, one float image) with n_silent
+    all-zero images; ``transposed`` gives a strided view of an NCHW array."""
+    x = (rng.random((8, 3, 5, 5)) < 0.3).astype(dtype)
+    x[:, 0, 0, 0] = 1.0  # every image starts live
+    x[-1] = rng.standard_normal((3, 5, 5))
+    x[rng.permutation(8)[:n_silent]] = 0.0
+    return x.transpose(0, 2, 3, 1) if transposed else nhwc(x)
+
+
+class TestSilentImageConv:
+    """A conv2d that records no tape node patches and multiplies only the
+    live images once enough are silent, against the dense path."""
+
+    CONVS = [(1, 1), (2, 0)]  # (stride, padding) of a 3x3 kernel
+
+    @staticmethod
+    def _silent_counts(b):
+        at = int(np.ceil(T._SILENT_ROW_SHARE * b))  # fewest silent images that compact
+        return [0, at - 1, at, at + 1, b]
+
+    @staticmethod
+    def _conv(x, w, bias, stride, padding, dtype):
+        b = None if bias is None else Tensor(bias, dtype=dtype)
+        return conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), stride, padding, bias=b).data
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "strided"])
+    @pytest.mark.parametrize("stride,padding", CONVS)
+    @pytest.mark.parametrize("which", range(5))
+    def test_matches_dense_path(self, rng, monkeypatch, dtype, with_bias, transposed,
+                                stride, padding, which):
+        n_silent = self._silent_counts(8)[which]
+        x = _images_with_silent(rng, n_silent, dtype, transposed)
+        w = hwio(rng.standard_normal((4, 3, 3, 3))).astype(dtype)
+        bias = rng.standard_normal(4).astype(dtype) if with_bias else None
+        y = self._conv(x, w, bias, stride, padding, dtype)
+        monkeypatch.setattr(T, "_SILENT_ROW_SHARE", 2.0)  # never compact
+        dense = self._conv(x, w, bias, stride, padding, dtype)
+        live = x.any(axis=(1, 2, 3))
+        assert np.count_nonzero(~live) == n_silent
+        assert y.shape == dense.shape and y.dtype == dtype
+        # a silent image's output is the bias (or zero), as the dense GEMM gives it
+        assert y[~live].tobytes() == dense[~live].tobytes()
+        if n_silent >= T._SILENT_ROW_SHARE * 8:
+            # the dense path's output over the live images alone; over the whole
+            # batch the BLAS may block the rows differently
+            want = self._conv(np.ascontiguousarray(x[live]), w, bias, stride, padding, dtype)
+        else:
+            want = dense[live]
+        assert y[live].tobytes() == want.tobytes()
+        tol = 1e-6 if dtype == np.float32 else 1e-13
+        assert np.all(np.abs(y - dense) <= tol * np.maximum(np.abs(dense), 1.0))
+
+    @pytest.mark.parametrize("which", range(5))
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "no_grad"])
+    def test_path_follows_silent_share(self, rng, which, frozen):
+        # a NaN weight turns silent images to NaN in the dense GEMM (0 * NaN)
+        # but leaves their output the bias when only the live images are multiplied
+        n_silent = self._silent_counts(8)[which]
+        x = _images_with_silent(rng, n_silent, np.float32, False)
+        w = hwio(rng.standard_normal((4, 3, 3, 3))).astype(np.float32)
+        w[1, 1, 2, 3] = np.nan
+        bias = rng.standard_normal(4).astype(np.float32)
+        with contextlib.nullcontext() if frozen else no_grad():
+            y = conv2d(Tensor(x, requires_grad=not frozen), Tensor(w), 1, 1,
+                       bias=Tensor(bias)).data[~x.any(axis=(1, 2, 3))]
+        compacted = n_silent >= T._SILENT_ROW_SHARE * 8
+        assert compacted == (which >= 2)
+        assert np.all(y == bias) if compacted else np.all(np.isnan(y[..., 3]))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_recording_call_stays_dense(self, rng, monkeypatch, dtype):
+        x = _images_with_silent(rng, 4, dtype, True)
+        w = hwio(rng.standard_normal((4, 3, 3, 3))).astype(dtype)
+        bias = rng.standard_normal(4).astype(dtype)
+        upstream = rng.standard_normal((8, 5, 5, 4)).astype(dtype)
+
+        def run(w):
+            params = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, bias)]
+            y = conv2d(params[0], params[1], 1, 1, bias=params[2])
+            (y * Tensor(upstream, dtype=dtype)).sum().backward()
+            return [y.data] + [p.grad for p in params]
+
+        nan_w = w.copy()
+        nan_w[1, 1, 2, 3] = np.nan
+        assert np.all(np.isnan(run(nan_w)[0][~x.any(axis=(1, 2, 3))][..., 3]))
+        got = run(w)
+        monkeypatch.setattr(T, "_SILENT_ROW_SHARE", 2.0)  # never compact
+        for a, b in zip(got, run(w)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def _maxpool_reference(x, g):
@@ -673,10 +785,20 @@ _UNTRACKED_OPS = {
     "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
     "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))), 1, 1,
                                bias=Tensor(np.zeros(3, dtype=np.float32))),
+    "conv2d_silent_image": lambda x: conv2d(
+        x * np.array([0, 1], dtype=np.float32).reshape(2, 1, 1, 1),  # image 0 silent
+        Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))), 1, 1,
+        bias=Tensor(np.zeros(3, dtype=np.float32))),
     "maxpool2d": lambda x: maxpool2d(x),
     "multistep_lif": lambda x: multistep_lif(x, _LIF),
+    "multistep_lif_chunked": lambda x: _chunked_lif(x),
     "batchnorm": lambda x: _frozen_batchnorm().forward(x),
 }
+
+
+def _chunked_lif(x):
+    with mock.patch.object(neuron, "_LIF_CHUNK", 7):  # 32 neurons per step: 5 chunks
+        return multistep_lif(x, _LIF)
 
 
 def _frozen_batchnorm():
