@@ -33,7 +33,6 @@ KIND_SSA = "ssa-matmul"
 class LayerObservation:
     name: str
     kind: str
-    first_encoding: bool = False
     flops_per_item: int = 0          # MACs for one [item] slice of the input batch
     items: int = 0                   # batch slices observed (T is folded in)
     elements: int = 0
@@ -41,6 +40,10 @@ class LayerObservation:
     histogram: Counter = field(default_factory=Counter)
     anomalies: int = 0
     events: int = 0                  # exact nonzero-operand products (ssa-matmul only)
+
+    @property
+    def first_encoding(self) -> bool:
+        return self.kind == KIND_FIRST
 
     @property
     def firing_rate(self) -> float:
@@ -57,15 +60,13 @@ class ForwardRecorder:
     def __init__(self):
         self.layers: dict[str, LayerObservation] = {}
 
-    def _layer(self, name: str, kind: str, first_encoding: bool) -> LayerObservation:
+    def _layer(self, name: str, kind: str) -> LayerObservation:
         if name not in self.layers:
-            self.layers[name] = LayerObservation(name=name, kind=kind,
-                                                 first_encoding=first_encoding)
+            self.layers[name] = LayerObservation(name=name, kind=kind)
         return self.layers[name]
 
     def observe_conv(self, layer, x: np.ndarray, flops_per_item: int) -> None:
-        kind = KIND_FIRST if layer.first_encoding else KIND_CONV
-        obs = self._layer(layer.name, kind, layer.first_encoding)
+        obs = self._layer(layer.name, KIND_FIRST if layer.first_encoding else KIND_CONV)
         obs.flops_per_item = flops_per_item
         obs.items += x.shape[0]
         obs.elements += x.size
@@ -107,13 +108,13 @@ class ForwardRecorder:
         items, heads, n, d = q.shape
         flops = heads * n * n * d
         core = np.matmul(q, np.swapaxes(k, -1, -2))
-        qk = self._layer(f"{attn.name}.qk", KIND_SSA, False)
+        qk = self._layer(f"{attn.name}.qk", KIND_SSA)
         qk.flops_per_item = flops
         qk.items += items
         # each entry of Q K^T counts its products exactly; a float64 sum of
         # them stays exact past float32's 2^24
         qk.events += int(core.sum(dtype=np.float64))
-        av = self._layer(f"{attn.name}.av", KIND_SSA, False)
+        av = self._layer(f"{attn.name}.av", KIND_SSA)
         av.flops_per_item = flops
         av.items += items
         # events = sum_{i,j,l} [A[i,j] != 0] * [V[j,l] != 0]
@@ -146,7 +147,8 @@ def firing_rate(spikes: np.ndarray) -> float:
 
 def run_recorded(model, batches) -> ForwardRecorder:
     """Run tape-free forward passes over one array or an iterable of batches
-    with a fresh recorder attached; returns the recorder."""
+    with a fresh recorder attached; returns the recorder once every layer's
+    histogram (plus anomalies) accounts for each element it observed."""
     recorder = ForwardRecorder()
     model.set_recorder(recorder)
     try:
@@ -155,6 +157,10 @@ def run_recorded(model, batches) -> ForwardRecorder:
                 model.forward(batch)
     finally:
         model.set_recorder(None)
+    for name, obs in recorder.layers.items():
+        total = sum(obs.histogram.values()) + obs.anomalies
+        if total != obs.elements:
+            raise RuntimeError(f"histogram total {total} != elements {obs.elements} for {name}")
     return recorder
 
 
@@ -168,11 +174,8 @@ def record(model, batches) -> PurityReport:
     layers = {}
     offending = []
     for name, obs in sorted(recorder.layers.items()):
-        if obs.first_encoding or obs.kind == KIND_SSA:
+        if obs.kind != KIND_CONV:
             continue
-        total = sum(obs.histogram.values()) + obs.anomalies
-        if total != obs.elements:
-            raise RuntimeError(f"histogram total {total} != elements {obs.elements} for {name}")
         layers[name] = {
             "kind": obs.kind,
             "histogram": dict(sorted(obs.histogram.items())),

@@ -12,7 +12,7 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import energy as energy_mod
-from .data import Dataset, batches, load_cifar10_binary, synth_events, synth_static
+from .data import KIND_EVENTS, Dataset, batches, load_cifar10_binary, synth_events, synth_static
 from .layers import ADD, HEAD_VARIANTS, SPIKE_DRIVEN
 from .model import (
     ModelConfig,
@@ -62,8 +62,10 @@ _SCHEMA = {
     "noise": (float, None),
 }
 
-# counts that must be at least 1
-_POSITIVE_KEYS = ("samples", "batch_size", "epochs", "timesteps")
+# key -> least allowed value
+_MINIMUM = {"samples": 1, "batch_size": 1, "epochs": 1, "timesteps": 1, "noise": 0}
+
+_TRAIN_KEYS = ("epochs", "batch_size", "lr", "weight_decay")
 
 _MODEL_KEYS = ("blocks", "embed_dim", "heads", "timesteps", "num_classes", "in_channels",
                "scale", "head_variant", "residual_style", "mlp_ratio",
@@ -90,8 +92,8 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ConfigError(f"config key {key!r} must be finite, got {value}")
-        if key in _POSITIVE_KEYS and value < 1:
-            raise ConfigError(f"config key {key!r} must be >= 1, got {value}")
+        if key in _MINIMUM and value < _MINIMUM[key]:
+            raise ConfigError(f"config key {key!r} must be >= {_MINIMUM[key]}, got {value}")
         cfg[key] = value
     return cfg
 
@@ -126,6 +128,8 @@ def _load(args) -> tuple:
     """(validated config, its ModelConfig, seed: --seed, else the config's, else 0)."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     return cfg, model_config_from(cfg, args), seed
 
 
@@ -169,13 +173,7 @@ def _out_dir(args) -> str:
 
 def cmd_train(args) -> int:
     cfg, model_cfg, seed = _load(args)
-    train_cfg = TrainConfig(
-        epochs=cfg.get("epochs", 50),
-        batch_size=cfg.get("batch_size", 64),
-        lr=cfg.get("lr", 5e-4),
-        weight_decay=cfg.get("weight_decay", 0.05),
-        seed=seed,
-    )
+    train_cfg = TrainConfig(seed=seed, **{k: cfg[k] for k in _TRAIN_KEYS if k in cfg})
     dataset = dataset_from(cfg, args, model_cfg, seed)
     model = build(model_cfg, seed=seed)
     out = _out_dir(args)
@@ -219,7 +217,7 @@ def cmd_energy(args) -> int:
         mode = (energy_mod.MODE_INTEGER_AS_MAC if args.mode == 2
                 else energy_mod.MODE_INTEGER_AS_N_ACS)
         report = energy_mod.spikformer_recalc(traces, mode=mode)
-    elif dataset.kind == "event-frames":
+    elif dataset.kind == KIND_EVENTS:
         report = energy_mod.energy_neuromorphic(traces)
     else:
         report = energy_mod.energy_static(traces)

@@ -11,7 +11,6 @@ CIFAR_CLASSES = 10
 
 KIND_STATIC = "static-image"
 KIND_EVENTS = "event-frames"
-KIND_SYNTHETIC = "synthetic"
 
 
 @dataclass
@@ -98,7 +97,7 @@ def synth_static(classes: int, n: int, seed: int, shape=(3, 8, 8), noise: float 
     if noise > 0:
         x = x + noise * rng.standard_normal(x.shape).astype(np.float32)
     x = np.clip(x, 0.0, 1.0).astype(np.float32)
-    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes, kind=KIND_SYNTHETIC)
+    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes, kind=KIND_STATIC)
 
 
 def synth_events(classes: int, n: int, t_steps: int, seed: int, shape=(2, 8, 8)) -> Dataset:

@@ -162,8 +162,7 @@ def trace_model(model, batches) -> list:
             fr = obs.events / (obs.flops_per_item * obs.items) if obs.items else 0.0
             traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, fr, t_steps))
             continue
-        total = sum(obs.histogram.values()) + obs.anomalies
-        scale = obs.flops_per_item * t_steps / total if total else 0.0
+        scale = obs.flops_per_item * t_steps / obs.elements if obs.elements else 0.0
         hist = {v: c * scale for v, c in obs.histogram.items()}
         traces.append(LayerTrace(name, obs.kind, obs.flops_per_item,
                                  min(obs.firing_rate, 1.0), t_steps, value_hist=hist))

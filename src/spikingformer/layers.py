@@ -42,6 +42,9 @@ def _path(prefix: str, name) -> str:
 class Module:
     """Tiny module tree: tracks parameters, buffers and submodules by name."""
 
+    name = ""          # dotted path in its model, set once by ``Model``
+    recorder = None    # forward recorder the module reports to, if any
+
     def __init__(self):
         self.training = True
 
@@ -232,8 +235,6 @@ class ConvBN2d(Module):
         self.weight = Parameter(w)
         self.bias = None
         self.bn = BatchNorm(out_channels)
-        self.recorder = None
-        self.name = ""
 
     def forward(self, x: Tensor) -> Tensor:
         if self.tokens:
@@ -278,7 +279,6 @@ class PatchEmbedUnit(Module):
         super().__init__()
         self.downsample = downsample
         self.style = style
-        self.is_first = is_first
         self.sn = None if (is_first and style == SPIKE_DRIVEN) else SN(lif)
         self.conv = ConvBN2d(in_channels, out_channels, rng,
                              first_encoding=is_first)
@@ -367,8 +367,6 @@ class SpikingSelfAttention(Module):
         self.sn_attn = SN(lif, input_scale=scale)
         self.conv_proj = ConvBN2d(embed_dim, embed_dim, rng, tokens=True)
         self.sn_proj = SN(lif) if style == ADD else None
-        self.recorder = None
-        self.name = ""
 
     def _split_heads(self, x: Tensor) -> Tensor:
         tb, n, d = x.shape

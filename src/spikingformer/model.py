@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import audit
 from .layers import (
     ADD,
     HEAD_AVGPOOL_FC,
@@ -13,9 +14,7 @@ from .layers import (
     SPIKE_DRIVEN,
     SN,
     ClassificationHead,
-    ConvBN2d,
     Module,
-    SpikingSelfAttention,
     SpikingTokenizer,
     SpikingTransformerBlock,
 )
@@ -116,12 +115,8 @@ class Model(Module):
         ]
         self.head = ClassificationHead(config.embed_dim, config.num_classes, rng,
                                        lif, config.head_variant)
-        self._name_layers()
-
-    def _name_layers(self):
         for path, module in self.named_modules():
-            if isinstance(module, (ConvBN2d, SpikingSelfAttention)):
-                module.name = path
+            module.name = path
 
     # -- forward ------------------------------------------------------------
 
@@ -186,8 +181,7 @@ class Model(Module):
 
     def set_recorder(self, recorder) -> None:
         for module in self.modules():
-            if isinstance(module, (ConvBN2d, SpikingSelfAttention)):
-                module.recorder = recorder
+            module.recorder = recorder
 
     def set_neuron_mode(self, mode: str) -> None:
         for module in self.modules():
@@ -205,15 +199,16 @@ class Model(Module):
         ``state()`` and checkpoints do not change.
         """
         for module in self.modules():
-            if isinstance(module, ConvBN2d):
+            if getattr(module, "bn", None) is not None:  # a ConvBN2d with its BN
                 module.fuse()
         for p in self.parameters():
             p.requires_grad = False
 
     @property
     def fused(self) -> bool:
-        """True once ``fuse()`` has folded the BNs: the model is inference-only."""
-        return any(isinstance(m, ConvBN2d) and m.bn is None for m in self.modules())
+        """True once ``fuse()`` has folded the BNs, so no BN statistics are
+        left: the model is inference-only."""
+        return next(self.named_buffers(), None) is None
 
 
 def build(config: ModelConfig, seed: int = 0) -> Model:
@@ -221,12 +216,6 @@ def build(config: ModelConfig, seed: int = 0) -> Model:
 
 
 def max_convbn_input(model: Model, data) -> dict:
-    """Max observed input value per ConvBN, excluding the encoder conv."""
-    from .audit import run_recorded
-
-    out = {}
-    for name, layer in run_recorded(model, [data]).layers.items():
-        if layer.first_encoding:
-            continue
-        out[name] = max(layer.histogram) if layer.histogram else 0
-    return out
+    """Max observed input value per audited ConvBN (every one but the encoder conv)."""
+    return {name: max(info["histogram"], default=0)
+            for name, info in audit.record(model, [data]).layers.items()}

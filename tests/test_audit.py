@@ -11,6 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikingformer.audit import (
+    KIND_CONV,
+    KIND_FIRST,
+    KIND_SSA,
     ForwardRecorder,
     firing_rate,
     record,
@@ -18,6 +21,8 @@ from spikingformer.audit import (
     write_report_csv,
     write_report_json,
 )
+from spikingformer.energy import trace_model
+from spikingformer.layers import ConvBN2d, SpikingSelfAttention
 from spikingformer.model import ModelConfig, build
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
@@ -255,6 +260,44 @@ class TestModelAudit:
         report = record(self._model(), self._batch(rng))
         for info in report.layers.values():
             assert sum(info["histogram"].values()) + info["anomalies"] > 0
+
+    def test_no_module_keeps_the_recorder(self, rng):
+        model = self._model()
+        record(model, self._batch(rng))
+        trace_model(model, self._batch(rng))
+        assert all(m.recorder is None for m in model.modules())
+
+    def test_lost_elements_fail_every_recording(self, rng, monkeypatch):
+        observe = ForwardRecorder.observe_conv
+
+        def miscounting(recorder, layer, x, flops):
+            observe(recorder, layer, x, flops)
+            recorder.layers[layer.name].elements += 1
+
+        monkeypatch.setattr(ForwardRecorder, "observe_conv", miscounting)
+        for consumer in (record, trace_model):
+            with pytest.raises(RuntimeError, match="histogram total"):
+                consumer(self._model(), self._batch(rng))
+
+    def test_tape_recorder_exposes_every_site(self, rng):
+        """A recorder attached by hand to a forward on the tape reports each
+        ConvBN and both attention matmuls with the fields a reader uses."""
+        model = self._model().eval()
+        recorder = ForwardRecorder()
+        model.set_recorder(recorder)
+        model.forward(self._batch(rng))
+        model.set_recorder(None)
+        convs = {n for n, m in model.named_modules() if isinstance(m, ConvBN2d)}
+        attns = {n for n, m in model.named_modules() if isinstance(m, SpikingSelfAttention)}
+        assert set(recorder.layers) == convs | {f"{a}.{m}" for a in attns for m in ("qk", "av")}
+        first = "tokenizer.units.0.conv"
+        for name, obs in recorder.layers.items():
+            assert obs.kind == (KIND_FIRST if name == first else
+                                KIND_CONV if name in convs else KIND_SSA), name
+            assert obs.first_encoding == (name == first), name
+            assert obs.flops_per_item > 0 and obs.items == TINY.timesteps * 2, name
+            assert 0.0 <= obs.firing_rate <= 1.0, name
+            assert obs.events >= 0 and (obs.events == 0 or obs.kind == KIND_SSA), name
 
 
 class TestReportOutput:

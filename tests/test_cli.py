@@ -102,6 +102,16 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: --limit must be >= 1") and "Traceback" not in err
 
+    @pytest.mark.parametrize("override,argv,named", [
+        ({"seed": -1}, [], "seed"), ({}, ["--seed", "-3"], "seed"), ({"noise": -0.1}, [], "noise"),
+    ])
+    def test_negative_seed_or_noise_exits_cleanly(self, tmp_path, override, argv, named, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **override)))
+        assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
     @pytest.mark.parametrize("key", ["tau", "lr", "scale", "v_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, key, value):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spikingformer.audit import record
 from spikingformer.layers import ADD, SPIKE_DRIVEN, BatchNorm
 from spikingformer.model import (
     Model,
@@ -14,6 +15,7 @@ from spikingformer.model import (
     preset_config,
 )
 from spikingformer.tensor import Tensor, no_grad
+from spikingformer.train import load_checkpoint, save_checkpoint
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -204,6 +206,36 @@ class TestActivationRangeGrowth:
             _saturate(model)
             peaks = max_convbn_input(model, _batch(rng))
             assert max(peaks.values()) == 2 * blocks
+
+
+class TestRecorderChannel:
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_max_convbn_input_covers_the_audited_convbns(self, rng, style):
+        import dataclasses
+
+        model = build(dataclasses.replace(TINY, blocks=2, residual_style=style), seed=0)
+        _saturate(model)
+        x = _batch(rng)
+        peaks = max_convbn_input(model, x)
+        layers = record(model, x).layers
+        assert list(peaks) == list(layers)  # no attention matmul, no encoder conv
+        assert peaks == {name: max(info["histogram"]) for name, info in layers.items()}
+        assert max(peaks.values()) == (4 if style == ADD else 1)
+
+    def test_every_module_carries_its_path(self, tmp_path):
+        def assert_named(model):
+            for path, module in model.named_modules():
+                assert module.name == path, (path, module.name)
+
+        model = build(TINY, seed=0)
+        assert_named(model)
+        path = tmp_path / "model.spkf"
+        save_checkpoint(model, path)
+        assert_named(load_checkpoint(path, TINY))
+        model.fuse()
+        assert_named(model)
+        save_checkpoint(model, path)
+        assert_named(load_checkpoint(path, TINY))
 
 
 class TestFusedModel:
