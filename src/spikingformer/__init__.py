@@ -1,10 +1,9 @@
 """Spikingformer: spike-driven transformer with purity auditing and energy
 estimation, on a minimal reverse-mode tensor engine."""
 
-from .audit import PurityReport, firing_rate, record
+from .audit import PurityReport, record
 from .energy import (
     EnergyReport,
-    HardwareCostModel,
     LayerTrace,
     energy_neuromorphic,
     energy_static,
@@ -19,7 +18,6 @@ from .train import TrainConfig, evaluate, load_checkpoint, save_checkpoint, trai
 
 __all__ = [
     "EnergyReport",
-    "HardwareCostModel",
     "LIFParams",
     "LayerTrace",
     "MembraneState",
@@ -33,7 +31,6 @@ __all__ = [
     "energy_neuromorphic",
     "energy_static",
     "evaluate",
-    "firing_rate",
     "heaviside",
     "lif_step",
     "load_checkpoint",

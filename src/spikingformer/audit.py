@@ -127,22 +127,15 @@ class PurityReport:
     """Per-layer histograms, firing rates and the overall spike-purity verdict."""
 
     layers: dict            # name -> {kind, histogram, firing_rate, anomalies}
-    pure: bool
     offending_layers: list
+
+    @property
+    def pure(self) -> bool:
+        return not self.offending_layers
 
     @property
     def verdict(self) -> str:
         return "pure" if self.pure else "impure"
-
-
-def firing_rate(spikes: np.ndarray) -> float:
-    """Mean of a binary tensor; rejects anything that is not exactly 0/1."""
-    arr = np.asarray(spikes)
-    if arr.size == 0:
-        raise ValueError("empty tensor has no firing rate")
-    if not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("firing_rate requires a binary tensor")
-    return float(arr.mean())
 
 
 def run_recorded(model, batches) -> ForwardRecorder:
@@ -184,7 +177,7 @@ def record(model, batches) -> PurityReport:
         }
         if not obs.is_binary:
             offending.append(name)
-    return PurityReport(layers=layers, pure=not offending, offending_layers=offending)
+    return PurityReport(layers=layers, offending_layers=offending)
 
 
 def text_histogram(report: PurityReport) -> str:

@@ -137,6 +137,12 @@ def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
     kind = cfg.get("dataset", "synthetic-static")
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
+    unread = [key for key, wasted in (
+        ("noise", "noise" in cfg and kind != "synthetic-static"),
+        ("data_path", "data_path" in cfg and kind != "cifar10"),
+        ("--data", args.data is not None and kind != "cifar10")) if wasted]
+    if unread:
+        raise ConfigError(f"the {kind} dataset never reads {' or '.join(unread)}")
     caps = [v for v in (cfg.get("samples"), args.limit) if v is not None]
     if kind == "cifar10":
         path = args.data or cfg.get("data_path")

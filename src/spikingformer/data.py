@@ -15,7 +15,7 @@ KIND_EVENTS = "event-frames"
 
 @dataclass
 class Dataset:
-    """Samples plus geometry. Static x: [n, C, H, W]; events: [n, T, C, H, W]."""
+    """Labelled samples. Static x: [n, C, H, W]; events: [n, T, C, H, W]."""
 
     x: np.ndarray
     y: np.ndarray
@@ -24,10 +24,6 @@ class Dataset:
 
     def __len__(self):
         return len(self.y)
-
-    @property
-    def geometry(self):
-        return self.x.shape[-3:]
 
 
 def batches(dataset: Dataset, batch_size: int, order=None):
@@ -61,15 +57,6 @@ def load_cifar10_binary(path, limit=None) -> Dataset:
         raise ValueError(f"{path}: label {labels.max()} out of range for CIFAR-10")
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
     return Dataset(x=pixels, y=labels, num_classes=CIFAR_CLASSES, kind=KIND_STATIC)
-
-
-def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Inverse of the loader (round-trip oracle and fixture synthesis)."""
-    n = len(labels)
-    out = np.empty((n, CIFAR_RECORD_BYTES), dtype=np.uint8)
-    out[:, 0] = labels
-    out[:, 1:] = np.rint(images.reshape(n, -1) * 255.0).astype(np.uint8)
-    out.tofile(path)
 
 
 def class_templates(classes: int, shape, seed: int) -> np.ndarray:
@@ -113,10 +100,3 @@ def synth_events(classes: int, n: int, t_steps: int, seed: int, shape=(2, 8, 8))
     x = (rng.uniform(size=(n, t_steps, c, h, w)) < p).astype(np.float32)
     return Dataset(x=x, y=y.astype(np.int64), num_classes=classes, kind=KIND_EVENTS)
 
-
-def template_matching_accuracy(ds: Dataset, templates: np.ndarray) -> float:
-    """Linear-classifier oracle: argmax_c <x, t_c> - |t_c|^2 / 2."""
-    flat = ds.x.reshape(len(ds), -1)
-    tflat = templates.reshape(len(templates), -1)
-    scores = flat @ tflat.T - 0.5 * (tflat ** 2).sum(axis=1)
-    return float((scores.argmax(axis=1) == ds.y).mean())

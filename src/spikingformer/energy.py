@@ -25,17 +25,9 @@ MODE_INTEGER_AS_MAC = "integer-as-MAC"
 
 PJ_PER_MJ = 1e9
 
-
-@dataclass(frozen=True)
-class HardwareCostModel:
-    """Per-operation energies on 45nm hardware, in picojoules."""
-
-    e_mac: float = 4.6
-    e_ac: float = 0.9
-
-    def __post_init__(self):
-        if self.e_mac <= 0 or self.e_ac <= 0:
-            raise ValueError("per-operation energies must be positive")
+# per-operation energies on 45 nm hardware, in picojoules (Horowitz, ISSCC 2014)
+E_MAC = 4.6
+E_AC = 0.9
 
 
 @dataclass
@@ -89,33 +81,29 @@ def _single_first_layer(traces) -> LayerTrace:
     return firsts[0]
 
 
-def energy_static(traces, cost: HardwareCostModel = HardwareCostModel()) -> EnergyReport:
+def energy_static(traces) -> EnergyReport:
     """Static-image energy: encoder conv at MAC cost, everything else at AC."""
     first = _single_first_layer(traces)
     report = EnergyReport(mode="static")
-    report.add(first.layer_id, first.kind, first.flops, cost.e_mac * first.flops)
+    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
     for t in traces:
         if t.kind == KIND_FIRST:
             continue
         ops = sops(t.flops, t.fr, t.timesteps)
-        report.add(t.layer_id, t.kind, ops, cost.e_ac * ops)
+        report.add(t.layer_id, t.kind, ops, E_AC * ops)
     return report
 
 
-def energy_neuromorphic(traces, cost: HardwareCostModel = HardwareCostModel()) -> EnergyReport:
+def energy_neuromorphic(traces) -> EnergyReport:
     """Event-input energy: pure AC sum over every layer."""
     report = EnergyReport(mode="neuromorphic")
     for t in traces:
         ops = sops(t.flops, t.fr, t.timesteps)
-        report.add(t.layer_id, t.kind, ops, cost.e_ac * ops)
+        report.add(t.layer_id, t.kind, ops, E_AC * ops)
     return report
 
 
-def spikformer_recalc(
-    traces,
-    mode: str = MODE_INTEGER_AS_N_ACS,
-    cost: HardwareCostModel = HardwareCostModel(),
-) -> EnergyReport:
+def spikformer_recalc(traces, mode: str = MODE_INTEGER_AS_N_ACS) -> EnergyReport:
     """Recalculated energy for ADD-style models whose conv inputs are integers.
 
     mode "integer-as-N-ACs": a product with integer operand N counts as N
@@ -126,7 +114,7 @@ def spikformer_recalc(
         raise ValueError(f"unknown recalculation mode {mode!r}")
     first = _single_first_layer(traces)
     report = EnergyReport(mode=mode)
-    report.add(first.layer_id, first.kind, first.flops, cost.e_mac * first.flops)
+    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
     for t in traces:
         if t.kind == KIND_FIRST:
             continue
@@ -135,16 +123,16 @@ def spikformer_recalc(
                 raise ValueError(f"trace {t.layer_id} lacks the integer value histogram")
             if mode == MODE_INTEGER_AS_N_ACS:
                 acs = sum(v * c for v, c in t.value_hist.items())
-                report.add(t.layer_id, t.kind, int(round(acs)), cost.e_ac * acs)
+                report.add(t.layer_id, t.kind, int(round(acs)), E_AC * acs)
             else:
                 macs = sum(c for v, c in t.value_hist.items() if v > 1)
                 acs = t.value_hist.get(1, 0)
                 report.add(t.layer_id, t.kind, int(round(macs + acs)),
-                           cost.e_mac * macs + cost.e_ac * acs)
+                           E_MAC * macs + E_AC * acs)
         else:
             # attention operands are binary spikes even in ADD style
             ops = sops(t.flops, t.fr, t.timesteps)
-            report.add(t.layer_id, t.kind, ops, cost.e_ac * ops)
+            report.add(t.layer_id, t.kind, ops, E_AC * ops)
     return report
 
 

@@ -113,12 +113,11 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 class BatchNorm(Module):
     """Per-channel batch normalization over the last (channel) axis."""
 
-    def __init__(self, num_features: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps = 1e-5
+    momentum = 0.1  # an instance may shadow it: 1.0 adopts one batch's statistics
+
+    def __init__(self, num_features: int):
         super().__init__()
-        if eps <= 0:
-            raise ValueError("batchnorm eps must be > 0")
-        self.eps = eps
-        self.momentum = momentum
         self.gamma = Parameter(np.ones(num_features))
         self.beta = Parameter(np.zeros(num_features))
         self._buffers = {
@@ -212,25 +211,22 @@ class ConvBN2d(Module):
     """Convolution + batchnorm: the one ConvBN unit, spatial or token-space.
 
     Every kernel is stored as its GEMM operand, output channels last.
-    Spatial (default): a kxk convolution on channels-last [B, H, W, C] maps
-    with a [k, k, in, out] kernel. ``tokens=True``: a 1x1 convolution over
+    Spatial (default): a 3x3, stride-1, pad-1 convolution on channels-last
+    [B, H, W, C] maps with a [3, 3, in, out] kernel (downsampling is the
+    tokenizer's maxpool). ``tokens=True``: a 1x1 convolution over
     the token axis of [B, N, D] tensors, i.e. a shared per-token linear map
     ``x @ W`` with an [in, out] kernel. Either way BN runs on the last axis.
     ``fuse()`` folds the BN into a frozen kernel and bias in place.
     """
 
-    def __init__(self, in_channels, out_channels, rng, kernel_size=3, stride=1, padding=1,
-                 first_encoding=False, tokens=False):
+    def __init__(self, in_channels, out_channels, rng, first_encoding=False, tokens=False):
         super().__init__()
-        k = kernel_size
-        self.stride = stride
-        self.padding = padding
         self.first_encoding = first_encoding
         self.tokens = tokens
         if tokens:
             w = _kaiming_uniform(rng, (in_channels, out_channels), in_channels)
-        else:  # drawn [out, in, k, k], stored as one C-contiguous [k, k, in, out] copy
-            w = _kaiming_uniform(rng, (out_channels, in_channels, k, k), in_channels * k * k)
+        else:  # drawn [out, in, 3, 3], stored as one C-contiguous [3, 3, in, out] copy
+            w = _kaiming_uniform(rng, (out_channels, in_channels, 3, 3), in_channels * 9)
             w = np.ascontiguousarray(w.transpose(2, 3, 1, 0))
         self.weight = Parameter(w)
         self.bias = None
@@ -242,7 +238,7 @@ class ConvBN2d(Module):
             if self.bias is not None:
                 y = y + self.bias
         else:
-            y = conv2d(x, self.weight, self.stride, self.padding, bias=self.bias)
+            y = conv2d(x, self.weight, 1, 1, bias=self.bias)
         if self.recorder is not None:  # MACs per item: output positions x kernel size
             self.recorder.observe_conv(self, x.data, math.prod(y.shape[1:-1]) * self.weight.size)
         return y if self.bn is None else self.bn.forward(y)

@@ -16,6 +16,9 @@ from .tensor import Tensor, log_softmax, no_grad
 CHECKPOINT_MAGIC = b"SPKF"
 CHECKPOINT_VERSION = 2  # v1 stored spatial kernels [O, C, kh, kw]; v2 [kh, kw, C, O]
 
+# AdamW moment decays and denominator epsilon
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TrainingDiverged(RuntimeError):
     pass
@@ -27,9 +30,6 @@ class TrainConfig:
     batch_size: int = 64
     lr: float = 5e-4
     weight_decay: float = 0.05
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -50,18 +50,17 @@ class AdamW:
         self.t = 0
 
     def step(self, lr: float) -> None:
-        cfg = self.cfg
         self.t += 1
-        bc1 = 1.0 - cfg.beta1 ** self.t
-        bc2 = 1.0 - cfg.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = cfg.beta1 * self.m[i] + (1 - cfg.beta1) * g
-            self.v[i] = cfg.beta2 * self.v[i] + (1 - cfg.beta2) * g * g
+            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
+            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g * g
             mhat = self.m[i] / bc1
             vhat = self.v[i] / bc2
-            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + cfg.adam_eps)
-                                    + cfg.weight_decay * p.data)
+            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
+                                    + self.cfg.weight_decay * p.data)
 
     def zero_grad(self) -> None:
         for p in self.params:

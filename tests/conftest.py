@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spikingformer import tensor as T
+from spikingformer.data import CIFAR_RECORD_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +46,16 @@ def finite_difference(f, params, h=1e-3):
 def relative_error(a, b, floor=1e-6):
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
     return np.abs(a - b) / denom
+
+
+def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:
+    """Write images in [0, 1] and labels as CIFAR-10 binary records, the
+    inverse of ``data.load_cifar10_binary``."""
+    n = len(labels)
+    out = np.empty((n, CIFAR_RECORD_BYTES), dtype=np.uint8)
+    out[:, 0] = labels
+    out[:, 1:] = np.rint(images.reshape(n, -1) * 255.0).astype(np.uint8)
+    out.tofile(path)
 
 
 def write_v1_checkpoint(state: dict, path) -> None:

@@ -7,15 +7,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from spikingformer.audit import (
     KIND_CONV,
     KIND_FIRST,
     KIND_SSA,
     ForwardRecorder,
-    firing_rate,
+    LayerObservation,
+    PurityReport,
     record,
     text_histogram,
     write_report_csv,
@@ -33,31 +32,6 @@ class _FakeLayer:
     def __init__(self, name, first=False):
         self.name = name
         self.first_encoding = first
-
-
-class TestFiringRate:
-    def test_hand_value(self):
-        assert firing_rate(np.array([0, 1, 1, 0])) == 0.5
-
-    def test_all_zero(self):
-        assert firing_rate(np.zeros(10)) == 0.0
-
-    def test_all_one(self):
-        assert firing_rate(np.ones(10)) == 1.0
-
-    def test_rejects_non_binary(self):
-        with pytest.raises(ValueError, match="binary"):
-            firing_rate(np.array([0.0, 0.5, 1.0]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            firing_rate(np.array([]))
-
-    @given(st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=64))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_mean(self, bits):
-        arr = np.array(bits)
-        assert firing_rate(arr) == pytest.approx(arr.mean())
 
 
 class TestRecorderHistogram:
@@ -107,6 +81,23 @@ class TestRecorderHistogram:
         obs = rec.layers["l"]
         assert dict(obs.histogram) == {0: 1, 1: 1, 2: 1}
         assert obs.anomalies == 2 and not obs.is_binary
+
+    def test_firing_rate_counts_every_nonzero_value(self):
+        # ADD-style inputs: any nonzero integer is an operand that fires
+        rec = ForwardRecorder()
+        rec.observe_conv(_FakeLayer("l"), np.array([[0.0, 2.0, -1.0, 3.0]]), 1)
+        assert rec.layers["l"].firing_rate == 0.75
+        rec.observe_conv(_FakeLayer("z"), np.zeros((2, 5)), 1)
+        assert rec.layers["z"].firing_rate == 0.0
+        assert LayerObservation("unseen", KIND_CONV).firing_rate == 0.0
+
+
+class TestPurityReport:
+    def test_pure_follows_offending_layers(self):
+        report = PurityReport(layers={}, offending_layers=[])
+        assert report.pure and report.verdict == "pure"
+        report.offending_layers.append("blocks.0.mlp.fc2")
+        assert not report.pure and report.verdict == "impure"
 
 
 def _sorting_observe_conv(x, tol=1e-5):

@@ -7,12 +7,11 @@ import pytest
 
 from spikingformer import cli
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
-from spikingformer.data import write_cifar10_binary
 from spikingformer.model import build
 from spikingformer.tensor import no_grad
 from spikingformer.train import save_checkpoint
 
-from conftest import write_v1_checkpoint
+from conftest import write_cifar10_binary, write_v1_checkpoint
 
 TINY_CFG = {
     "blocks": 1,
@@ -109,6 +108,20 @@ class TestConfigValidation:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CFG, **override)))
         assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("override,argv,named", [
+        ({"dataset": "synthetic-events", "in_channels": 2, "noise": 7.5}, [], "noise"),
+        ({"dataset": "cifar10", "data_path": "batch.bin", "noise": 0.1}, [], "noise"),
+        ({"data_path": "/nonexistent"}, [], "data_path"),
+        ({"dataset": "synthetic-events", "in_channels": 2}, ["--data", "/nonexistent"], "--data"),
+    ], ids=["noise-events", "noise-cifar", "data_path-static", "data-events"])
+    def test_input_the_dataset_never_reads_exits_cleanly(self, tmp_path, override, argv, named,
+                                                          capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **override)))
+        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "run")] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 

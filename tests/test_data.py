@@ -9,9 +9,17 @@ from spikingformer.data import (
     load_cifar10_binary,
     synth_events,
     synth_static,
-    template_matching_accuracy,
-    write_cifar10_binary,
 )
+
+from conftest import write_cifar10_binary
+
+
+def template_matching_accuracy(ds, templates: np.ndarray) -> float:
+    """Linear-classifier oracle: argmax_c <x, t_c> - |t_c|^2 / 2."""
+    flat = ds.x.reshape(len(ds), -1)
+    tflat = templates.reshape(len(templates), -1)
+    scores = flat @ tflat.T - 0.5 * (tflat ** 2).sum(axis=1)
+    return float((scores.argmax(axis=1) == ds.y).mean())
 
 
 def _fake_cifar(rng, n=20):
@@ -64,7 +72,7 @@ class TestCifarLoader:
         images, labels = _fake_cifar(rng, n=3)
         path = tmp_path / "batch.bin"
         write_cifar10_binary(path, images, labels)
-        assert load_cifar10_binary(path).geometry == (3, 32, 32)
+        assert load_cifar10_binary(path).x.shape == (3, 3, 32, 32)
 
 
 class TestSyntheticStatic:

@@ -5,12 +5,14 @@ import json
 import numpy as np
 import pytest
 
+from spikingformer import energy
 from spikingformer.audit import KIND_CONV, KIND_FIRST, KIND_SSA
 from spikingformer.energy import (
+    E_AC,
+    E_MAC,
     MODE_INTEGER_AS_MAC,
     MODE_INTEGER_AS_N_ACS,
     EnergyReport,
-    HardwareCostModel,
     LayerTrace,
     energy_neuromorphic,
     energy_static,
@@ -47,12 +49,23 @@ class TestSops:
 
 class TestCostModel:
     def test_defaults(self):
-        cost = HardwareCostModel()
-        assert cost.e_mac == 4.6 and cost.e_ac == 0.9
+        assert E_MAC == 4.6 and E_AC == 0.9
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            HardwareCostModel(e_mac=0.0)
+    @pytest.mark.parametrize("price", [
+        energy_static,
+        energy_neuromorphic,
+        lambda t: spikformer_recalc(t, MODE_INTEGER_AS_N_ACS),
+        lambda t: spikformer_recalc(t, MODE_INTEGER_AS_MAC),
+    ], ids=["static", "neuromorphic", "recalc-n-acs", "recalc-mac"])
+    def test_every_report_reads_the_module_constants(self, price, monkeypatch):
+        # no report keeps a copy of the energies: doubling both doubles every total
+        traces = [_first(1000),
+                  LayerTrace("conv", KIND_CONV, 250, 1.0, 4, value_hist={1: 300, 3: 700}),
+                  LayerTrace("attn.qk", KIND_SSA, 100, 0.5, 4)]
+        base = price(traces).total_pj
+        monkeypatch.setattr(energy, "E_MAC", 2 * E_MAC)
+        monkeypatch.setattr(energy, "E_AC", 2 * E_AC)
+        assert price(traces).total_pj == pytest.approx(2 * base)
 
 
 def _first(flops=1000):

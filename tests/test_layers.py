@@ -273,7 +273,7 @@ class TestFusion:
         # w_conv=2, gamma=3, beta=0.5, mu=1, var+eps=4 -> W=3, B=0.5-0.75... per
         # Appendix-style arithmetic with b_conv folded separately; our convs are
         # biasless so B = beta - gamma*mu/sqrt(var+eps)
-        layer = ConvBN2d(1, 1, _rng(), kernel_size=1, padding=0)
+        layer = ConvBN2d(1, 1, _rng(), tokens=True)
         layer.weight.data[:] = 2.0
         layer.bn.gamma.data[:] = 3.0
         layer.bn.beta.data[:] = 0.5
@@ -281,7 +281,7 @@ class TestFusion:
         layer.bn._buffers["running_var"][:] = 4.0 - layer.bn.eps
         # forward equivalence on input 1: conv gives 2, BN gives 3*(2-1)/2+0.5=2
         layer.eval()
-        x = Tensor(np.ones((1, 1, 1, 1), dtype=np.float32))
+        x = Tensor(np.ones((1, 1, 1), dtype=np.float32))
         unfused = layer.forward(x).data
         layer.fuse()
         assert layer.weight.data.reshape(-1)[0] == pytest.approx(3.0, rel=1e-6)

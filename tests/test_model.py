@@ -312,6 +312,34 @@ class TestFusedModel:
         np.testing.assert_array_equal(fused.data, untracked)
         np.testing.assert_array_equal(fused.data, taped.data)
 
+    def test_momentum_one_calibrates_only_its_own_bn(self, rng):
+        # the calibration idiom: momentum 1 on one instance adopts one batch's
+        # statistics and leaves the class constant and every other BN at 0.1
+        model = build(TINY, seed=0)
+        bns = [m for m in model.modules() if isinstance(m, BatchNorm)]
+        target = bns[len(bns) // 2]
+        seen = []
+
+        def capture(y):
+            seen.append(y.data.copy())
+            return BatchNorm.forward(target, y)
+
+        target.forward, saved = capture, target.momentum
+        target.momentum = 1.0
+        model.train()
+        model.forward(_batch(rng, b=4))
+        others = [bn.momentum for bn in bns if bn is not target]
+        del target.forward
+        target.momentum = saved
+        (y,) = seen
+        axes = tuple(range(y.ndim - 1))
+        np.testing.assert_allclose(target._buffers["running_mean"], y.mean(axis=axes),
+                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(target._buffers["running_var"], y.var(axis=axes),
+                                   rtol=1e-5, atol=1e-6)
+        assert others == [0.1] * (len(bns) - 1) and target.momentum == 0.1
+        assert BatchNorm.momentum == 0.1
+
     def test_unfused_eval_model_stays_trainable(self, rng):
         model = build(TINY, seed=0)
         model.eval()

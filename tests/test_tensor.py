@@ -217,10 +217,11 @@ class TestConv2dIm2colDifferential:
             assert relative_error(a, b).max() <= 1e-6
 
 
-def _eval_batchnorm(gamma, beta, mean, var, eps=1e-5):
+def _eval_batchnorm(gamma, beta, mean, var):
     from spikingformer.layers import BatchNorm
 
-    bn = BatchNorm(len(gamma), eps=eps)
+    bn = BatchNorm(len(gamma))
+    assert bn.eps == 1e-5
     bn.gamma.data = np.asarray(gamma, dtype=np.float32)
     bn.beta.data = np.asarray(beta, dtype=np.float32)
     bn._buffers["running_mean"] = np.asarray(mean, dtype=np.float32)
@@ -232,19 +233,19 @@ class TestBatchnorm:
     def test_identity_normalization(self, rng):
         eps = 1e-5
         x = rng.standard_normal((2, 4, 3)).astype(np.float32)
-        bn = _eval_batchnorm(np.ones(3), np.zeros(3), np.zeros(3), np.full(3, 1.0 - eps), eps=eps)
+        bn = _eval_batchnorm(np.ones(3), np.zeros(3), np.zeros(3), np.full(3, 1.0 - eps))
         y = bn.forward(Tensor(x))
         np.testing.assert_allclose(y.data, x, atol=1e-6)
 
     def test_hand_evaluation(self):
         # gamma=1.5, beta=0.5, mu=1, var+eps=4, x=3 -> 1.5*(3-1)/2 + 0.5 = 2
         eps = 1e-5
-        bn = _eval_batchnorm([1.5], [0.5], [1.0], [4.0 - eps], eps=eps)
+        bn = _eval_batchnorm([1.5], [0.5], [1.0], [4.0 - eps])
         y = bn.forward(Tensor(np.full((1, 1), 3.0)))
         np.testing.assert_allclose(y.data, 2.0, rtol=1e-6)
 
     def test_invalid_variance_raises(self):
-        bn = _eval_batchnorm([1.0], [0.0], [0.0], [-1.0], eps=1e-5)
+        bn = _eval_batchnorm([1.0], [0.0], [0.0], [-1.0])
         with pytest.raises(ValueError, match="var"):
             bn.forward(Tensor(np.ones((1, 1))))
 
@@ -262,7 +263,7 @@ class TestBatchnorm:
     def test_running_stats_update(self, rng):
         from spikingformer.layers import BatchNorm
 
-        bn = BatchNorm(2, momentum=0.1)
+        bn = BatchNorm(2)
         x = Tensor(rng.standard_normal((16, 3, 2)).astype(np.float32))
         bn.forward(x)
         mu = x.data.mean(axis=(0, 1))
