@@ -125,24 +125,26 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
 
 
 def _load(args) -> tuple:
-    """(validated config, its ModelConfig, seed: --seed, else the config's, else 0)."""
+    """(validated config, its ModelConfig, seed: --seed, else the config's, else 0),
+    after the input checks every command runs, whether or not it reads a dataset."""
     cfg = load_config(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     if seed < 0:
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    return cfg, model_config_from(cfg, args), seed
-
-
-def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
-    kind = cfg.get("dataset", "synthetic-static")
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
+    kind = cfg.get("dataset", "synthetic-static")
     unread = [key for key, wasted in (
         ("noise", "noise" in cfg and kind != "synthetic-static"),
         ("data_path", "data_path" in cfg and kind != "cifar10"),
         ("--data", args.data is not None and kind != "cifar10")) if wasted]
     if unread:
         raise ConfigError(f"the {kind} dataset never reads {' or '.join(unread)}")
+    return cfg, model_config_from(cfg, args), seed
+
+
+def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
+    kind = cfg.get("dataset", "synthetic-static")
     caps = [v for v in (cfg.get("samples"), args.limit) if v is not None]
     if kind == "cifar10":
         path = args.data or cfg.get("data_path")

@@ -238,7 +238,7 @@ class ConvBN2d(Module):
             if self.bias is not None:
                 y = y + self.bias
         else:
-            y = conv2d(x, self.weight, 1, 1, bias=self.bias)
+            y = conv2d(x, self.weight, bias=self.bias)
         if self.recorder is not None:  # MACs per item: output positions x kernel size
             self.recorder.observe_conv(self, x.data, math.prod(y.shape[1:-1]) * self.weight.size)
         return y if self.bn is None else self.bn.forward(y)

@@ -327,84 +327,70 @@ def spike_threshold(v: Tensor, alpha: float) -> Tensor:
 # -- structured ops -----------------------------------------------------------
 
 
-def _patch_rows(x: np.ndarray, kh: int, kw: int, stride: int, padding: int):
-    """[B*OH*OW, kh*kw*C] patch rows of a [B, H, W, C] map, K in (kh, kw, c)
-    order: the reshape of one strided view of the padded map copies each patch once."""
+def _patch_rows(x: np.ndarray):
+    """[B*H*W, 9*C] patch rows of a [B, H, W, C] map, K in (kh, kw, c) order: the
+    reshape of one strided view of the zero-padded map copies each patch once."""
     b, h, w, c = x.shape
-    if padding:
-        xp = np.zeros((b, h + 2 * padding, w + 2 * padding, c), dtype=x.dtype)
-        xp[:, padding : padding + h, padding : padding + w] = x
-        x = xp
-    oh = (h + 2 * padding - kh) // stride + 1
-    ow = (w + 2 * padding - kw) // stride + 1
-    sb, sh, sw, sc = x.strides
+    xp = np.zeros((b, h + 2, w + 2, c), dtype=x.dtype)
+    xp[:, 1 : h + 1, 1 : w + 1] = x
+    sb, sh, sw, sc = xp.strides
     patches = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(b, oh, ow, kh, kw, c),
-        strides=(sb, sh * stride, sw * stride, sh, sw, sc),
+        xp,
+        shape=(b, h, w, 3, 3, c),
+        strides=(sb, sh, sw, sh, sw, sc),
         writeable=False,
     )
-    return patches.reshape(b * oh * ow, kh * kw * c), (oh, ow)
+    return patches.reshape(b * h * w, 9 * c)
 
 
-def _conv2d_input_grad(g_rows: np.ndarray, k2d: np.ndarray, x_shape, kh: int, kw: int,
-                       stride: int, padding: int):
+def _conv2d_input_grad(g_rows: np.ndarray, k2d: np.ndarray, x_shape):
     """Gradient of conv2d wrt its [B, H, W, C] input: the adjoint of _patch_rows.
 
     ``g_rows @ k2d.T`` gives the gradient of every patch row, K in the same
-    (kh, kw, c) order; each tap's slice is added back into a (b, hp, wp, c)
+    (kh, kw, c) order; each tap's slice is added back into a (b, h+2, w+2, c)
     buffer, whose interior is copied out (so the padded buffer is freed).
     """
     b, h, w, c = x_shape
-    hp, wp = h + 2 * padding, w + 2 * padding
-    oh, ow = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-    taps = (g_rows @ k2d.T).reshape(b, oh, ow, kh, kw, c)
-    xpad = np.zeros((b, hp, wp, c), dtype=taps.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            xpad[:, i : i + oh * stride : stride, j : j + ow * stride : stride] += taps[..., i, j, :]
-    return np.ascontiguousarray(xpad[:, padding : padding + h, padding : padding + w])
+    taps = (g_rows @ k2d.T).reshape(b, h, w, 3, 3, c)
+    xpad = np.zeros((b, h + 2, w + 2, c), dtype=taps.dtype)
+    for i in range(3):
+        for j in range(3):
+            xpad[:, i : i + h, j : j + w] += taps[..., i, j, :]
+    return np.ascontiguousarray(xpad[:, 1 : h + 1, 1 : w + 1])
 
 
-def conv2d(
-    x: Tensor,
-    kernel: Tensor,
-    stride: int = 1,
-    padding: int = 0,
-    bias: Optional[Tensor] = None,
-) -> Tensor:
-    """2D cross-correlation of a channels-last [B, H, W, C] map with a
-    [kh, kw, C, O] kernel, giving [B, OH, OW, O].
+def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """3x3 same cross-correlation (stride 1, zero padding 1) of a channels-last
+    [B, H, W, C] map with a [3, 3, C, O] kernel, giving [B, H, W, O]: the
+    tokenizer's only convolution (it downsamples by maxpool).
 
-    The kernel is stored as its GEMM operand: the patch rows [B*OH*OW, kh*kw*C]
-    meet its [kh*kw*C, O] view in one dense GEMM, and the weight gradient is
+    The kernel is stored as its GEMM operand: the patch rows [B*H*W, 9*C]
+    meet its [9*C, O] view in one dense GEMM, and the weight gradient is
     ``rows.T @ g_rows`` in the kernel's own shape. A call that records no tape
     node is event-driven: once at least _SILENT_ROW_SHARE of the images are
     all-zero, only the live images are patched and multiplied, and a silent
     image's output is the bias (or zero).
     """
+    if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
+        raise ValueError(f"conv2d takes a [3, 3, C, O] kernel, got shape {kernel.shape}")
     b, h, w, c = x.shape
-    kh, kw, ck, o = kernel.shape
+    ck, o = kernel.shape[2:]
     if ck != c:
         raise ValueError(
             f"conv2d channel mismatch: input of shape {x.shape} read as [B, H, W, C] has "
             f"C={c}, kernel [kh, kw, C, O] expects C={ck}"
-        )
-    if kh > h + 2 * padding or kw > w + 2 * padding:
-        raise ValueError(
-            f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}"
         )
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     k2d = kernel.data.reshape(-1, o)
     # the weight gradient needs every patch row, so a recording call stays dense
     live = None if _records(parents) else _live_if_sparse(x.data, axis=(1, 2, 3))
     if live is None:
-        rows, (oh, ow) = _patch_rows(x.data, kh, kw, stride, padding)
+        rows = _patch_rows(x.data)
         y = rows @ k2d
     else:  # event-driven: patch rows and GEMM for the images that carry a spike
-        rows, (oh, ow) = _patch_rows(x.data[live], kh, kw, stride, padding)
-        y = np.zeros((b, oh * ow, o), dtype=np.result_type(rows, k2d))
-        y[live] = (rows @ k2d).reshape(-1, oh * ow, o)
+        rows = _patch_rows(x.data[live])
+        y = np.zeros((b, h * w, o), dtype=np.result_type(rows, k2d))
+        y[live] = (rows @ k2d).reshape(-1, h * w, o)
     if bias is not None:
         y += bias.data
 
@@ -413,11 +399,11 @@ def conv2d(
         if kernel.tracked:
             kernel._accumulate((rows.T @ g_rows).reshape(kernel.shape))
         if x.tracked:
-            x._accumulate(_conv2d_input_grad(g_rows, k2d, x.shape, kh, kw, stride, padding))
+            x._accumulate(_conv2d_input_grad(g_rows, k2d, x.shape))
         if bias is not None and bias.tracked:
             bias._accumulate(g_rows.sum(axis=0))
 
-    return _make(y.reshape(b, oh, ow, o), parents, bwd)
+    return _make(y.reshape(b, h, w, o), parents, bwd)
 
 
 def maxpool2d(x: Tensor) -> Tensor:

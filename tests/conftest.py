@@ -1,10 +1,7 @@
-import struct
-
 import numpy as np
 import pytest
 
 from spikingformer import tensor as T
-from spikingformer.data import CIFAR_RECORD_BYTES
 
 
 @pytest.fixture(autouse=True)
@@ -18,58 +15,3 @@ def _restore_engine_state():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
-
-
-def tensor64(data, requires_grad=False):
-    """A float64 leaf, for finite-difference work."""
-    return T.Tensor(data, requires_grad, dtype=np.float64)
-
-
-def finite_difference(f, params, h=1e-3):
-    """Central-difference gradients of scalar f() wrt a list of Tensors."""
-    grads = []
-    for p in params:
-        g = np.zeros_like(p.data, dtype=np.float64)
-        flat = p.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f()
-            flat[i] = orig - h
-            lo = f()
-            flat[i] = orig
-            g.reshape(-1)[i] = (hi - lo) / (2 * h)
-        grads.append(g)
-    return grads
-
-
-def relative_error(a, b, floor=1e-6):
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), floor)
-    return np.abs(a - b) / denom
-
-
-def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:
-    """Write images in [0, 1] and labels as CIFAR-10 binary records, the
-    inverse of ``data.load_cifar10_binary``."""
-    n = len(labels)
-    out = np.empty((n, CIFAR_RECORD_BYTES), dtype=np.uint8)
-    out[:, 0] = labels
-    out[:, 1:] = np.rint(images.reshape(n, -1) * 255.0).astype(np.uint8)
-    out.tofile(path)
-
-
-def write_v1_checkpoint(state: dict, path) -> None:
-    """Write ``state`` in checkpoint format version 1, as the code of that
-    version did: the same records as version 2, but every rank-4 tensor (a
-    spatial kernel, [kh, kw, C, O] in memory) stored as [O, C, kh, kw]."""
-    with open(path, "wb") as fh:
-        fh.write(b"SPKF" + struct.pack("<II", 1, len(state)))
-        for name in sorted(state):
-            arr = state[name]
-            if arr.ndim == 4:
-                arr = arr.transpose(3, 2, 0, 1)
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(encoded)) + encoded)
-            fh.write(struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape))
-            fh.write(arr.tobytes())

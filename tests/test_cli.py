@@ -11,7 +11,7 @@ from spikingformer.model import build
 from spikingformer.tensor import no_grad
 from spikingformer.train import save_checkpoint
 
-from conftest import write_cifar10_binary, write_v1_checkpoint
+from helpers import write_cifar10_binary, write_v1_checkpoint
 
 TINY_CFG = {
     "blocks": 1,
@@ -94,7 +94,7 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["train", "audit"])
+    @pytest.mark.parametrize("command", ["train", "audit", "params"])
     def test_non_positive_limit_exits_cleanly(self, tmp_path, config_path, command, capsys):
         argv = [command, "--config", config_path, "--out", str(tmp_path / "run"), "--limit", "0"]
         assert main(argv) == 2
@@ -116,12 +116,16 @@ class TestConfigValidation:
         ({"dataset": "cifar10", "data_path": "batch.bin", "noise": 0.1}, [], "noise"),
         ({"data_path": "/nonexistent"}, [], "data_path"),
         ({"dataset": "synthetic-events", "in_channels": 2}, ["--data", "/nonexistent"], "--data"),
-    ], ids=["noise-events", "noise-cifar", "data_path-static", "data-events"])
+        ({"dataset": "synthetic-events", "in_channels": 2, "noise": 7.5,
+          "data_path": "/nonexistent"}, [], "noise or data_path"),
+    ], ids=["noise-events", "noise-cifar", "data_path-static", "data-events",
+            "noise-and-data_path-events"])
+    @pytest.mark.parametrize("command", ["audit", "params"])
     def test_input_the_dataset_never_reads_exits_cleanly(self, tmp_path, override, argv, named,
-                                                          capsys):
+                                                          command, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(TINY_CFG, **override)))
-        assert main(["audit", "--config", str(path), "--out", str(tmp_path / "run")] + argv) == 2
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "run")] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and named in err and "Traceback" not in err
 

@@ -11,7 +11,7 @@ from spikingformer.data import (
     synth_static,
 )
 
-from conftest import write_cifar10_binary
+from helpers import write_cifar10_binary
 
 
 def template_matching_accuracy(ds, templates: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 central finite differences."""
 
 import contextlib
+import re
 import weakref
 from unittest import mock
 
@@ -20,7 +21,7 @@ from spikingformer.tensor import (
     no_grad,
 )
 
-from conftest import finite_difference, relative_error, tensor64
+from helpers import finite_difference, relative_error, tensor64
 
 
 def nhwc(a):
@@ -64,23 +65,24 @@ class TestConv2d:
         x = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
         k = np.zeros((1, 1, 3, 3), dtype=np.float32)
         k[0, 0, 1, 1] = 1.0
-        y = conv2d(x, Tensor(hwio(k)), stride=1, padding=1)
+        y = conv2d(x, Tensor(hwio(k)))
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_all_ones_sum(self):
-        x = Tensor(np.ones((1, 2, 2, 1), dtype=np.float32))
-        k = Tensor(hwio(np.ones((1, 1, 2, 2), dtype=np.float32)))
-        y = conv2d(x, k, stride=1, padding=0)
-        assert y.data.shape == (1, 1, 1, 1)
-        assert y.data[0, 0, 0, 0] == 4.0
+        # each output sums the in-bounds part of its 3x3 window: corners see
+        # 4 pixels, edges 6, the centre 9
+        x = Tensor(np.ones((1, 3, 3, 1), dtype=np.float32))
+        k = Tensor(hwio(np.ones((1, 1, 3, 3), dtype=np.float32)))
+        y = conv2d(x, k)
+        assert y.data.shape == (1, 3, 3, 1)
+        np.testing.assert_array_equal(y.data[0, :, :, 0], [[4, 6, 4], [6, 9, 6], [4, 6, 4]])
 
     def test_matches_six_loop_reference(self, rng):
         x = rng.standard_normal((1, 2, 5, 5)).astype(np.float32)
         w = rng.standard_normal((3, 2, 3, 3)).astype(np.float32)
-        for stride, padding in [(1, 0), (1, 1), (2, 1)]:
-            got = nchw(conv2d(Tensor(nhwc(x)), Tensor(hwio(w)), stride, padding).data)
-            want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), stride, padding)
-            np.testing.assert_allclose(got, want, atol=1e-5)
+        got = nchw(conv2d(Tensor(nhwc(x)), Tensor(hwio(w))).data)
+        want = naive_conv2d(x.astype(np.float64), w.astype(np.float64), 1, 1)
+        np.testing.assert_allclose(got, want, atol=1e-5)
 
     def test_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 5, 5, 2)))
@@ -91,17 +93,17 @@ class TestConv2d:
         with pytest.raises(ValueError, match=r"channel mismatch.*\[B, H, W, C\].*C=5"):
             conv2d(Tensor(rng.standard_normal((1, 4, 5, 5))), w)
 
-    def test_oversized_kernel_raises(self, rng):
-        x = Tensor(rng.standard_normal((1, 2, 2, 1)))
-        w = Tensor(hwio(rng.standard_normal((1, 1, 5, 5))))
-        with pytest.raises(ValueError, match="larger than"):
-            conv2d(x, w, padding=0)
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 4), (5, 5, 2, 4), (2, 2, 2, 4), (3, 3, 2)])
+    def test_non_3x3_kernel_raises(self, rng, shape):
+        x = Tensor(rng.standard_normal((1, 5, 5, 2)))
+        with pytest.raises(ValueError, match=r"\[3, 3, C, O\] kernel.*" + re.escape(str(shape))):
+            conv2d(x, Tensor(rng.standard_normal(shape)))
 
     def test_bias(self, rng):
         x = Tensor(rng.standard_normal((1, 3, 3, 1)).astype(np.float32))
         w = Tensor(hwio(np.zeros((2, 1, 3, 3), dtype=np.float32)))
         b = Tensor(np.array([1.5, -2.0], dtype=np.float32))
-        y = conv2d(x, w, padding=1, bias=b)
+        y = conv2d(x, w, bias=b)
         assert np.all(y.data[..., 0] == 1.5) and np.all(y.data[..., 1] == -2.0)
 
 
@@ -168,32 +170,38 @@ def _conv2d_grads_reference(x, kernel, g, stride, padding):
     return _col2im_reference(gcols, x.shape, kh, kw, stride, padding), gw
 
 
-def _conv2d_with_grads(x, kernel, g, stride, padding):
-    """conv2d on the channels-last view of an NCHW x and an [O, C, kh, kw]
-    kernel, in float64: NCHW (output, input gradient) and the [O, C, kh, kw]
+def _conv2d_with_grads(x, kernel, g):
+    """conv2d on the channels-last view of an NCHW x and an [O, C, 3, 3]
+    kernel, in float64: NCHW (output, input gradient) and the [O, C, 3, 3]
     kernel gradient for upstream gradient g (NCHW)."""
     xt = tensor64(nhwc(x), requires_grad=True)
     wt = tensor64(hwio(kernel), requires_grad=True)
-    y = conv2d(xt, wt, stride, padding)
+    y = conv2d(xt, wt)
     (y * tensor64(nhwc(g))).sum().backward()
     assert xt.grad.shape == xt.shape and wt.grad.shape == wt.shape
     return nchw(y.data), nchw(xt.grad), wt.grad.transpose(3, 2, 0, 1)
 
 
-class TestConv2dBackwardDifferential:
-    """The channels-last input gradient and the patch-row weight gradient
-    against the einsum + col2im reference, in float64."""
+# H x W of the differential maps: on 1x1, 1x4 and 2x3 every output reads the
+# zero padding (a single pixel, a single row, a map smaller than the kernel);
+# 5x7 adds outputs that read none
+_CONV_MAPS = [(1, 1), (1, 4), (2, 3), (5, 7)]
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_einsum_col2im(self, rng, stride, padding, k):
-        x = rng.standard_normal((3, 2, 5, 7))
-        w = rng.standard_normal((4, 2, k, k))
-        oh, ow = (5 + 2 * padding - k) // stride + 1, (7 + 2 * padding - k) // stride + 1
-        g = rng.standard_normal((3, 4, oh, ow))
-        _, gx, gw = _conv2d_with_grads(x, w, g, stride, padding)
-        want_gx, want_gw = _conv2d_grads_reference(x, w, g, stride, padding)
+
+class TestConv2dBackwardDifferential:
+    """The forward against the six-loop reference, and the channels-last
+    input gradient and the patch-row weight gradient against the einsum +
+    col2im reference, in float64."""
+
+    @pytest.mark.parametrize("hw", _CONV_MAPS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_matches_einsum_col2im(self, rng, hw):
+        x = rng.standard_normal((3, 2) + hw)
+        w = rng.standard_normal((4, 2, 3, 3))
+        g = rng.standard_normal((3, 4) + hw)
+        y, gx, gw = _conv2d_with_grads(x, w, g)
+        want_gx, want_gw = _conv2d_grads_reference(x, w, g, 1, 1)
+        assert y.shape == g.shape
+        assert relative_error(y, naive_conv2d(x, w, 1, 1)).max() <= 1e-6
         assert relative_error(gx, want_gx).max() <= 1e-6
         assert relative_error(gw, want_gw).max() <= 1e-6
 
@@ -202,16 +210,13 @@ class TestConv2dIm2colDifferential:
     """The channels-last patch-row conv2d against the NCHW im2col conv2d it
     replaced: forward and both gradients, float64 within 1e-6."""
 
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("padding", [0, 1])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_im2col_conv(self, rng, stride, padding, k):
-        x = rng.standard_normal((3, 5, 6, 7))
-        w = rng.standard_normal((4, 5, k, k))
-        oh, ow = (6 + 2 * padding - k) // stride + 1, (7 + 2 * padding - k) // stride + 1
-        g = rng.standard_normal((3, 4, oh, ow))
-        got = _conv2d_with_grads(x, w, g, stride, padding)
-        want = _im2col_conv2d(x, w, g, stride, padding)
+    @pytest.mark.parametrize("hw", _CONV_MAPS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_matches_im2col_conv(self, rng, hw):
+        x = rng.standard_normal((3, 5) + hw)
+        w = rng.standard_normal((4, 5, 3, 3))
+        g = rng.standard_normal((3, 4) + hw)
+        got = _conv2d_with_grads(x, w, g)
+        want = _im2col_conv2d(x, w, g, 1, 1)
         for a, b in zip(got, want):
             assert a.shape == b.shape
             assert relative_error(a, b).max() <= 1e-6
@@ -484,32 +489,28 @@ class TestSilentImageConv:
     """A conv2d that records no tape node patches and multiplies only the
     live images once enough are silent, against the dense path."""
 
-    CONVS = [(1, 1), (2, 0)]  # (stride, padding) of a 3x3 kernel
-
     @staticmethod
     def _silent_counts(b):
         at = int(np.ceil(T._SILENT_ROW_SHARE * b))  # fewest silent images that compact
         return [0, at - 1, at, at + 1, b]
 
     @staticmethod
-    def _conv(x, w, bias, stride, padding, dtype):
+    def _conv(x, w, bias, dtype):
         b = None if bias is None else Tensor(bias, dtype=dtype)
-        return conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), stride, padding, bias=b).data
+        return conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), bias=b).data
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "strided"])
-    @pytest.mark.parametrize("stride,padding", CONVS)
     @pytest.mark.parametrize("which", range(5))
-    def test_matches_dense_path(self, rng, monkeypatch, dtype, with_bias, transposed,
-                                stride, padding, which):
+    def test_matches_dense_path(self, rng, monkeypatch, dtype, with_bias, transposed, which):
         n_silent = self._silent_counts(8)[which]
         x = _images_with_silent(rng, n_silent, dtype, transposed)
         w = hwio(rng.standard_normal((4, 3, 3, 3))).astype(dtype)
         bias = rng.standard_normal(4).astype(dtype) if with_bias else None
-        y = self._conv(x, w, bias, stride, padding, dtype)
+        y = self._conv(x, w, bias, dtype)
         monkeypatch.setattr(T, "_SILENT_ROW_SHARE", 2.0)  # never compact
-        dense = self._conv(x, w, bias, stride, padding, dtype)
+        dense = self._conv(x, w, bias, dtype)
         live = x.any(axis=(1, 2, 3))
         assert np.count_nonzero(~live) == n_silent
         assert y.shape == dense.shape and y.dtype == dtype
@@ -518,7 +519,7 @@ class TestSilentImageConv:
         if n_silent >= T._SILENT_ROW_SHARE * 8:
             # the dense path's output over the live images alone; over the whole
             # batch the BLAS may block the rows differently
-            want = self._conv(np.ascontiguousarray(x[live]), w, bias, stride, padding, dtype)
+            want = self._conv(np.ascontiguousarray(x[live]), w, bias, dtype)
         else:
             want = dense[live]
         assert y[live].tobytes() == want.tobytes()
@@ -536,7 +537,7 @@ class TestSilentImageConv:
         w[1, 1, 2, 3] = np.nan
         bias = rng.standard_normal(4).astype(np.float32)
         with contextlib.nullcontext() if frozen else no_grad():
-            y = conv2d(Tensor(x, requires_grad=not frozen), Tensor(w), 1, 1,
+            y = conv2d(Tensor(x, requires_grad=not frozen), Tensor(w),
                        bias=Tensor(bias)).data[~x.any(axis=(1, 2, 3))]
         compacted = n_silent >= T._SILENT_ROW_SHARE * 8
         assert compacted == (which >= 2)
@@ -551,7 +552,7 @@ class TestSilentImageConv:
 
         def run(w):
             params = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, bias)]
-            y = conv2d(params[0], params[1], 1, 1, bias=params[2])
+            y = conv2d(params[0], params[1], bias=params[2])
             (y * Tensor(upstream, dtype=dtype)).sum().backward()
             return [y.data] + [p.grad for p in params]
 
@@ -657,14 +658,13 @@ class TestBackward:
         for p, g in zip([x, w], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
-    @pytest.mark.parametrize("stride,padding", [(1, 1), (2, 0)])
-    def test_conv2d_gradients_fd(self, rng, stride, padding):
+    def test_conv2d_gradients_fd(self, rng):
         x = tensor64(nhwc(rng.standard_normal((2, 2, 4, 4))), requires_grad=True)
         w = tensor64(hwio(rng.standard_normal((3, 2, 3, 3))), requires_grad=True)
         b = tensor64(rng.standard_normal(3), requires_grad=True)
 
         def run():
-            return (conv2d(x, w, stride, padding, bias=b) ** 2.0).sum()
+            return (conv2d(x, w, bias=b) ** 2.0).sum()
 
         run().backward()
         fd = finite_difference(lambda: run().item(), [x, w, b])
@@ -784,11 +784,11 @@ _UNTRACKED_OPS = {
     "sigmoid": lambda x: x.sigmoid(),
     "log_softmax": lambda x: log_softmax(x),
     "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
-    "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))), 1, 1,
+    "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))),
                                bias=Tensor(np.zeros(3, dtype=np.float32))),
     "conv2d_silent_image": lambda x: conv2d(
         x * np.array([0, 1], dtype=np.float32).reshape(2, 1, 1, 1),  # image 0 silent
-        Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))), 1, 1,
+        Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))),
         bias=Tensor(np.zeros(3, dtype=np.float32))),
     "maxpool2d": lambda x: maxpool2d(x),
     "multistep_lif": lambda x: multistep_lif(x, _LIF),
@@ -839,5 +839,5 @@ def test_forward_determinism(rng):
         r = np.random.default_rng(seed_state)
         x = Tensor(nhwc(r.standard_normal((2, 2, 6, 6)).astype(np.float32)))
         w = Tensor(hwio(r.standard_normal((3, 2, 3, 3)).astype(np.float32)))
-        out.append(conv2d(x, w, 1, 1).data)
+        out.append(conv2d(x, w).data)
     np.testing.assert_array_equal(out[0], out[1])

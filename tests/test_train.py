@@ -26,7 +26,7 @@ from spikingformer.train import (
     train,
 )
 
-from conftest import write_v1_checkpoint
+from helpers import write_v1_checkpoint
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
