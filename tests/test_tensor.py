@@ -182,10 +182,10 @@ def _conv2d_with_grads(x, kernel, g):
     return nchw(y.data), nchw(xt.grad), wt.grad.transpose(3, 2, 0, 1)
 
 
-# H x W of the differential maps: on 1x1, 1x4 and 2x3 every output reads the
-# zero padding (a single pixel, a single row, a map smaller than the kernel);
-# 5x7 adds outputs that read none
-_CONV_MAPS = [(1, 1), (1, 4), (2, 3), (5, 7)]
+# H x W of the differential maps: on 1x1, 1x4, 6x1, 2x3 and 3x3 every output
+# reads the zero padding (a single pixel, a single row, a single column, maps
+# no larger than the kernel); 5x7 adds outputs that read none
+_CONV_MAPS = [(1, 1), (1, 4), (6, 1), (2, 3), (3, 3), (5, 7)]
 
 
 class TestConv2dBackwardDifferential:
@@ -475,12 +475,12 @@ class TestSilentRowGemm:
             assert c.dtype == d.dtype and c.tobytes() == d.tobytes()
 
 
-def _images_with_silent(rng, n_silent, dtype, transposed):
-    """Spike-like [8, 5, 5, 3] maps (binary, one float image) with n_silent
+def _images_with_silent(rng, n_silent, dtype, transposed, hw=(5, 5)):
+    """Spike-like [8, H, W, 3] maps (binary, one float image) with n_silent
     all-zero images; ``transposed`` gives a strided view of an NCHW array."""
-    x = (rng.random((8, 3, 5, 5)) < 0.3).astype(dtype)
+    x = (rng.random((8, 3) + hw) < 0.3).astype(dtype)
     x[:, 0, 0, 0] = 1.0  # every image starts live
-    x[-1] = rng.standard_normal((3, 5, 5))
+    x[-1] = rng.standard_normal((3,) + hw)
     x[rng.permutation(8)[:n_silent]] = 0.0
     return x.transpose(0, 2, 3, 1) if transposed else nhwc(x)
 
@@ -503,9 +503,10 @@ class TestSilentImageConv:
     @pytest.mark.parametrize("with_bias", [False, True])
     @pytest.mark.parametrize("transposed", [False, True], ids=["contiguous", "strided"])
     @pytest.mark.parametrize("which", range(5))
-    def test_matches_dense_path(self, rng, monkeypatch, dtype, with_bias, transposed, which):
+    @pytest.mark.parametrize("hw", [(5, 5), (1, 4)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_matches_dense_path(self, rng, monkeypatch, dtype, with_bias, transposed, which, hw):
         n_silent = self._silent_counts(8)[which]
-        x = _images_with_silent(rng, n_silent, dtype, transposed)
+        x = _images_with_silent(rng, n_silent, dtype, transposed, hw)
         w = hwio(rng.standard_normal((4, 3, 3, 3))).astype(dtype)
         bias = rng.standard_normal(4).astype(dtype) if with_bias else None
         y = self._conv(x, w, bias, dtype)
@@ -658,8 +659,9 @@ class TestBackward:
         for p, g in zip([x, w], fd):
             assert relative_error(p.grad, g).max() <= 1e-3
 
-    def test_conv2d_gradients_fd(self, rng):
-        x = tensor64(nhwc(rng.standard_normal((2, 2, 4, 4))), requires_grad=True)
+    @pytest.mark.parametrize("hw", [(4, 4), (1, 3)], ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_conv2d_gradients_fd(self, rng, hw):
+        x = tensor64(nhwc(rng.standard_normal((2, 2) + hw)), requires_grad=True)
         w = tensor64(hwio(rng.standard_normal((3, 2, 3, 3))), requires_grad=True)
         b = tensor64(rng.standard_normal(3), requires_grad=True)
 
