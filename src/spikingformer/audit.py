@@ -70,12 +70,15 @@ class ForwardRecorder:
         obs.flops_per_item = flops_per_item
         obs.items += x.shape[0]
         obs.elements += x.size
-        nonzero = int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
+        if x.dtype == bool:  # spikes: binary by construction, one count decides them
+            nonzero = int(np.count_nonzero(x))
+        else:
+            nonzero = int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
         obs.nonzero += nonzero
         # Binary (every spike input): no rounding needed. On the 4-384 audit's
         # binary inputs this is ~15x faster than the bincount path below, and
         # costs one bool pass (~3%) on the integer ones.
-        if int(np.count_nonzero(x == 1)) == nonzero:
+        if x.dtype == bool or int(np.count_nonzero(x == 1)) == nonzero:
             for v, c in ((0, x.size - nonzero), (1, nonzero)):
                 if c:
                     obs.histogram[v] += c
@@ -107,7 +110,8 @@ class ForwardRecorder:
         """
         items, heads, n, d = q.shape
         flops = heads * n * n * d
-        core = np.matmul(q, np.swapaxes(k, -1, -2))
+        # counted in float: over bool spikes a plain matmul is a logical product
+        core = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.result_type(q, k, np.float32))
         qk = self._layer(f"{attn.name}.qk", KIND_SSA)
         qk.flops_per_item = flops
         qk.items += items

@@ -332,7 +332,8 @@ class SpikingTokenizer(Module):
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Q K^T V on the trailing two axes (no softmax)."""
+    """Q K^T V on the trailing two axes (no softmax). Over bool spikes each
+    entry of Q K^T counts the products whose operands both fired."""
     return (q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))) @ v
 
 
@@ -381,6 +382,8 @@ class SpikingSelfAttention(Module):
         qh, kh, vh = self._split_heads(q), self._split_heads(k), self._split_heads(v)
         if self.recorder is not None:
             self.recorder.observe_attention(self, qh.data, kh.data, vh.data)
+        # the spikes are bool: count their coincidences in the model's float dtype
+        qh = qh.astype(self.conv_proj.weight.data.dtype)
         core = self._merge_heads(attention_core(qh, kh, vh))
         attn = self.sn_attn.forward(core, t_steps)  # scale applied inside the neuron
         out = self.conv_proj.forward(attn)
@@ -445,7 +448,8 @@ class ClassificationHead(Module):
         tb, n, d = x.shape
         xt = x.reshape(t_steps, tb // t_steps, n, d)
         if self.variant in (HEAD_AVGPOOL_FC, HEAD_SN_AVGPOOL_FC):
-            pooled = xt.mean(axis=(0, 2))  # [B, D]
+            # the SN variant pools bool spikes: average them in the parameters' dtype
+            pooled = xt.astype(self.weight.data.dtype).mean(axis=(0, 2))  # [B, D]
             return pooled @ self.weight + self.bias
         logits = xt @ self.weight + self.bias  # [T, B, N, classes]
         return logits.mean(axis=(0, 2))

@@ -9,7 +9,9 @@ Forward dynamics (per time step, elementwise):
 The hard threshold is not differentiable, so the recorded backward uses the
 derivative of the sigmoid 1/(1+exp(-alpha*x)) in its place. A fully smooth
 "relaxed" mode (sigmoid firing, no binary reset) exists for end-to-end
-finite-difference checking only.
+finite-difference checking only. Spiking-mode spikes are ``bool``, one byte
+per neuron; relaxed-mode outputs are not binary and keep the input's float
+dtype.
 """
 
 from __future__ import annotations
@@ -82,7 +84,7 @@ def multistep_lif(
     current inside the neuron, which is how constant attention scales are
     absorbed without a standalone float multiply in the spike path. Spiking
     mode repeats ``lif_step``'s float operations in the same order, so its
-    spikes are bit-equal to a loop of ``lif_step``; relaxed mode fires
+    ``bool`` spikes equal a loop of ``lif_step``'s float ones; relaxed mode fires
     sigmoid(alpha * (H - V_th)) and never detaches the reset. The backward
     runs the BPTT recurrence in reverse over T; H is stored for it only when
     the call records a tape node.
@@ -96,7 +98,8 @@ def multistep_lif(
     decay, v_th, v_reset = dt(1.0 / params.tau), dt(params.v_threshold), dt(params.v_reset)
     steps, n = xd.shape[0], math.prod(xd.shape[1:])
     x2 = xd.reshape(steps, n)
-    spikes = np.empty((steps, n), dtype=xd.dtype)
+    one = dt(1.0)  # 1 - S in x's dtype: a Python 1.0 minus bool spikes is float64 (NEP 50)
+    spikes = np.empty((steps, n), dtype=bool if mode == SPIKING else xd.dtype)
     # H[t] is kept for the backward only; a tape-free call reuses one chunk of scratch
     hs = np.empty((steps, n), dtype=xd.dtype) if _records((x,)) else None
     bufs = [np.empty(min(n, _LIF_CHUNK), dtype=xd.dtype) for _ in range(4)]
@@ -120,7 +123,7 @@ def multistep_lif(
                     s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
             if t + 1 == steps:  # nothing reads the membrane after the last step
                 break
-            np.multiply(h, np.subtract(1.0, s, out=v), out=v)
+            np.multiply(h, np.subtract(one, s, out=v), out=v)
             if v_reset:
                 np.add(v, np.multiply(s, v_reset, out=reset), out=v)
     spikes = spikes.reshape(xd.shape)
@@ -136,7 +139,7 @@ def multistep_lif(
         g_v = np.zeros_like(hs[0])
         for t in range(xd.shape[0] - 1, -1, -1):
             sg = surrogate_grad(hs[t] - v_th, params.alpha)
-            g_h = g_v * (1.0 - spikes[t])
+            g_h = g_v * (one - spikes[t])
             if mode == SPIKING:  # the reset is detached
                 g_h += g[t] * sg
             else:

@@ -15,7 +15,13 @@ no reference to its inputs, and it skips work that only a backward needs.
 
 A new tensor is float32 unless built with another ``dtype`` (float64 is for
 finite-difference checks); an op result keeps the dtype numpy computed, and a
-constant it lifts takes the dtype of the tensor it meets.
+constant it lifts takes the dtype of the tensor it meets. Spikes are ``bool``,
+one byte each, and arithmetic on them is float: where numpy would add or
+multiply bool operands alone as logical OR / AND, or sum them as int64, an op
+counts them in float32; a constant meets them as a float; a spike's gradient
+keeps the float dtype it arrives in; and ``astype`` takes spikes into a float
+dtype that no operand shows (a float64 model's attention counts and residual
+stream).
 
 Gradients are never written in place: ``_accumulate`` keeps the first array
 it receives, which may be shared with another tensor's gradient.
@@ -91,8 +97,8 @@ class Tensor:
     # -- graph machinery ----------------------------------------------------
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.asarray(grad, dtype=self.data.dtype)
+        if self.grad is None:  # a gradient is never bool: a spike's stays float
+            self.grad = np.asarray(grad, dtype=None if self.data.dtype == bool else self.data.dtype)
         else:
             self.grad = self.grad + grad
 
@@ -122,8 +128,14 @@ class Tensor:
     # -- helpers ------------------------------------------------------------
 
     def _lift(self, other) -> "Tensor":
-        """other as a Tensor; a constant takes this tensor's dtype."""
-        return other if isinstance(other, Tensor) else Tensor(other, dtype=self.data.dtype)
+        """other as a Tensor; a constant takes this tensor's dtype, or, against
+        spikes, its own float dtype (float32 for a Python number)."""
+        if isinstance(other, Tensor):
+            return other
+        dtype = self.data.dtype
+        if dtype == bool:
+            dtype = np.result_type(other, np.float32)
+        return Tensor(other, dtype=dtype)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -136,12 +148,15 @@ class Tensor:
             if other.tracked:
                 other._accumulate(_unbroadcast(g, other.data.shape))
 
-        return _make(self.data + other.data, (self, other), bwd)
+        a, b = self.data, other.data
+        return _make(np.add(a, b, dtype=_count_dtype(a, b)), (self, other), bwd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(-self.data, (self,), lambda g: self._accumulate(-g))
+        a = self.data
+        return _make(np.negative(a, dtype=_count_dtype(a)), (self,),
+                     lambda g: self._accumulate(-g))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -158,7 +173,8 @@ class Tensor:
             if other.tracked:
                 other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
-        return _make(self.data * other.data, (self, other), bwd)
+        a, b = self.data, other.data
+        return _make(np.multiply(a, b, dtype=_count_dtype(a, b)), (self, other), bwd)
 
     __rmul__ = __mul__
 
@@ -175,19 +191,22 @@ class Tensor:
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
+        dtype = _count_dtype(a, b)
 
         def bwd(g):
             if self.tracked:
-                ga = g @ np.swapaxes(b, -1, -2)
+                ga = g @ np.swapaxes(_as_float(b, g), -1, -2)
                 self._accumulate(_unbroadcast(ga, a.shape))
             if other.tracked:
+                fa = _as_float(a, g)
                 if b.ndim == 2:  # one GEMM over every leading axis of a
-                    gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                    gb = fa.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
-                    gb = _unbroadcast(np.swapaxes(a, -1, -2) @ g, b.shape)
+                    gb = _unbroadcast(np.swapaxes(fa, -1, -2) @ g, b.shape)
                 other._accumulate(gb)
 
-        return _make(_token_gemm(a, b) if b.ndim == 2 else a @ b, (self, other), bwd)
+        y = _token_gemm(a, b, dtype) if b.ndim == 2 else np.matmul(a, b, dtype=dtype)
+        return _make(y, (self, other), bwd)
 
     __matmul__ = matmul
 
@@ -199,7 +218,8 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, self.data.shape))
 
-        return _make(self.data.sum(axis=axis, keepdims=keepdims), (self,), bwd)
+        data = self.data
+        return _make(data.sum(axis=axis, keepdims=keepdims, dtype=_count_dtype(data)), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -208,6 +228,13 @@ class Tensor:
             axes = axis if isinstance(axis, tuple) else (axis,)
             n = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+
+    def astype(self, dtype) -> "Tensor":
+        """This tensor in ``dtype``, itself when it already is: how spikes enter
+        float arithmetic whose dtype none of its operands shows."""
+        if self.data.dtype == dtype:
+            return self
+        return _make(self.data.astype(dtype), (self,), lambda g: self._accumulate(g))
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -244,6 +271,21 @@ class Tensor:
 _SILENT_ROW_SHARE = 0.25
 
 
+def _count_dtype(*arrays):
+    """The ``dtype=`` an op over these arrays computes in: numpy's own (None),
+    except that bool operands alone (spikes) are counted in float32 where
+    numpy would take a logical OR / AND or an int64 sum."""
+    return np.float32 if all(a.dtype == bool for a in arrays) else None
+
+
+def _as_float(x: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """x, or, for bool spikes, their copy in ``like``'s float dtype and in x's
+    memory layout, for a backward GEMM against a gradient. The GEMM is then
+    the float path's BLAS call: numpy's own cast of a transposed bool operand
+    lays it out anew, and the other BLAS kernel can round the sum differently."""
+    return x.astype(like.dtype) if x.dtype == bool else x
+
+
 def _live_if_sparse(x: np.ndarray, axis):
     """Which entries of x's first axis hold a nonzero (``x.any(axis=axis)``),
     or None when fewer than _SILENT_ROW_SHARE of them are silent."""
@@ -253,8 +295,9 @@ def _live_if_sparse(x: np.ndarray, axis):
     return live
 
 
-def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D b as one flat [M, K] GEMM over every leading axis of a.
+def _token_gemm(a: np.ndarray, b: np.ndarray, dtype=None) -> np.ndarray:
+    """a @ b for a 2-D b as one flat [M, K] GEMM over every leading axis of a,
+    multiplied in ``dtype`` when given.
 
     Event-driven: when at least _SILENT_ROW_SHARE of a's rows hold no nonzero
     (no spike arrived at that token), only the live rows are multiplied and
@@ -264,9 +307,9 @@ def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     out_shape = a.shape[:-1] + b.shape[1:]
     live = _live_if_sparse(rows, axis=1)
     if live is None:
-        return (rows @ b).reshape(out_shape)
-    y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b))
-    y[live] = rows[live] @ b
+        return np.matmul(rows, b, dtype=dtype).reshape(out_shape)
+    y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b) if dtype is None else dtype)
+    y[live] = np.matmul(rows[live], b, dtype=dtype)
     return y.reshape(out_shape)
 
 
@@ -397,7 +440,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     def bwd(g):
         g_rows = g.reshape(-1, o)
         if kernel.tracked:
-            kernel._accumulate((rows.T @ g_rows).reshape(kernel.shape))
+            kernel._accumulate((_as_float(rows, g_rows).T @ g_rows).reshape(kernel.shape))
         if x.tracked:
             x._accumulate(_conv2d_input_grad(g_rows, k2d, x.shape))
         if bias is not None and bias.tracked:
@@ -424,7 +467,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(x.shape, dtype=g.dtype)  # not x's dtype: spikes are bool
         free = np.ones(y.shape, dtype=bool)  # no maximal view found yet
         for win, view in zip(windows, views):
             hit = np.equal(view, y)

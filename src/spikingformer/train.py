@@ -50,17 +50,34 @@ class AdamW:
         self.t = 0
 
     def step(self, lr: float) -> None:
+        """One AdamW update of every parameter, in place: m, v and ``p.data``
+        are overwritten (``Model.state()`` arrays see the new values), and
+        each takes the float operations of
+
+            m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+            p = p - lr (m / bc1 / (sqrt(v / bc2) + eps) + wd p)
+
+        in that order, in two scratch arrays per parameter."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            self.m[i] = BETA1 * self.m[i] + (1 - BETA1) * g
-            self.v[i] = BETA2 * self.v[i] + (1 - BETA2) * g * g
-            mhat = self.m[i] / bc1
-            vhat = self.v[i] / bc2
-            p.data = p.data - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
-                                    + self.cfg.weight_decay * p.data)
+            tmp = (1 - BETA1) * g
+            m *= BETA1
+            m += tmp
+            np.multiply(g, 1 - BETA2, out=tmp)
+            tmp *= g
+            v *= BETA2
+            v += tmp
+            update = m / bc1
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            update /= tmp
+            update += np.multiply(p.data, self.cfg.weight_decay, out=tmp)
+            update *= lr
+            p.data -= update
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -40,6 +40,54 @@ def relative_error(a, b, floor=1e-6):
     return np.abs(a - b) / denom
 
 
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns a's buffer (views and strided views walk to it)."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+def tape_arrays(out: T.Tensor) -> list:
+    """(label, array) for every array the recorded result ``out`` keeps alive:
+    the data of each tape node and the arrays its backward closure holds,
+    in creation order. Arrays are de-duplicated by owning buffer (each entry
+    is the owner) and labelled by the op that produced them first: the op's
+    name for a node's data (``multistep_lif``, ``maxpool2d``, ``Tensor.matmul``),
+    ``op.name`` for a closure variable (``conv2d.rows``). Buffers of leaves
+    (parameters, inputs, constants) are left out: the tape does not own them."""
+    nodes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if t._seq not in nodes and t._parents:
+            nodes[t._seq] = t
+            stack.extend(t._parents)
+
+    def flat(value):
+        if isinstance(value, (list, tuple)):
+            for item in value:
+                yield from flat(item)
+        elif isinstance(value, (T.Tensor, np.ndarray)):
+            yield value
+
+    held = []  # (label, array or tensor) in creation order
+    for seq in sorted(nodes):
+        fn = nodes[seq]._backward
+        op = fn.__qualname__.split(".<locals>")[0]
+        held.append((op, nodes[seq].data))
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            held.extend((f"{op}.{name}", v) for v in flat(cell.cell_contents))
+    seen = {id(_owner(v.data)) for _, v in held
+            if isinstance(v, T.Tensor) and not v._parents}
+    seen |= {id(_owner(p.data)) for t in nodes.values() for p in t._parents if not p._parents}
+    found = []
+    for label, value in held:
+        arr = _owner(value.data if isinstance(value, T.Tensor) else value)
+        if id(arr) not in seen:
+            seen.add(id(arr))
+            found.append((label, arr))
+    return found
+
+
 def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:
     """Write images in [0, 1] and labels as CIFAR-10 binary records, the
     inverse of ``data.load_cifar10_binary``."""

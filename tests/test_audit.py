@@ -143,6 +143,18 @@ class TestRecorderDifferential:
         assert (obs.anomalies, obs.nonzero, obs.elements, obs.items) == (
             anomalies, nonzero, elements, items)
 
+    @pytest.mark.parametrize("kind", ["binary", "all-zero", "all-one"])
+    def test_bool_input_matches_its_float32_copy(self, kind):
+        """A bool (spike) input is binary by construction and is counted once;
+        the observation equals the one of its float32 0/1 copy."""
+        x = _recorder_inputs()[kind].astype(bool)
+        rec = ForwardRecorder()
+        rec.observe_conv(_FakeLayer("spikes"), x, 3)
+        rec.observe_conv(_FakeLayer("floats"), x.astype(np.float32), 3)
+        got, want = rec.layers["spikes"], rec.layers["floats"]
+        assert dataclasses.replace(got, name="floats") == want
+        assert got.nonzero == np.count_nonzero(x) and got.is_binary
+
     def test_wide_span_allocates_no_bin_per_integer(self):
         x = np.array([[0.0, 1.0, 2.0, 1e7]])  # a bin per integer would be 80 MB
         tracemalloc.start()
@@ -179,6 +191,16 @@ class TestAttentionEvents:
                 for h in range(2) for i in range(3) for j in range(3) for l in range(4)
             )
             assert rec.layers["a.av"].events == expected
+
+    def test_bool_spikes_count_like_float32(self, rng):
+        # bool @ bool would be a logical product: every Q K^T entry at most 1
+        q, k, v = (rng.random((2, 3, 5, 4)) < 0.7 for _ in range(3))
+        rec = ForwardRecorder()
+        rec.observe_attention(_FakeLayer("spikes"), q, k, v)
+        rec.observe_attention(_FakeLayer("floats"), *(a.astype(np.float32) for a in (q, k, v)))
+        for op in ("qk", "av"):
+            assert rec.layers[f"spikes.{op}"].events == rec.layers[f"floats.{op}"].events
+        assert rec.layers["spikes.qk"].events > np.count_nonzero(q @ np.swapaxes(k, -1, -2))
 
     def test_events_exact_above_float32_range(self):
         # 63 * 63 * 8455 = 33,557,895 is odd and above 2^25: no float32 holds it

@@ -147,6 +147,29 @@ class TestAttentionCore:
             assert core.min() >= 0 and core.max() <= n * d
 
 
+    @pytest.mark.parametrize("dtype", [None, np.float64])
+    def test_bool_spikes_count_like_float(self, rng, dtype):
+        """bool Q, K, V give the core and gradients of their float 0/1 copies:
+        Q K^T counts coincident spikes instead of taking a logical product. Alone
+        they count in float32; a Q cast to float64 (as a float64 model's
+        attention casts it) counts in float64."""
+        want = np.float32 if dtype is None else dtype
+        qkv = [rng.random((2, 3, 6, 4)) < 0.6 for _ in range(3)]
+        weight = rng.standard_normal((2, 3, 6, 4)).astype(want)
+        runs = []
+        for arrays in (qkv, [a.astype(want) for a in qkv]):
+            leaves = [Tensor(a, requires_grad=True, dtype=None) for a in arrays]
+            q = leaves[0] if dtype is None else leaves[0].astype(dtype)
+            core = attention_core(q, *leaves[1:])
+            (core * weight).sum().backward()
+            runs.append((core.data, [leaf.grad for leaf in leaves]))
+        (core, grads), (ref, ref_grads) = runs
+        assert core.dtype == ref.dtype == want and core.tobytes() == ref.tobytes()
+        assert core.max() > 1  # a logical product would stop at 1
+        for g, g_ref in zip(grads, ref_grads):
+            assert g.dtype == g_ref.dtype == want and g.tobytes() == g_ref.tobytes()
+
+
 class TestSSAModule:
     def _x(self, n=4, d=8, tb=4):
         return Tensor(_rng().standard_normal((tb, n, d)).astype(np.float32))
@@ -168,9 +191,10 @@ class TestSSAModule:
         ssa = SpikingSelfAttention(2, 2, _rng(), LIF, 1.0, SPIKE_DRIVEN)
         x = Tensor(_rng().standard_normal((1, 2, 2)).astype(np.float32))
         xs = ssa.sn_in.forward(x, 1)
-        q = ssa.sn_q.forward(ssa.conv_q.forward(xs), 1).data
-        k = ssa.sn_k.forward(ssa.conv_k.forward(xs), 1).data
-        v = ssa.sn_v.forward(ssa.conv_v.forward(xs), 1).data
+        # the spikes are bool: the numpy reference counts them as float32
+        q = ssa.sn_q.forward(ssa.conv_q.forward(xs), 1).data.astype(np.float32)
+        k = ssa.sn_k.forward(ssa.conv_k.forward(xs), 1).data.astype(np.float32)
+        v = ssa.sn_v.forward(ssa.conv_v.forward(xs), 1).data.astype(np.float32)
         heads = []
         for h in range(2):
             qh, kh, vh = q[0, :, h : h + 1], k[0, :, h : h + 1], v[0, :, h : h + 1]
@@ -376,6 +400,26 @@ class TestAddStyle:
         block = SpikingTransformerBlock(8, 2, _rng(), LIF, 0.125, ADD)
         x = Tensor((_rng().uniform(0, 1, (2, 4, 8)) < 0.5).astype(np.float32))
         assert block.forward(x, 2).shape == (2, 4, 8)
+
+    def test_spike_residual_sums_like_float32(self):
+        """Block 0 of the ADD style adds two spike tensors (the tokenizer's SN
+        output and the attention branch's): bool + bool must count, as the
+        float32 0/1 copies do, where numpy would take a logical OR."""
+        # a low threshold, so that the branch fires on random weights
+        block = SpikingTransformerBlock(8, 2, _rng(), LIFParams(v_threshold=0.25), 0.125, ADD)
+        spikes = _rng().uniform(0, 1, (4, 6, 8)) < 0.5
+        branch = block.attn.forward(Tensor(spikes, dtype=None), 2).data
+        assert branch.dtype == bool and np.any(branch & spikes)  # coincident spikes
+        weight = np.linspace(-1.0, 1.0, spikes.size, dtype=np.float32).reshape(spikes.shape)
+        runs = []
+        for x in (spikes, spikes.astype(np.float32)):
+            leaf = Tensor(x, requires_grad=True, dtype=None)
+            y = block.forward(leaf, 2)
+            (y * weight).sum().backward()
+            runs.append((y.data, leaf.grad))
+        (y, grad), (ref, ref_grad) = runs
+        assert y.dtype == ref.dtype == np.float32 and y.tobytes() == ref.tobytes()
+        assert grad.dtype == ref_grad.dtype == np.float32 and grad.tobytes() == ref_grad.tobytes()
 
     def test_add_style_branch_outputs_binary(self):
         # in ADD style the residual branches end in SN, so their outputs are spikes

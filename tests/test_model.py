@@ -1,10 +1,12 @@
 """Whole-model assembly: parameter counts, forward semantics, residual styles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from spikingformer.audit import record
-from spikingformer.layers import ADD, SPIKE_DRIVEN, BatchNorm
+from spikingformer.layers import ADD, HEAD_SN_AVGPOOL_FC, SN, SPIKE_DRIVEN, BatchNorm
 from spikingformer.model import (
     Model,
     ModelConfig,
@@ -16,6 +18,8 @@ from spikingformer.model import (
 )
 from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import load_checkpoint, save_checkpoint
+
+from helpers import tape_arrays
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -351,9 +355,40 @@ DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
 
 
+class TestSpikesOnTheTape:
+    """A recorded forward keeps every spike at one byte: each SN output, each
+    maxpool of spikes and the patch rows of each conv with a spike input are
+    bool. Arrays are picked by the op that produced them, not by their values
+    (an ADD residual sum can hold only 0 and 1 by chance)."""
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_spike_arrays_are_bool(self, rng, style, training):
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
+        model = build(cfg, seed=0)
+        if not training:
+            model.eval()
+        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)))
+        by_op = {}
+        for label, arr in arrays:
+            by_op.setdefault(label, []).append(arr)
+        sns = sum(isinstance(m, SN) for m in model.modules())  # each one runs once
+        assert len(by_op["multistep_lif"]) == sns
+        assert all(a.dtype == bool for a in by_op["multistep_lif"])
+        pools = sum(kind == "sped" for kind in cfg.tokenizer_plan)
+        assert len(by_op["maxpool2d"]) == pools
+        assert all(a.dtype == bool for a in by_op["maxpool2d"])
+        # one conv per tokenizer unit; only the first (the encoder) sees the image
+        encoder, *spiking = by_op["conv2d.rows"]
+        assert len(spiking) == len(cfg.tokenizer_plan) and encoder.dtype == np.float32
+        assert all(a.dtype == bool for a in spiking)
+        # every number computed from the spikes is float
+        assert {a.dtype for a in by_op["Tensor.matmul"]} == {np.dtype(np.float32)}
+
+
 class TestDtype:
     """Tensors keep their operands' dtype: a float32 model never promotes,
-    and a model cast to float64 stays float64."""
+    and a model cast to float64 stays float64. Spikes are bool in either."""
 
     @staticmethod
     def _spy_make(monkeypatch):
@@ -389,19 +424,23 @@ class TestDtype:
         model.fuse()
         fused = model.forward(_batch(rng, cfg=DESK))
         assert unfused.data.dtype == fused.data.dtype == np.float32
-        assert len(seen) > 100 and set(seen) == {np.dtype(np.float32)}
+        assert len(seen) > 100 and set(seen) == {np.dtype(np.float32), np.dtype(bool)}
 
-    def test_float64_model_stays_float64(self, rng, monkeypatch):
+    # ADD residuals start from the tokenizer's spikes; the SN head averages spikes
+    @pytest.mark.parametrize("style,head", [(SPIKE_DRIVEN, "avgpool-fc"),
+                                            (ADD, HEAD_SN_AVGPOOL_FC)])
+    def test_float64_model_stays_float64(self, rng, monkeypatch, style, head):
         from spikingformer.train import cross_entropy
 
-        model = build(TINY, seed=0).astype(np.float64)
+        cfg = dataclasses.replace(TINY, residual_style=style, head_variant=head)
+        model = build(cfg, seed=0).astype(np.float64)
         assert {a.dtype for a in model.state().values()} == {np.dtype(np.float64)}
         seen = self._spy_make(monkeypatch)
         logits = model.forward(_batch(rng))  # a float32 batch is cast to the model's dtype
         cross_entropy(logits, np.array([0, 3])).backward()
         assert logits.data.dtype == np.float64
         assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float64)}
-        other = build(TINY, seed=1).astype(np.float64)
+        other = build(cfg, seed=1).astype(np.float64)
         other.load_state(model.state())
         for name, arr in other.state().items():
             assert arr.dtype == np.float64 and arr.tobytes() == model.state()[name].tobytes()
@@ -409,7 +448,7 @@ class TestDtype:
         model.fuse()
         assert {a.dtype for a in model.state().values()} == {np.dtype(np.float64)}
         assert model.forward(_batch(rng)).data.dtype == np.float64
-        assert set(seen) == {np.dtype(np.float64)}
+        assert set(seen) == {np.dtype(np.float64), np.dtype(bool)}
 
     @pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("as_tensor", [False, True])

@@ -207,8 +207,9 @@ class TestFusedAgainstComposed:
         x = (3.0 * rng.standard_normal((steps, 5, 7)) / scale).astype(np.float32)
         fused = multistep_lif(Tensor(x), params, input_scale=scale)
         ref, _ = composed_lif(x, params, input_scale=scale)
-        assert fused.data.dtype == np.float32
-        np.testing.assert_array_equal(fused.data, np.stack([s.data for s in ref]))
+        ref = np.stack([s.data for s in ref])
+        assert fused.data.dtype == bool and ref.dtype == np.float32
+        assert fused.data.astype(ref.dtype).tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("steps", [1, 2, 3, 4])
     def test_exact_threshold_inputs_bit_equal(self, steps):
@@ -220,6 +221,23 @@ class TestFusedAgainstComposed:
         ref, _ = composed_lif(x, p)
         np.testing.assert_array_equal(fused.data, np.stack([s.data for s in ref]))
         assert np.all(fused.data[0, 1::2] == 1.0) and np.all(fused.data[0, ::2] == 0.0)
+
+    @pytest.mark.parametrize("params,scale", CASES)
+    def test_input_gradient_float32_bit_equal(self, rng, params, scale):
+        """The backward of bool spikes against the composed tape of float32 0/1
+        spikes: ``1 - S`` stays float32 (a Python 1.0 minus bool is float64)."""
+        x = (2.0 * rng.standard_normal((4, 3, 5)) / scale).astype(np.float32)
+        weight = rng.standard_normal(x.shape).astype(np.float32)
+        xt = Tensor(x, requires_grad=True)
+        (multistep_lif(xt, params, input_scale=scale) * weight).sum().backward()
+        outs, leaves = composed_lif(x, params, input_scale=scale)
+        loss = outs[0] * weight[0]
+        for t in range(1, len(outs)):
+            loss = loss + outs[t] * weight[t]
+        loss.sum().backward()
+        expected = np.stack([leaf.grad for leaf in leaves])
+        assert outs[0].data.dtype == expected.dtype == xt.grad.dtype == np.float32
+        assert np.any(expected != 0) and xt.grad.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("params,scale", CASES)
     # spiking mode detaches the reset, relaxed mode does not
@@ -275,7 +293,8 @@ class TestChunkedTimeLoop:
         context = contextlib.nullcontext() if record else no_grad()
         with context:
             got_spikes, got_grad = self._run(x, params, mode, scale, record)
-        assert got_spikes.dtype == dtype and got_spikes.tobytes() == spikes.tobytes()
+        spike_dtype = bool if mode == "spiking" else dtype
+        assert got_spikes.dtype == spike_dtype and got_spikes.tobytes() == spikes.tobytes()
         if record:
             assert got_grad.dtype == dtype and got_grad.tobytes() == grad.tobytes()
         else:
@@ -283,7 +302,7 @@ class TestChunkedTimeLoop:
         outs, leaves = composed_lif(x, params, mode=mode, input_scale=scale)
         ref = np.stack([s.data for s in outs])
         if mode == "spiking":
-            np.testing.assert_array_equal(got_spikes, ref)
+            assert got_spikes.astype(ref.dtype).tobytes() == ref.tobytes()
         else:
             np.testing.assert_allclose(got_spikes, ref, rtol=0, atol=1e-6)
         if record and dtype == np.float64:
@@ -301,7 +320,7 @@ class TestChunkedTimeLoop:
         monkeypatch.setattr(neuron, "_LIF_CHUNK", chunk)
         x = Tensor(np.zeros((3, 0, 4), np.float32), requires_grad=record)
         out = multistep_lif(x, DEFAULTS)
-        assert out.shape == (3, 0, 4) and out.data.dtype == np.float32
+        assert out.shape == (3, 0, 4) and out.data.dtype == bool
         if record:
             out.sum().backward()
             assert x.grad.shape == (3, 0, 4)

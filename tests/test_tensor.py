@@ -752,6 +752,100 @@ class TestDtypeRule:
             assert not (leaf * const).tracked
 
 
+def _as_float32(a):
+    return a.astype(np.float32) if a.dtype == bool else a
+
+
+class TestBoolSpikes:
+    """Spikes are bool, and every op that meets them computes what the same op
+    computes on their float32 0/1 copy: a sum or a product counts (where numpy
+    would take a logical OR / AND), a mean stays float (where numpy would sum
+    as int64), a constant meets spikes as a float, and a spike's gradient
+    stays float. Each case runs on bool leaves and on their float32 copies and
+    asserts bit-equal results and gradients."""
+
+    @staticmethod
+    def _run(fn, arrays):
+        leaves = [Tensor(a, requires_grad=True, dtype=None) for a in arrays]
+        y = fn(*leaves)
+        weight = np.linspace(-1.0, 1.0, y.size, dtype=np.float32).reshape(y.shape)
+        (y * weight).sum().backward()
+        return y.data, [leaf.grad for leaf in leaves]
+
+    def _check(self, fn, *arrays):
+        assert any(a.dtype == bool for a in arrays)
+        y, grads = self._run(fn, arrays)
+        y_ref, grads_ref = self._run(fn, [_as_float32(a) for a in arrays])
+        assert y.dtype == y_ref.dtype == np.float32 and y.tobytes() == y_ref.tobytes()
+        for g, g_ref in zip(grads, grads_ref):
+            assert g.dtype == g_ref.dtype == np.float32 and g.tobytes() == g_ref.tobytes()
+        return y
+
+    @staticmethod
+    def _spikes(rng, shape):
+        return rng.random(shape) < 0.6
+
+    def test_spike_sum_counts(self, rng):
+        a, b = self._spikes(rng, (4, 5, 6)), self._spikes(rng, (4, 5, 6))
+        y = self._check(lambda p, q: p + q, a, b)
+        assert y.max() == 2.0  # two coincident spikes sum, not OR
+        self._check(lambda p, q: p + q, a, rng.standard_normal((4, 5, 6)).astype(np.float32))
+
+    def test_spike_product_and_negation(self, rng):
+        a, b = self._spikes(rng, (3, 7)), self._spikes(rng, (3, 7))
+        self._check(lambda p, q: p * q, a, b)
+        self._check(lambda p, q: q - p, a, b)
+
+    @pytest.mark.parametrize("const", [0.5, 2, np.float32(0.125), np.full(7, 0.25, np.float32)])
+    def test_constant_meets_spikes_as_float(self, rng, const):
+        self._check(lambda p: p * const + 1.0 - p, self._spikes(rng, (3, 7)))
+
+    @pytest.mark.parametrize("axis", [None, 0, (0, 2)])
+    def test_mean_and_sum_stay_float(self, rng, axis):
+        a = self._spikes(rng, (4, 3, 5))
+        y = self._check(lambda p: p.mean(axis=axis), a)
+        assert np.all(y > 0) and np.all(y < 1)  # an int64 count times an int64 1/n is 0
+        self._check(lambda p: p.sum(axis=axis), a)
+
+    def test_astype_takes_spikes_into_a_named_float(self, rng):
+        a = self._spikes(rng, (4, 3, 5))
+        leaf = Tensor(a, requires_grad=True, dtype=None)
+        y = leaf.astype(np.float64).mean(axis=(0, 2))
+        ref = Tensor(a.astype(np.float64), dtype=np.float64).mean(axis=(0, 2))
+        assert y.data.dtype == np.float64 and y.data.tobytes() == ref.data.tobytes()
+        (y * np.arange(3.0)).sum().backward()
+        assert leaf.grad.dtype == np.float64 and leaf.grad[0, 1, 0] == 1.0 / 20
+        f = Tensor(np.ones(3), requires_grad=True)
+        assert f.astype(np.float32) is f
+
+    @pytest.mark.parametrize("silent", [0, 5])  # dense and live-row token GEMMs
+    def test_spike_token_gemm(self, rng, silent):
+        a = self._spikes(rng, (4, 3, 5))
+        a.reshape(-1, 5)[:silent] = False
+        w = rng.standard_normal((5, 6)).astype(np.float32)
+        self._check(lambda p, q: p @ q, a, w)
+
+    def test_spike_batched_matmul_counts(self, rng):
+        a, b = self._spikes(rng, (2, 3, 4, 6)), self._spikes(rng, (2, 3, 6, 5))
+        y = self._check(lambda p, q: p @ q, a, b)
+        assert y.max() > 1.0  # counts, not a logical product
+        got = (Tensor(a).astype(np.float64) @ Tensor(b)).data
+        assert got.dtype == np.float64 and np.array_equal(got, y)
+
+    def test_spike_conv2d(self, rng):
+        x = self._spikes(rng, (3, 5, 4, 2))
+        x[1] = False  # a silent image
+        kernel = rng.standard_normal((3, 3, 2, 4)).astype(np.float32)
+        self._check(lambda p, k: conv2d(p, k), x, kernel)
+
+    def test_spike_maxpool2d(self, rng):
+        x = self._spikes(rng, (2, 5, 4, 3))
+        (y, (g,)), (y_ref, (g_ref,)) = (self._run(maxpool2d, [a]) for a in (x, _as_float32(x)))
+        assert y.dtype == bool  # a maxpool of spikes is spikes
+        assert y.astype(np.float32).tobytes() == y_ref.tobytes()
+        assert g.dtype == g_ref.dtype == np.float32 and g.tobytes() == g_ref.tobytes()
+
+
 class TestNoGrad:
     def test_records_no_tape(self):
         w = Tensor(np.ones(3), requires_grad=True)

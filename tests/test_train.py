@@ -102,6 +102,50 @@ class TestAdamW:
         opt.step(lr=0.0)
         assert p.data[0] == 2.0
 
+    @staticmethod
+    def _out_of_place_steps(params, grads, cfg, lrs):
+        """The reference update: AdamW's formula, one new array per operation."""
+        from spikingformer.train import ADAM_EPS, BETA1, BETA2
+
+        data = [p.copy() for p in params]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        for t, (step_grads, lr) in enumerate(zip(grads, lrs), start=1):
+            bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for i, g in enumerate(step_grads):
+                g = g if g is not None else np.zeros_like(data[i])
+                m[i] = BETA1 * m[i] + (1 - BETA1) * g
+                v[i] = BETA2 * v[i] + (1 - BETA2) * g * g
+                mhat, vhat = m[i] / bc1, v[i] / bc2
+                data[i] = data[i] - lr * (mhat / (np.sqrt(vhat) + ADAM_EPS)
+                                          + cfg.weight_decay * data[i])
+        return data, m, v
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_step_bit_equal_to_out_of_place(self, dtype):
+        rng = np.random.default_rng(0)
+        shapes = [(3, 4), (5,), (2, 2, 3)]
+        init = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        # the last parameter never receives a gradient
+        grads = [[rng.standard_normal(s).astype(dtype) for s in shapes[:-1]] + [None]
+                 for _ in range(5)]
+        lrs = [5e-4 * (0.5 + 0.1 * t) for t in range(5)]
+        cfg = TrainConfig(epochs=1)
+        params = [Tensor(a.copy(), requires_grad=True, dtype=dtype) for a in init]
+        arrays = [p.data for p in params]
+        opt = AdamW(params, cfg)
+        for step_grads, lr in zip(grads, lrs):
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step(lr)
+        data, m, v = self._out_of_place_steps(init, grads, cfg, lrs)
+        for p, arr, want, got_m, want_m, got_v, want_v in zip(params, arrays, data,
+                                                             opt.m, m, opt.v, v):
+            assert p.data is arr  # updated in place
+            for got, ref in ((p.data, want), (got_m, want_m), (got_v, want_v)):
+                assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
+        assert not np.array_equal(params[-1].data, init[-1])  # weight decay alone
+
     def test_zero_grad_clears(self):
         p = self._param(1.0)
         p.grad = np.array([1.0])
