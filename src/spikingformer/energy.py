@@ -152,8 +152,8 @@ def trace_model(model, batches) -> list:
             continue
         scale = obs.flops_per_item * t_steps / obs.elements if obs.elements else 0.0
         hist = {v: c * scale for v, c in obs.histogram.items()}
-        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item,
-                                 min(obs.firing_rate, 1.0), t_steps, value_hist=hist))
+        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, obs.firing_rate,
+                                 t_steps, value_hist=hist))
     return traces
 
 

@@ -382,8 +382,6 @@ class SpikingSelfAttention(Module):
         qh, kh, vh = self._split_heads(q), self._split_heads(k), self._split_heads(v)
         if self.recorder is not None:
             self.recorder.observe_attention(self, qh.data, kh.data, vh.data)
-        # the spikes are bool: count their coincidences in the model's float dtype
-        qh = qh.astype(self.conv_proj.weight.data.dtype)
         core = self._merge_heads(attention_core(qh, kh, vh))
         attn = self.sn_attn.forward(core, t_steps)  # scale applied inside the neuron
         out = self.conv_proj.forward(attn)
@@ -448,8 +446,7 @@ class ClassificationHead(Module):
         tb, n, d = x.shape
         xt = x.reshape(t_steps, tb // t_steps, n, d)
         if self.variant in (HEAD_AVGPOOL_FC, HEAD_SN_AVGPOOL_FC):
-            # the SN variant pools bool spikes: average them in the parameters' dtype
-            pooled = xt.astype(self.weight.data.dtype).mean(axis=(0, 2))  # [B, D]
+            pooled = xt.mean(axis=(0, 2))  # [B, D]
             return pooled @ self.weight + self.bias
         logits = xt @ self.weight + self.bias  # [T, B, N, classes]
         return logits.mean(axis=(0, 2))

@@ -144,8 +144,7 @@ class Model(Module):
                 f"input geometry {x.shape[-3:]} does not match config "
                 f"({self.config.in_channels}, {self.config.image_size})"
             )
-        # the residual stream in the model's dtype: an ADD-style tokenizer ends in bool spikes
-        tokens = self.tokenizer.forward(x, t).astype(dtype)
+        tokens = self.tokenizer.forward(x, t)
         for block in self.blocks:
             tokens = block.forward(tokens, t)
         return self.head.forward(tokens, t)

@@ -9,9 +9,10 @@ Forward dynamics (per time step, elementwise):
 The hard threshold is not differentiable, so the recorded backward uses the
 derivative of the sigmoid 1/(1+exp(-alpha*x)) in its place. A fully smooth
 "relaxed" mode (sigmoid firing, no binary reset) exists for end-to-end
-finite-difference checking only. Spiking-mode spikes are ``bool``, one byte
-per neuron; relaxed-mode outputs are not binary and keep the input's float
-dtype.
+finite-difference checking only. Spiking mode is where a spike's dtype is
+chosen: a float32 input fires ``bool`` spikes, one byte per neuron, and any
+other float input (float64, the finite-difference precision) fires 0/1 in its
+own dtype. Relaxed-mode outputs are not binary and keep the input's dtype.
 """
 
 from __future__ import annotations
@@ -84,10 +85,10 @@ def multistep_lif(
     current inside the neuron, which is how constant attention scales are
     absorbed without a standalone float multiply in the spike path. Spiking
     mode repeats ``lif_step``'s float operations in the same order, so its
-    ``bool`` spikes equal a loop of ``lif_step``'s float ones; relaxed mode fires
-    sigmoid(alpha * (H - V_th)) and never detaches the reset. The backward
-    runs the BPTT recurrence in reverse over T; H is stored for it only when
-    the call records a tape node.
+    spikes (``bool`` for a float32 x, else 0/1 in x's dtype) equal a loop of
+    ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
+    and never detaches the reset. The backward runs the BPTT recurrence in
+    reverse over T; H is stored for it only when the call records a tape node.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -99,7 +100,7 @@ def multistep_lif(
     steps, n = xd.shape[0], math.prod(xd.shape[1:])
     x2 = xd.reshape(steps, n)
     one = dt(1.0)  # 1 - S in x's dtype: a Python 1.0 minus bool spikes is float64 (NEP 50)
-    spikes = np.empty((steps, n), dtype=bool if mode == SPIKING else xd.dtype)
+    spikes = np.empty((steps, n), dtype=bool if mode == SPIKING and dt is np.float32 else dt)
     # H[t] is kept for the backward only; a tape-free call reuses one chunk of scratch
     hs = np.empty((steps, n), dtype=xd.dtype) if _records((x,)) else None
     bufs = [np.empty(min(n, _LIF_CHUNK), dtype=xd.dtype) for _ in range(4)]

@@ -15,13 +15,12 @@ no reference to its inputs, and it skips work that only a backward needs.
 
 A new tensor is float32 unless built with another ``dtype`` (float64 is for
 finite-difference checks); an op result keeps the dtype numpy computed, and a
-constant it lifts takes the dtype of the tensor it meets. Spikes are ``bool``,
-one byte each, and arithmetic on them is float: where numpy would add or
-multiply bool operands alone as logical OR / AND, or sum them as int64, an op
-counts them in float32; a constant meets them as a float; a spike's gradient
-keeps the float dtype it arrives in; and ``astype`` takes spikes into a float
-dtype that no operand shows (a float64 model's attention counts and residual
-stream).
+constant it lifts takes the dtype of the tensor it meets. A float32 model's
+spikes are ``bool``, one byte each (a float64 model's are float64 0/1), and
+arithmetic on them is float: where numpy would add or multiply bool operands
+alone as logical OR / AND, or sum them as int64, an op counts them in float32,
+the model's own dtype; a constant meets them as a float; and a spike's
+gradient keeps the float dtype it arrives in.
 
 Gradients are never written in place: ``_accumulate`` keeps the first array
 it receives, which may be shared with another tensor's gradient.
@@ -229,13 +228,6 @@ class Tensor:
             n = int(np.prod([self.data.shape[a] for a in axes]))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
 
-    def astype(self, dtype) -> "Tensor":
-        """This tensor in ``dtype``, itself when it already is: how spikes enter
-        float arithmetic whose dtype none of its operands shows."""
-        if self.data.dtype == dtype:
-            return self
-        return _make(self.data.astype(dtype), (self,), lambda g: self._accumulate(g))
-
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -273,8 +265,8 @@ _SILENT_ROW_SHARE = 0.25
 
 def _count_dtype(*arrays):
     """The ``dtype=`` an op over these arrays computes in: numpy's own (None),
-    except that bool operands alone (spikes) are counted in float32 where
-    numpy would take a logical OR / AND or an int64 sum."""
+    except that bool operands alone (spikes: only float32 models have them)
+    count in float32 where numpy would take a logical OR / AND or an int64 sum."""
     return np.float32 if all(a.dtype == bool for a in arrays) else None
 
 

@@ -149,23 +149,25 @@ class TestAttentionCore:
 
     @pytest.mark.parametrize("dtype", [None, np.float64])
     def test_bool_spikes_count_like_float(self, rng, dtype):
-        """bool Q, K, V give the core and gradients of their float 0/1 copies:
-        Q K^T counts coincident spikes instead of taking a logical product. Alone
-        they count in float32; a Q cast to float64 (as a float64 model's
-        attention casts it) counts in float64."""
+        """A model's Q, K, V spikes give the core and gradients of their float
+        0/1 copies: Q K^T counts coincident spikes instead of taking a logical
+        product. bool spikes (a float32 model's) count in float32; a float64
+        model's spikes are float64 0/1 and count in float64."""
         want = np.float32 if dtype is None else dtype
         qkv = [rng.random((2, 3, 6, 4)) < 0.6 for _ in range(3)]
+        spikes = qkv if dtype is None else [a.astype(dtype) for a in qkv]
         weight = rng.standard_normal((2, 3, 6, 4)).astype(want)
         runs = []
-        for arrays in (qkv, [a.astype(want) for a in qkv]):
+        for arrays in (spikes, [a.astype(want) for a in qkv]):
             leaves = [Tensor(a, requires_grad=True, dtype=None) for a in arrays]
-            q = leaves[0] if dtype is None else leaves[0].astype(dtype)
-            core = attention_core(q, *leaves[1:])
+            core = attention_core(*leaves)
             (core * weight).sum().backward()
             runs.append((core.data, [leaf.grad for leaf in leaves]))
         (core, grads), (ref, ref_grads) = runs
         assert core.dtype == ref.dtype == want and core.tobytes() == ref.tobytes()
         assert core.max() > 1  # a logical product would stop at 1
+        qi, ki, vi = (a.astype(np.int64) for a in qkv)
+        assert np.array_equal(core, (qi @ np.swapaxes(ki, -1, -2)) @ vi)  # exact counts
         for g, g_ref in zip(grads, ref_grads):
             assert g.dtype == g_ref.dtype == want and g.tobytes() == g_ref.tobytes()
 

@@ -5,8 +5,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spikingformer import layers
 from spikingformer.audit import record
-from spikingformer.layers import ADD, HEAD_SN_AVGPOOL_FC, SN, SPIKE_DRIVEN, BatchNorm
+from spikingformer.layers import (
+    ADD,
+    HEAD_AVGPOOL_FC,
+    HEAD_FC_AVGPOOL,
+    HEAD_SN_AVGPOOL_FC,
+    HEAD_VARIANTS,
+    SN,
+    SPIKE_DRIVEN,
+    BatchNorm,
+)
 from spikingformer.model import (
     Model,
     ModelConfig,
@@ -17,9 +27,9 @@ from spikingformer.model import (
     preset_config,
 )
 from spikingformer.tensor import Tensor, no_grad
-from spikingformer.train import load_checkpoint, save_checkpoint
+from spikingformer.train import cross_entropy, load_checkpoint, save_checkpoint
 
-from helpers import tape_arrays
+from helpers import _owner, tape_arrays
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -356,9 +366,9 @@ DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
 
 
 class TestSpikesOnTheTape:
-    """A recorded forward keeps every spike at one byte: each SN output, each
-    maxpool of spikes and the patch rows of each conv with a spike input are
-    bool. Arrays are picked by the op that produced them, not by their values
+    """A recorded float32 forward keeps every spike at one byte: each SN
+    output, each maxpool of spikes and the patch rows of each conv with a
+    spike input are bool (a float64 model spikes in float64). Arrays are picked by the op that produced them, not by their values
     (an ADD residual sum can hold only 0 and 1 by chance)."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
@@ -385,10 +395,90 @@ class TestSpikesOnTheTape:
         # every number computed from the spikes is float
         assert {a.dtype for a in by_op["Tensor.matmul"]} == {np.dtype(np.float32)}
 
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_attention_counts_bool_q_and_k(self, rng, style):
+        """Each block's Q K^T multiplies the SN outputs themselves: both operands
+        are views of a bool spike buffer, with no float copy of Q between."""
+        cfg = dataclasses.replace(DESK, residual_style=style)
+        model = build(cfg, seed=0)
+        logits = model.forward(_batch(rng, b=4, cfg=cfg))
+        spikes = {id(a) for label, a in tape_arrays(logits) if label == "multistep_lif"}
+        nodes, stack, qk = set(), [logits], []
+        while stack:
+            t = stack.pop()
+            if id(t) in nodes or not t._parents:
+                continue
+            nodes.add(id(t))
+            stack.extend(t._parents)
+            if t._backward.__qualname__.startswith("Tensor.matmul"):
+                if all(p.data.dtype == bool for p in t._parents):
+                    qk.append(t)
+        assert len(qk) == cfg.blocks
+        for t in qk:
+            assert all(id(_owner(p.data)) in spikes for p in t._parents)
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_float64_model_spikes_in_float64(self, rng, style):
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
+        model = build(cfg, seed=0).astype(np.float64)
+        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)))
+        assert all(a.dtype != bool for _, a in arrays)
+        outs = [a for label, a in arrays if label == "multistep_lif"]
+        assert len(outs) == sum(isinstance(m, SN) for m in model.modules())
+        for a in outs:
+            assert a.dtype == np.float64 and np.all((a == 0) | (a == 1))
+
+
+class TestFloatSpikesDifferential:
+    """A whole model computes the same numbers from bool spikes as from their
+    float32 0/1 copies: with every spiking-mode SN output replaced by
+    ``out * 1.0`` (a float32 node whose backward passes the gradient through
+    exactly), logits and every parameter gradient are bit-equal. This covers
+    the three places where spikes meet only spikes: attention's Q K^T, the SN
+    head's pool and the ADD residual that starts from the tokenizer's spikes."""
+
+    @staticmethod
+    def _run(cfg, training, x):
+        model = build(cfg, seed=0)
+        if not training:
+            model.eval()
+        logits = model.forward(x)
+        cross_entropy(logits, np.array([0, 1, 2, 3])).backward()
+        return logits.data, {name: p.grad for name, p in model.named_parameters()}
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    @pytest.mark.parametrize("head", HEAD_VARIANTS)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_bool_spikes_bit_equal_to_float32_copies(self, rng, monkeypatch, style, head,
+                                                    training):
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=head)
+        x = _batch(rng, b=4, cfg=cfg)
+        logits, grads = self._run(cfg, training, x)
+        lif, copies = layers.multistep_lif, []
+
+        def float_spikes(*args, **kwargs):
+            out = lif(*args, **kwargs)
+            if out.data.dtype != bool:
+                return out
+            copies.append(out)
+            return out * np.float32(1.0)
+
+        monkeypatch.setattr(layers, "multistep_lif", float_spikes)
+        ref_logits, ref_grads = self._run(cfg, training, x)
+        sns = sum(isinstance(m, SN) for m in build(cfg, seed=0).modules())
+        assert len(copies) == sns - (head in (HEAD_AVGPOOL_FC, HEAD_FC_AVGPOOL))  # an unused SN
+        assert logits.dtype == ref_logits.dtype == np.float32
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == ref_grads[name].dtype == np.float32, name
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
 
 class TestDtype:
     """Tensors keep their operands' dtype: a float32 model never promotes,
-    and a model cast to float64 stays float64. Spikes are bool in either."""
+    and a model cast to float64 stays float64. A float32 model's spikes are
+    bool; a float64 model's are float64 0/1, so it holds no other dtype."""
 
     @staticmethod
     def _spy_make(monkeypatch):
@@ -448,7 +538,7 @@ class TestDtype:
         model.fuse()
         assert {a.dtype for a in model.state().values()} == {np.dtype(np.float64)}
         assert model.forward(_batch(rng)).data.dtype == np.float64
-        assert set(seen) == {np.dtype(np.float64), np.dtype(bool)}
+        assert set(seen) == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("model_dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("as_tensor", [False, True])

@@ -293,7 +293,7 @@ class TestChunkedTimeLoop:
         context = contextlib.nullcontext() if record else no_grad()
         with context:
             got_spikes, got_grad = self._run(x, params, mode, scale, record)
-        spike_dtype = bool if mode == "spiking" else dtype
+        spike_dtype = bool if mode == "spiking" and dtype == np.float32 else dtype
         assert got_spikes.dtype == spike_dtype and got_spikes.tobytes() == spikes.tobytes()
         if record:
             assert got_grad.dtype == dtype and got_grad.tobytes() == grad.tobytes()
