@@ -1,5 +1,9 @@
 """Spikingformer: spike-driven transformer with purity auditing and energy
-estimation, on a minimal reverse-mode tensor engine."""
+estimation, on a minimal reverse-mode tensor engine.
+
+Each submodule keeps its own name: ``spikingformer.train`` is the training
+module (``train.train`` runs a training loop), not a function re-exported
+over it."""
 
 from .audit import PurityReport, record
 from .energy import (
@@ -14,7 +18,7 @@ from .energy import (
 from .model import Model, ModelConfig, build, max_convbn_input, preset_config
 from .neuron import LIFParams, MembraneState, lif_step, multistep_lif
 from .tensor import Tensor, conv2d, heaviside, maxpool2d, surrogate_grad
-from .train import TrainConfig, evaluate, load_checkpoint, save_checkpoint, train
+from .train import TrainConfig, evaluate, load_checkpoint, save_checkpoint
 
 __all__ = [
     "EnergyReport",
@@ -44,5 +48,4 @@ __all__ = [
     "spikformer_recalc",
     "surrogate_grad",
     "trace_model",
-    "train",
 ]

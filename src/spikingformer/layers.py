@@ -152,32 +152,32 @@ class BatchNorm(Module):
             var = self._buffers["running_var"].astype(dtype, copy=False)
             centered = data - mu
         inv_std = (var + np.asarray(self.eps, dtype=dtype)) ** -0.5
-        gamma, beta = self.gamma, self.beta
+        gamma, beta = self.gamma.data, self.beta.data
+        parents = (x, self.gamma, self.beta)
         x_hat = np.multiply(centered, inv_std, out=centered)
-        if _records((x, gamma, beta)):
-            y = x_hat * gamma.data
+        if _records(parents):
+            y = x_hat * gamma
         else:  # no backward reads x_hat: scale it in place
             y = x_hat
-            y *= gamma.data
-        y += beta.data
+            y *= gamma
+        y += beta
+        tx = x.tracked
 
         def bwd(g):
-            # one node: the closed-form BN backward over the reduced axes
+            # one node: the closed-form BN backward over the reduced axes; it
+            # reads x_hat and inv_std, never x or y
             g_beta = g.sum(axis=reduce_axes)
             g_gamma = (g * x_hat).sum(axis=reduce_axes)
-            if x.tracked:
-                scale = gamma.data * inv_std
+            gx = None
+            if tx:
+                scale = gamma * inv_std
                 if training:
                     gx = (g - g_beta * inv_n - x_hat * (g_gamma * inv_n)) * scale
                 else:
                     gx = g * scale
-                x._accumulate(gx)
-            if gamma.tracked:
-                gamma._accumulate(g_gamma)
-            if beta.tracked:
-                beta._accumulate(g_beta)
+            return gx, g_gamma, g_beta
 
-        return _make(y, (x, gamma, beta), bwd)
+        return _make(y, parents, bwd)
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""

@@ -88,7 +88,8 @@ def multistep_lif(
     spikes (``bool`` for a float32 x, else 0/1 in x's dtype) equal a loop of
     ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
     and never detaches the reset. The backward runs the BPTT recurrence in
-    reverse over T; H is stored for it only when the call records a tape node.
+    reverse over T and reads only H and the spikes, never the input; H is
+    stored for it only when the call records a tape node.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -136,9 +137,9 @@ def multistep_lif(
         # lif_step tape takes them. dS/dH is the surrogate at H - V_th; dV/dH
         # is (1 - S), plus (V_reset - H) dS/dH in relaxed mode (reset not detached);
         # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau.
-        gx = np.empty_like(xd)
+        gx = np.empty_like(hs)
         g_v = np.zeros_like(hs[0])
-        for t in range(xd.shape[0] - 1, -1, -1):
+        for t in range(steps - 1, -1, -1):
             sg = surrogate_grad(hs[t] - v_th, params.alpha)
             g_h = g_v * (one - spikes[t])
             if mode == SPIKING:  # the reset is detached
@@ -149,6 +150,6 @@ def multistep_lif(
             g_v = np.subtract(g_h, gx[t], out=g_h)
             if input_scale != 1.0:
                 gx[t] *= dt(input_scale)
-        x._accumulate(gx)
+        return (gx,)
 
     return _make(spikes, (x,), bwd)

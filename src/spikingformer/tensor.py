@@ -1,9 +1,17 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
-Tensors wrap numpy arrays and record the operations applied to them.
-Calling ``backward()`` on a scalar result walks the recorded graph in exact
-reverse creation order and accumulates gradients into every tensor created
-with ``requires_grad=True``.
+Tensors wrap numpy arrays. An op over a tracked operand gives its result a
+tape node (``_Node``): the parents' nodes, the backward closure, a gradient
+slot, and the shape and dtype that gradient takes. A node holds no array of
+its own output and no operand ``Tensor``; its closure captures only the
+arrays its backward reads (a product its operands, a reshape a shape, a
+batch norm its normalised input and inverse deviation), so an intermediate
+that no backward reads is freed with its last Python reference. Calling
+``backward()`` on a scalar result runs the recorded closures in exact reverse
+creation order and accumulates gradients into every tensor created with
+``requires_grad=True``; each node is released as soon as its closure has run
+(its gradient, closure and parents dropped), and only leaves keep ``.grad``.
+A second ``backward()`` through a released graph raises ``RuntimeError``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -22,8 +30,8 @@ alone as logical OR / AND, or sum them as int64, an op counts them in float32,
 the model's own dtype; a constant meets them as a float; and a spike's
 gradient keeps the float dtype it arrives in.
 
-Gradients are never written in place: ``_accumulate`` keeps the first array
-it receives, which may be shared with another tensor's gradient.
+Gradients are never written in place: a node keeps the first array it
+receives, which may be shared with another node's gradient.
 """
 
 from __future__ import annotations
@@ -49,21 +57,61 @@ def no_grad():
         _grad_enabled = previous
 
 
+_RELEASED = ("backward() reached a tape node that an earlier backward() already released "
+             "(a sweep frees each node once its gradient has passed); run the forward "
+             "again to build a new graph")
+
+
+class _Node:
+    """One entry of the gradient tape.
+
+    ``parents`` holds one node per operand of the op (None for an untracked
+    one); ``backward(g)`` returns one gradient per operand (None where none is
+    needed); ``grad`` is the gradient slot, and ``shape`` / ``dtype`` are those
+    of the tensor the node stands for. A leaf's node has no parents and no
+    closure; a node a sweep has passed has ``parents`` None.
+    """
+
+    __slots__ = ("parents", "backward", "grad", "shape", "dtype", "seq")
+
+    def __init__(self, data: np.ndarray, parents=(), backward=None):
+        self.parents = parents
+        self.backward = backward
+        self.grad: Optional[np.ndarray] = None
+        self.shape = data.shape
+        self.dtype = data.dtype
+        self.seq = next(_seq_counter)
+
+    def accumulate(self, grad: np.ndarray) -> None:
+        if grad.shape != self.shape:
+            grad = _unbroadcast(grad, self.shape)
+        if self.grad is None:  # a gradient is never bool: a spike's stays float
+            self.grad = np.asarray(grad, dtype=None if self.dtype == bool else self.dtype)
+        else:
+            self.grad = self.grad + grad
+
+
+def _node_of(t: "Tensor") -> _Node:
+    """t's tape node; a leaf's is made on first use and follows its data."""
+    node = t._node
+    if node is None:
+        node = t._node = _Node(t.data)
+    elif node.parents == ():  # a leaf whose data may have been replaced
+        node.shape, node.dtype = t.data.shape, t.data.dtype
+    return node
+
+
 class Tensor:
     """A dense array plus optional participation in the gradient tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_seq", "__weakref__")
+    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=np.float32,
-                 _parents=(), _backward=None):
+    def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=dtype)
-        self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._parents = tuple(_parents)
-        self._backward = _backward
-        self._seq = next(_seq_counter)
+        self._node: Optional[_Node] = None
 
     # -- basic introspection ------------------------------------------------
 
@@ -82,7 +130,18 @@ class Tensor:
     @property
     def tracked(self) -> bool:
         """A gradient flows into this tensor: it requires one or was recorded."""
-        return self.requires_grad or bool(self._parents)
+        return self.requires_grad or (self._node is not None and self._node.parents != ())
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        """The accumulated gradient: a leaf's stays after ``backward()``, a
+        recorded result's is freed as the sweep passes."""
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value) -> None:
+        if value is not None or self._node is not None:
+            _node_of(self).grad = value
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -95,34 +154,41 @@ class Tensor:
 
     # -- graph machinery ----------------------------------------------------
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:  # a gradient is never bool: a spike's stays float
-            self.grad = np.asarray(grad, dtype=None if self.data.dtype == bool else self.data.dtype)
-        else:
-            self.grad = self.grad + grad
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar loss.
 
-        Visits recorded nodes in exact reverse creation order, which is a
+        Runs the recorded closures in exact reverse creation order, which is a
         valid reverse topological order because every op's output is created
-        after its operands.
+        after its operands. Each node is popped and released (gradient,
+        closure and parents dropped) once its closure has run, so the tape
+        shrinks as the sweep passes; leaves keep ``.grad``. A graph an earlier
+        sweep released raises ``RuntimeError``.
         """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        nodes = {}
-        stack = [self]
+        if not self.tracked:
+            return
+        root = _node_of(self)
+        nodes, stack = {}, [root]
         while stack:
-            t = stack.pop()
-            if t._seq in nodes:
+            node = stack.pop()
+            if node is None:  # an untracked operand
                 continue
-            nodes[t._seq] = t
-            stack.extend(t._parents)
-        self._accumulate(np.ones_like(self.data))
-        for seq in sorted(nodes, reverse=True):
-            t = nodes[seq]
-            if t._parents and t.grad is not None:
-                t._backward(t.grad)
+            if node.parents is None:
+                raise RuntimeError(_RELEASED)
+            if node.parents and node.seq not in nodes:
+                nodes[node.seq] = node
+                stack.extend(node.parents)
+        order = [nodes[seq] for seq in sorted(nodes)]
+        del nodes
+        root.accumulate(np.ones_like(self.data))
+        while order:
+            node = order.pop()
+            if node.grad is not None:
+                for parent, g in zip(node.parents, node.backward(node.grad)):
+                    if parent is not None and g is not None:
+                        parent.accumulate(g)
+            node.grad = node.backward = node.parents = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -140,22 +206,14 @@ class Tensor:
 
     def __add__(self, other):
         other = self._lift(other)
-
-        def bwd(g):
-            if self.tracked:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.tracked:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
         a, b = self.data, other.data
-        return _make(np.add(a, b, dtype=_count_dtype(a, b)), (self, other), bwd)
+        return _make(np.add(a, b, dtype=_count_dtype(a, b)), (self, other), lambda g: (g, g))
 
     __radd__ = __add__
 
     def __neg__(self):
         a = self.data
-        return _make(np.negative(a, dtype=_count_dtype(a)), (self,),
-                     lambda g: self._accumulate(-g))
+        return _make(np.negative(a, dtype=_count_dtype(a)), (self,), lambda g: (-g,))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -165,14 +223,12 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._lift(other)
+        a, b = self.data, other.data
+        ta, tb = self.tracked, other.tracked
 
         def bwd(g):
-            if self.tracked:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.tracked:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
+            return g * b if ta else None, g * a if tb else None
 
-        a, b = self.data, other.data
         return _make(np.multiply(a, b, dtype=_count_dtype(a, b)), (self, other), bwd)
 
     __rmul__ = __mul__
@@ -182,27 +238,26 @@ class Tensor:
         return self * other ** -1.0
 
     def __pow__(self, exponent: float):
-        def bwd(g):
-            self._accumulate(g * exponent * self.data ** (exponent - 1.0))
-
-        return _make(self.data ** exponent, (self,), bwd)
+        a = self.data
+        return _make(a ** exponent, (self,), lambda g: (g * exponent * a ** (exponent - 1.0),))
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
         a, b = self.data, other.data
+        ta, tb = self.tracked, other.tracked
         dtype = _count_dtype(a, b)
 
         def bwd(g):
-            if self.tracked:
+            ga = gb = None
+            if ta:
                 ga = g @ np.swapaxes(_as_float(b, g), -1, -2)
-                self._accumulate(_unbroadcast(ga, a.shape))
-            if other.tracked:
+            if tb:
                 fa = _as_float(a, g)
                 if b.ndim == 2:  # one GEMM over every leading axis of a
                     gb = fa.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
-                    gb = _unbroadcast(np.swapaxes(fa, -1, -2) @ g, b.shape)
-                other._accumulate(gb)
+                    gb = np.swapaxes(fa, -1, -2) @ g
+            return ga, gb
 
         y = _token_gemm(a, b, dtype) if b.ndim == 2 else np.matmul(a, b, dtype=dtype)
         return _make(y, (self, other), bwd)
@@ -212,12 +267,14 @@ class Tensor:
     # -- reductions / shape -------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        data = self.data
+        shape = data.shape
+
         def bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, self.data.shape))
+            return (np.broadcast_to(g, shape),)
 
-        data = self.data
         return _make(data.sum(axis=axis, keepdims=keepdims, dtype=_count_dtype(data)), (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -231,28 +288,28 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        return _make(self.data.reshape(shape), (self,),
-                     lambda g: self._accumulate(g.reshape(self.data.shape)))
+        before = self.data.shape
+        return _make(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        return _make(self.data.transpose(axes), (self,),
-                     lambda g: self._accumulate(g.transpose(inv)))
+        return _make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
 
     # -- pointwise nonlinearities --------------------------------------------
 
     def exp(self) -> "Tensor":
-        e = np.exp(self.data)  # captured instead of the result, which would make a cycle
-        return _make(e, (self,), lambda g: self._accumulate(g * e))
+        e = np.exp(self.data)
+        return _make(e, (self,), lambda g: (g * e,))
 
     def log(self) -> "Tensor":
-        return _make(np.log(self.data), (self,), lambda g: self._accumulate(g / self.data))
+        a = self.data
+        return _make(np.log(a), (self,), lambda g: (g / a,))
 
     def sigmoid(self) -> "Tensor":
         with np.errstate(over="ignore"):
             s = 1.0 / (1.0 + np.exp(-self.data))
-        return _make(s, (self,), lambda g: self._accumulate(g * s * (1.0 - s)))
+        return _make(s, (self,), lambda g: (g * s * (1.0 - s),))
 
 
 # Share of silent (all-zero) rows of a from which _token_gemm multiplies only
@@ -313,13 +370,15 @@ def _records(parents) -> bool:
 
 
 def _make(data: np.ndarray, parents, backward) -> Tensor:
-    """An op's result: a tape node over its tracked parents, or, when the op
-    does not record (``_records``), a plain tensor that keeps no ``backward``
-    closure and so no reference to the op's inputs."""
-    if not _records(parents):
-        return Tensor(data, dtype=None)
-    tracked = tuple(p for p in parents if p.tracked)
-    return Tensor(data, dtype=None, _parents=tracked, _backward=backward)
+    """An op's result, with a tape node over its operands' nodes when the op
+    records (``_records``): ``backward(g)`` returns one gradient per operand.
+    A result that does not record keeps no closure and so no reference to the
+    op's inputs."""
+    out = Tensor(data, dtype=None)
+    if _records(parents):
+        nodes = tuple([_node_of(p) if p.tracked else None for p in parents])
+        out._node = _Node(out.data, nodes, backward)
+    return out
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -355,8 +414,8 @@ def spike_threshold(v: Tensor, alpha: float) -> Tensor:
     Forward emits exact binary spikes; the recorded backward replaces the
     (zero a.e.) step derivative with the surrogate evaluated at v.
     """
-    return _make(heaviside(v.data), (v,),
-                 lambda g: v._accumulate(g * surrogate_grad(v.data, alpha)))
+    vd = v.data
+    return _make(heaviside(vd), (v,), lambda g: (g * surrogate_grad(vd, alpha),))
 
 
 # -- structured ops -----------------------------------------------------------
@@ -429,14 +488,14 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     if bias is not None:
         y += bias.data
 
+    tx, tk, tb = x.tracked, kernel.tracked, bias is not None and bias.tracked
+    x_shape, k_shape = x.shape, kernel.shape
+
     def bwd(g):
         g_rows = g.reshape(-1, o)
-        if kernel.tracked:
-            kernel._accumulate((_as_float(rows, g_rows).T @ g_rows).reshape(kernel.shape))
-        if x.tracked:
-            x._accumulate(_conv2d_input_grad(g_rows, k2d, x.shape))
-        if bias is not None and bias.tracked:
-            bias._accumulate(g_rows.sum(axis=0))
+        gk = (_as_float(rows, g_rows).T @ g_rows).reshape(k_shape) if tk else None
+        gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
+        return gx, gk, g_rows.sum(axis=0) if tb else None
 
     return _make(y.reshape(b, h, w, o), parents, bwd)
 
@@ -457,16 +516,17 @@ def maxpool2d(x: Tensor) -> Tensor:
                for i in (0, 1) for j in (0, 1)]
     views = [x.data[win] for win in windows]
     y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+    x_shape = x.shape
 
     def bwd(g):
-        gx = np.zeros(x.shape, dtype=g.dtype)  # not x's dtype: spikes are bool
+        gx = np.zeros(x_shape, dtype=g.dtype)  # not x's dtype: spikes are bool
         free = np.ones(y.shape, dtype=bool)  # no maximal view found yet
         for win, view in zip(windows, views):
             hit = np.equal(view, y)
             hit &= free
             np.copyto(gx[win], g, where=hit)
             free ^= hit
-        x._accumulate(gx)
+        return (gx,)
 
     return _make(y, (x,), bwd)
 

@@ -47,44 +47,50 @@ def _owner(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def tape_arrays(out: T.Tensor) -> list:
-    """(label, array) for every array the recorded result ``out`` keeps alive:
-    the data of each tape node and the arrays its backward closure holds,
-    in creation order. Arrays are de-duplicated by owning buffer (each entry
-    is the owner) and labelled by the op that produced them first: the op's
-    name for a node's data (``multistep_lif``, ``maxpool2d``, ``Tensor.matmul``),
-    ``op.name`` for a closure variable (``conv2d.rows``). Buffers of leaves
-    (parameters, inputs, constants) are left out: the tape does not own them."""
-    nodes, stack = {}, [out]
+def closure_arrays(fn):
+    """(name, array) for each array a backward closure captured, lists and
+    tuples of arrays opened up. A closure captures arrays only: a captured
+    ``Tensor`` (an operand or an output) fails the check."""
+    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+        stack = [cell.cell_contents]
+        while stack:
+            value = stack.pop()
+            assert not isinstance(value, T.Tensor), f"{fn.__qualname__} captures a Tensor as {name}"
+            if isinstance(value, (list, tuple)):
+                stack.extend(reversed(value))
+            elif isinstance(value, np.ndarray):
+                yield name, value
+
+
+def tape_nodes(out: T.Tensor) -> list:
+    """The recorded nodes the result ``out`` reaches (leaves left out), in
+    creation order."""
+    nodes, stack = {}, [out._node]
     while stack:
-        t = stack.pop()
-        if t._seq not in nodes and t._parents:
-            nodes[t._seq] = t
-            stack.extend(t._parents)
+        node = stack.pop()
+        if node is not None and node.parents and node.seq not in nodes:
+            nodes[node.seq] = node
+            stack.extend(node.parents)
+    return [nodes[seq] for seq in sorted(nodes)]
 
-    def flat(value):
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                yield from flat(item)
-        elif isinstance(value, (T.Tensor, np.ndarray)):
-            yield value
 
-    held = []  # (label, array or tensor) in creation order
-    for seq in sorted(nodes):
-        fn = nodes[seq]._backward
-        op = fn.__qualname__.split(".<locals>")[0]
-        held.append((op, nodes[seq].data))
-        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
-            held.extend((f"{op}.{name}", v) for v in flat(cell.cell_contents))
-    seen = {id(_owner(v.data)) for _, v in held
-            if isinstance(v, T.Tensor) and not v._parents}
-    seen |= {id(_owner(p.data)) for t in nodes.values() for p in t._parents if not p._parents}
+def tape_arrays(out: T.Tensor, leaves=()) -> list:
+    """(label, array) for every array the recorded result ``out`` keeps alive
+    through its tape: the arrays its nodes' backward closures hold (a node
+    holds no array of its own), in creation order. Arrays are de-duplicated by
+    owning buffer (each entry is the owner) and labelled ``op.name`` by the
+    closure that holds them first (``multistep_lif.spikes``, ``conv2d.rows``,
+    ``Tensor.matmul.a``). Buffers of the tensors in ``leaves`` (parameters,
+    inputs) are left out: the tape does not own them."""
+    seen = {id(_owner(t.data)) for t in leaves}
     found = []
-    for label, value in held:
-        arr = _owner(value.data if isinstance(value, T.Tensor) else value)
-        if id(arr) not in seen:
-            seen.add(id(arr))
-            found.append((label, arr))
+    for node in tape_nodes(out):
+        op = node.backward.__qualname__.split(".<locals>")[0]
+        for name, value in closure_arrays(node.backward):
+            arr = _owner(value)
+            if id(arr) not in seen:
+                seen.add(id(arr))
+                found.append((f"{op}.{name}", arr))
     return found
 
 

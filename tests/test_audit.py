@@ -265,9 +265,9 @@ class TestModelAudit:
         forward, outputs = model.forward, []
         monkeypatch.setattr(model, "forward", lambda x: outputs.append(forward(x)) or outputs[-1])
         record(model, [self._batch(rng), self._batch(rng)])
-        assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+        assert len(outputs) == 2 and all(out._node is None for out in outputs)
         assert all(p.grad is None for p in model.parameters())
-        assert forward(self._batch(rng))._parents  # the tape is back on afterwards
+        assert forward(self._batch(rng))._node.parents  # the tape is back on afterwards
 
     def test_histograms_cover_all_elements(self, rng):
         report = record(self._model(), self._batch(rng))

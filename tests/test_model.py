@@ -1,11 +1,14 @@
 """Whole-model assembly: parameter counts, forward semantics, residual styles."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 
 from spikingformer import layers
+from spikingformer import tensor as T
+from spikingformer import train as train_mod
 from spikingformer.audit import record
 from spikingformer.layers import (
     ADD,
@@ -29,7 +32,7 @@ from spikingformer.model import (
 from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import cross_entropy, load_checkpoint, save_checkpoint
 
-from helpers import _owner, tape_arrays
+from helpers import _owner, closure_arrays, tape_arrays, tape_nodes
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -288,16 +291,15 @@ class TestFusedModel:
         model.eval()
         model.fuse()
         tracked = []
-        init = Tensor.__init__
+        init = T._Node.__init__
 
-        def spy(self, *args, **kwargs):
+        def spy(self, *args, **kwargs):  # any tape node, a leaf's included
             init(self, *args, **kwargs)
-            if self._parents:
-                tracked.append(self._parents)
+            tracked.append(self)
 
-        monkeypatch.setattr(Tensor, "__init__", spy)
+        monkeypatch.setattr(T._Node, "__init__", spy)
         logits = model.forward(_batch(rng))
-        assert logits._parents == () and logits._backward is None
+        assert logits._node is None
         assert tracked == []
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
@@ -322,7 +324,7 @@ class TestFusedModel:
         for p in model.parameters():
             p.requires_grad = True
         taped = model.forward(x)
-        assert taped._parents and not fused._parents
+        assert taped._node is not None and fused._node is None
         np.testing.assert_array_equal(fused.data, untracked)
         np.testing.assert_array_equal(fused.data, taped.data)
 
@@ -358,7 +360,7 @@ class TestFusedModel:
         model = build(TINY, seed=0)
         model.eval()
         assert all(p.requires_grad for p in model.parameters())
-        assert model.forward(_batch(rng))._parents
+        assert model.forward(_batch(rng))._node.parents
 
 
 DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
@@ -373,27 +375,38 @@ class TestSpikesOnTheTape:
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_spike_arrays_are_bool(self, rng, style, training):
+    def test_spike_arrays_are_bool(self, rng, style, training, monkeypatch):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0)
         if not training:
             model.eval()
-        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)))
+        products = []  # every matmul output: no backward reads one, so none is on the tape
+        matmul = Tensor.matmul
+
+        def spy(a, b):
+            out = matmul(a, b)
+            products.append(out.data)
+            return out
+
+        monkeypatch.setattr(Tensor, "matmul", spy)
+        monkeypatch.setattr(Tensor, "__matmul__", spy)
+        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)), model.parameters())
+        monkeypatch.undo()
         by_op = {}
         for label, arr in arrays:
             by_op.setdefault(label, []).append(arr)
         sns = sum(isinstance(m, SN) for m in model.modules())  # each one runs once
-        assert len(by_op["multistep_lif"]) == sns
-        assert all(a.dtype == bool for a in by_op["multistep_lif"])
+        assert len(by_op["multistep_lif.spikes"]) == sns
+        assert all(a.dtype == bool for a in by_op["multistep_lif.spikes"])
         pools = sum(kind == "sped" for kind in cfg.tokenizer_plan)
-        assert len(by_op["maxpool2d"]) == pools
-        assert all(a.dtype == bool for a in by_op["maxpool2d"])
+        assert len(by_op["maxpool2d.y"]) == pools
+        assert all(a.dtype == bool for a in by_op["maxpool2d.y"])
         # one conv per tokenizer unit; only the first (the encoder) sees the image
         encoder, *spiking = by_op["conv2d.rows"]
         assert len(spiking) == len(cfg.tokenizer_plan) and encoder.dtype == np.float32
         assert all(a.dtype == bool for a in spiking)
         # every number computed from the spikes is float
-        assert {a.dtype for a in by_op["Tensor.matmul"]} == {np.dtype(np.float32)}
+        assert products and {a.dtype for a in products} == {np.dtype(np.float32)}
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_attention_counts_bool_q_and_k(self, rng, style):
@@ -402,31 +415,82 @@ class TestSpikesOnTheTape:
         cfg = dataclasses.replace(DESK, residual_style=style)
         model = build(cfg, seed=0)
         logits = model.forward(_batch(rng, b=4, cfg=cfg))
-        spikes = {id(a) for label, a in tape_arrays(logits) if label == "multistep_lif"}
-        nodes, stack, qk = set(), [logits], []
-        while stack:
-            t = stack.pop()
-            if id(t) in nodes or not t._parents:
-                continue
-            nodes.add(id(t))
-            stack.extend(t._parents)
-            if t._backward.__qualname__.startswith("Tensor.matmul"):
-                if all(p.data.dtype == bool for p in t._parents):
-                    qk.append(t)
+        spikes = {id(a) for label, a in tape_arrays(logits, model.parameters())
+                  if label == "multistep_lif.spikes"}
+        qk = []  # the operands each matmul node keeps for its backward
+        for node in tape_nodes(logits):
+            if node.backward.__qualname__.startswith("Tensor.matmul"):
+                operands = dict(closure_arrays(node.backward))
+                if all(operands[name].dtype == bool for name in "ab"):
+                    qk.append((operands["a"], operands["b"]))
         assert len(qk) == cfg.blocks
-        for t in qk:
-            assert all(id(_owner(p.data)) in spikes for p in t._parents)
+        for operands in qk:
+            assert all(id(_owner(a)) in spikes for a in operands)
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_float64_model_spikes_in_float64(self, rng, style):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0).astype(np.float64)
-        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)))
+        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)), model.parameters())
         assert all(a.dtype != bool for _, a in arrays)
-        outs = [a for label, a in arrays if label == "multistep_lif"]
+        outs = [a for label, a in arrays if label == "multistep_lif.spikes"]
         assert len(outs) == sum(isinstance(m, SN) for m in model.modules())
         for a in outs:
             assert a.dtype == np.float64 and np.all((a == 0) | (a == 1))
+
+
+class TestTapeKeepsWhatBackwardReads:
+    """A recorded float32 forward keeps only the arrays a backward reads: no
+    token-GEMM, conv2d or BN output and no LIF input is on its tape (attention's
+    Q K^T is, as the operand its V gradient reads). The backward sweep frees
+    each node as it passes, while every parameter keeps its gradient."""
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_unread_outputs_are_not_on_the_tape(self, rng, style, monkeypatch):
+        cfg = dataclasses.replace(DESK, residual_style=style)
+        model = build(cfg, seed=0)
+        unread = []  # (op, owner array): held, so their ids stay unique
+
+        def spy(owner, attr, op, pick):
+            fn = getattr(owner, attr)
+
+            def wrapped(*args, **kwargs):
+                out = fn(*args, **kwargs)
+                arr = pick(args, out)
+                if arr is not None:
+                    unread.append((op, _owner(arr)))
+                return out
+
+            monkeypatch.setattr(owner, attr, wrapped)
+
+        def token_gemm(args, out):  # a matmul by a weight, not attention's Q K^T V
+            return out.data if args[1].ndim == 2 else None
+
+        spy(Tensor, "matmul", "token GEMM", token_gemm)
+        spy(Tensor, "__matmul__", "token GEMM", token_gemm)
+        spy(layers, "conv2d", "conv2d", lambda args, out: out.data)
+        spy(BatchNorm, "forward", "BatchNorm.forward", lambda args, out: out.data)
+        spy(layers, "multistep_lif", "LIF input", lambda args, out: args[0].data)
+        logits = model.forward(_batch(rng, b=4, cfg=cfg))
+        monkeypatch.undo()
+        assert {op for op, _ in unread} == {"token GEMM", "conv2d", "BatchNorm.forward", "LIF input"}
+        tape = {id(arr) for _, arr in tape_arrays(logits, model.parameters())}
+        assert [op for op, arr in unread if id(arr) in tape] == []
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_backward_frees_the_tape(self, rng, style):
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
+        model = build(cfg, seed=0)
+        labels = rng.integers(0, cfg.num_classes, 4)
+        loss = cross_entropy(model.forward(_batch(rng, b=4, cfg=cfg)), labels)
+        hs = [weakref.ref(_owner(arr)) for node in tape_nodes(loss)
+              if node.backward.__qualname__.startswith("multistep_lif")
+              for name, arr in closure_arrays(node.backward) if name == "hs"]
+        assert len(hs) == sum(isinstance(m, SN) for m in model.modules())
+        assert all(ref() is not None for ref in hs)
+        loss.backward()
+        assert all(ref() is None for ref in hs)
+        assert all(p.grad is not None for p in model.parameters())
 
 
 class TestFloatSpikesDifferential:
@@ -483,8 +547,7 @@ class TestDtype:
     @staticmethod
     def _spy_make(monkeypatch):
         """Record the dtype of every op result, in every module that binds _make."""
-        from spikingformer import layers, neuron
-        from spikingformer import tensor as T
+        from spikingformer import neuron
 
         make, seen = T._make, []
 
@@ -497,12 +560,20 @@ class TestDtype:
             monkeypatch.setattr(module, "_make", spy)
         return seen
 
-    def test_float32_train_step_and_forwards(self, rng, monkeypatch):
-        import importlib
+    def test_cast_after_a_recorded_step_takes_the_new_dtype(self, rng):
+        # a parameter's tape node is made on first use and follows a later cast
+        model = build(DESK, seed=0)
+        x = _batch(rng, cfg=DESK)
+        model.forward(x).sum().backward()
+        model.astype(np.float64)
+        for p in model.parameters():
+            p.grad = None
+        model.forward(x).sum().backward()
+        assert {p.grad.dtype for p in model.parameters()} == {np.dtype(np.float64)}
 
+    def test_float32_train_step_and_forwards(self, rng, monkeypatch):
         from spikingformer.data import synth_static
 
-        train_mod = importlib.import_module("spikingformer.train")
         seen = self._spy_make(monkeypatch)
         model = build(DESK, seed=0)
         train_mod.train(model, synth_static(4, 64, seed=0),

@@ -275,7 +275,7 @@ class TestChunkedTimeLoop:
     def _run(x, params, mode, scale, record):
         xt = Tensor(x, requires_grad=record, dtype=x.dtype)
         out = multistep_lif(xt, params, mode=mode, input_scale=scale)
-        assert bool(out._parents) == record
+        assert (out._node is not None) == record
         if record:
             weight = np.linspace(-1.0, 1.0, x.size).reshape(x.shape).astype(x.dtype)
             (out * Tensor(weight, dtype=x.dtype)).sum().backward()

@@ -27,6 +27,15 @@ def test_every_exported_name_resolves():
     assert len(set(spikingformer.__all__)) == len(spikingformer.__all__)
 
 
+def test_submodule_names_are_modules():
+    # ``from spikingformer import train`` is the training module, not its function
+    from spikingformer import train
+
+    assert inspect.ismodule(train) and train is sys.modules["spikingformer.train"]
+    assert callable(train.train) and callable(train.cross_entropy) and train.TrainConfig
+    assert "train" not in spikingformer.__all__
+
+
 def _cli_sweep(tmp_path):
     """Every command on a tiny model, in both residual styles on static and event data."""
     for style in ("spike-driven", "add"):

@@ -362,7 +362,7 @@ class TestBatchNormNodeDifferential:
         with no_grad():
             y = free.forward(Tensor(x, requires_grad=True))
         want = recording.forward(Tensor(x, requires_grad=True))
-        assert y._parents == () and want._parents
+        assert y._node is None and want._node is not None
         assert y.data.dtype == want.data.dtype and y.data.tobytes() == want.data.tobytes()
         assert x.tobytes() == before.tobytes()
         for name in ("running_mean", "running_var"):
@@ -372,7 +372,8 @@ class TestBatchNormNodeDifferential:
         bn = BatchNorm(3)
         x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
         y = bn.forward(x)
-        assert set(y._parents) == {x, bn.gamma, bn.beta}
+        assert y._node.parents == (x._node, bn.gamma._node, bn.beta._node)
+        assert all(p.parents == () for p in y._node.parents)  # leaves: no node between
 
 
 class TestDenseOps:
@@ -630,6 +631,40 @@ class TestBackward:
         with pytest.raises(ValueError, match="scalar"):
             (w * 2.0).backward()
 
+    def test_second_backward_on_a_released_graph_raises(self):
+        # d/dx (x * x * 1) at 3 is 6; a second sweep must not add stale
+        # intermediate gradients to it (it read 30 when nodes were kept)
+        x = Tensor(np.array(3.0), requires_grad=True)
+        loss = ((x * x) * 1.0).sum()
+        loss.backward()
+        assert x.grad == 6.0
+        with pytest.raises(RuntimeError, match="already released"):
+            loss.backward()
+        assert x.grad == 6.0
+
+    def test_backward_through_a_released_subgraph_raises(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        y = x * x
+        y.sum().backward()
+        with pytest.raises(RuntimeError, match="already released"):
+            (y * 2.0).sum().backward()
+        assert x.grad == 6.0
+
+    def test_separate_graphs_accumulate_into_a_leaf(self):
+        x = Tensor(np.array(3.0), requires_grad=True)
+        for _ in range(2):
+            ((x * x) * 1.0).sum().backward()
+        assert x.grad == 12.0
+
+    def test_sweep_frees_intermediates_and_leaves_keep_grad(self):
+        x = Tensor(np.arange(4.0), requires_grad=True)
+        y = x * x
+        loss = (y * 1.0).sum()
+        loss.backward()
+        assert y.grad is None and loss.grad is None  # released with their nodes
+        assert y._node.parents is None and y._node.backward is None
+        np.testing.assert_array_equal(x.grad, 2.0 * np.arange(4.0))
+
     def test_two_layer_affine_chain_fd(self, rng):
         w1 = tensor64(rng.standard_normal((4, 5)), requires_grad=True)
         b1 = tensor64(rng.standard_normal(5), requires_grad=True)
@@ -838,7 +873,7 @@ class TestNoGrad:
         w = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
             loss = (w * 2.0).sum()
-        assert loss._parents == ()
+        assert loss._node is None
         loss.backward()
         assert w.grad is None
 
@@ -847,7 +882,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
                 raise RuntimeError("raised inside no_grad")
-        assert (w * 2.0)._parents == (w,)
+        assert (w * 2.0)._node.parents == (w._node, None)  # the constant is untracked
 
 
 _LIF = LIFParams()
@@ -905,14 +940,14 @@ class TestUntrackedResults:
             out = _UNTRACKED_OPS[name](x)
         del x
         assert alive() is None
-        assert out._parents == () and out._backward is None
+        assert out._node is None
 
     @pytest.mark.parametrize("name", sorted(_UNTRACKED_OPS))
     def test_tracked_result_records_its_input(self, name):
         x = Tensor(np.random.default_rng(0).random((2, 2, 4, 4)).astype(np.float32),
                    requires_grad=True)
         out = _UNTRACKED_OPS[name](x)
-        assert out._parents and out._backward is not None
+        assert out._node.parents and out._node.backward is not None
 
 
 def test_forward_determinism(rng):

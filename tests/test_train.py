@@ -244,7 +244,7 @@ class TestTrainLoop:
         forward, outputs = model.forward, []
         monkeypatch.setattr(model, "forward", lambda x: outputs.append(forward(x)) or outputs[-1])
         evaluate(model, _dataset(16), batch_size=8)
-        assert len(outputs) == 2 and all(out._parents == () for out in outputs)
+        assert len(outputs) == 2 and all(out._node is None for out in outputs)
 
     def test_tiny_alpha_silences_neuron_gated_gradients(self):
         # layers whose only route to the loss passes through a neuron lose
@@ -455,7 +455,7 @@ class TestFusedCheckpoint:
         loaded = load_checkpoint(path, TINY)
         assert loaded.fused
         assert not [name for name, p in loaded.named_parameters() if p.requires_grad]
-        assert loaded.forward(_dataset(4, seed=2).x)._parents == ()
+        assert loaded.forward(_dataset(4, seed=2).x)._node is None
 
 
 def _assert_gemm_kernels(model):
