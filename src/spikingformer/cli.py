@@ -151,7 +151,12 @@ def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
         if not path:
             raise ConfigError("cifar10 dataset needs --data or data_path")
         # the whole file unless ``samples`` or --limit caps it
-        return load_cifar10_binary(path, limit=min(caps, default=None))
+        dataset = load_cifar10_binary(path, limit=min(caps, default=None))
+        needed = int(dataset.y.max()) + 1
+        if needed > model_cfg.num_classes:
+            raise ConfigError(f"{path}: label {needed - 1} needs {needed} classes, "
+                              f"but num_classes is {model_cfg.num_classes}")
+        return dataset
     n = min(caps + [cfg.get("samples", 512)])
     c, (h, w) = model_cfg.in_channels, model_cfg.image_size
     if kind == "synthetic-events":

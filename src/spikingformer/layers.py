@@ -332,9 +332,20 @@ class SpikingTokenizer(Module):
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Q K^T V on the trailing two axes (no softmax). Over bool spikes each
-    entry of Q K^T counts the products whose operands both fired."""
-    return (q @ k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))) @ v
+    """Q K^T V on the trailing two axes of [..., N, d] operands (no softmax).
+
+    With no softmax the product is associative, so it contracts in the
+    cheaper order: Q (K^T V) when d < N, whose [d, d] middle product is what
+    the tape keeps, else (Q K^T) V with an [N, N] one. Over bool spikes each
+    entry of the middle product counts the products whose operands both
+    fired; every sum of 0/1 spikes is an integer below 2^24, so both orders
+    give the same core bit for bit.
+    """
+    kt = k.transpose(tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    n, d = q.shape[-2:]
+    if d < n:
+        return q @ (kt @ v)
+    return (q @ kt) @ v
 
 
 class SpikingSelfAttention(Module):

@@ -89,7 +89,8 @@ def multistep_lif(
     ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
     and never detaches the reset. The backward runs the BPTT recurrence in
     reverse over T and reads only H and the spikes, never the input; H is
-    stored for it only when the call records a tape node.
+    stored for it only when the call records a tape node. In spiking mode
+    the backward allocates two scratch rows per call and nothing per step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -136,18 +137,24 @@ def multistep_lif(
         # BPTT in reverse over T, taking the products in the order the composed
         # lif_step tape takes them. dS/dH is the surrogate at H - V_th; dV/dH
         # is (1 - S), plus (V_reset - H) dS/dH in relaxed mode (reset not detached);
-        # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau.
+        # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau. Spiking mode
+        # allocates no temporary: g_h holds dL/dV of step t + 1 and then dL/dH,
+        # sg the surrogate and then its term, and the row gx[t] is scratch
+        # (H - V_th, then 1 - S) until it receives the step's gradient.
         gx = np.empty_like(hs)
-        g_v = np.zeros_like(hs[0])
+        g_h = np.zeros_like(hs[0])
+        sg = np.empty_like(hs[0])
         for t in range(steps - 1, -1, -1):
-            sg = surrogate_grad(hs[t] - v_th, params.alpha)
-            g_h = g_v * (one - spikes[t])
+            scratch = gx[t]
+            surrogate_grad(np.subtract(hs[t], v_th, out=scratch), params.alpha, out=sg)
             if mode == SPIKING:  # the reset is detached
-                g_h += g[t] * sg
+                np.multiply(g[t], sg, out=sg)
             else:
-                g_h += ((g[t] + g_v * v_reset) - g_v * hs[t]) * sg
+                sg *= (g[t] + g_h * v_reset) - g_h * hs[t]
+            np.multiply(g_h, np.subtract(one, spikes[t], out=scratch), out=g_h)
+            g_h += sg
             np.multiply(g_h, decay, out=gx[t])
-            g_v = np.subtract(g_h, gx[t], out=g_h)
+            np.subtract(g_h, gx[t], out=g_h)
             if input_scale != 1.0:
                 gx[t] *= dt(input_scale)
         return (gx,)

@@ -5,7 +5,8 @@ tape node (``_Node``): the parents' nodes, the backward closure, a gradient
 slot, and the shape and dtype that gradient takes. A node holds no array of
 its own output and no operand ``Tensor``; its closure captures only the
 arrays its backward reads (a product its operands, a reshape a shape, a
-batch norm its normalised input and inverse deviation), so an intermediate
+conv its input map, a batch norm its normalised input and inverse
+deviation), so an intermediate
 that no backward reads is freed with its last Python reference. Calling
 ``backward()`` on a scalar result runs the recorded closures in exact reverse
 creation order and accumulates gradients into every tensor created with
@@ -399,13 +400,27 @@ def heaviside(v: np.ndarray) -> np.ndarray:
     return (v >= 0).astype(v.dtype)
 
 
-def surrogate_grad(v: np.ndarray, alpha: float) -> np.ndarray:
-    """Derivative of the sigmoid surrogate 1/(1+exp(-alpha*v)) wrt v."""
+def surrogate_grad(v: np.ndarray, alpha: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Derivative of the sigmoid surrogate 1/(1+exp(-alpha*v)) wrt v:
+    alpha * s * (1 - s) with s = 1 / (1 + exp(-alpha * v)).
+
+    With ``out`` (a float array of v's shape, not v itself) the derivative is
+    written into it and v, then the caller's scratch array, is overwritten
+    with 1 - s: nothing is allocated. Both ways run the same operations in
+    the same order, so they give the same bits.
+    """
     if alpha <= 0:
         raise ValueError("surrogate sharpness alpha must be > 0")
+    v = np.asarray(v)
+    one_minus_s = v
+    if out is None:
+        out = np.empty(v.shape, dtype=np.result_type(v, 1.0))
+        one_minus_s = np.empty_like(out)
     with np.errstate(over="ignore"):
-        s = 1.0 / (1.0 + np.exp(-alpha * np.asarray(v)))
-    return alpha * s * (1.0 - s)
+        np.exp(np.multiply(v, -alpha, out=out), out=out)
+    np.divide(1.0, np.add(out, 1.0, out=out), out=out)  # s
+    np.subtract(1.0, out, out=one_minus_s)
+    return np.multiply(np.multiply(out, alpha, out=out), one_minus_s, out=out)
 
 
 def spike_threshold(v: Tensor, alpha: float) -> Tensor:
@@ -460,8 +475,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     The kernel is stored as its GEMM operand: the patch rows [B*H*W, 9*C]
     meet its [9*C, O] view in one dense GEMM, and the weight gradient is
-    ``rows.T @ g_rows`` in the kernel's own shape. A call that records no tape
-    node is event-driven: once at least _SILENT_ROW_SHARE of the images are
+    ``rows.T @ g_rows`` in the kernel's own shape. A recording call keeps its
+    input map for that gradient, and only when the kernel is tracked, never
+    the rows, which are 9x larger (a spike map is on the tape already, as an
+    SN or maxpool output). The backward patches the map again in the
+    gradient's float dtype: the forward's rows as C-contiguous floats, so the
+    GEMM is the float path's. A call that records no tape node
+    is event-driven: once at least _SILENT_ROW_SHARE of the images are
     all-zero, only the live images are patched and multiplied, and a silent
     image's output is the bias (or zero).
     """
@@ -476,7 +496,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         )
     parents = (x, kernel) if bias is None else (x, kernel, bias)
     k2d = kernel.data.reshape(-1, o)
-    # the weight gradient needs every patch row, so a recording call stays dense
+    # a recording call stays dense: its backward is dense either way
     live = None if _records(parents) else _live_if_sparse(x.data, axis=(1, 2, 3))
     if live is None:
         rows = _patch_rows(x.data)
@@ -490,10 +510,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
 
     tx, tk, tb = x.tracked, kernel.tracked, bias is not None and bias.tracked
     x_shape, k_shape = x.shape, kernel.shape
+    xd = x.data if tk else None
 
     def bwd(g):
         g_rows = g.reshape(-1, o)
-        gk = (_as_float(rows, g_rows).T @ g_rows).reshape(k_shape) if tk else None
+        gk = None
+        if tk:  # the forward's rows again, as floats
+            gk = (_patch_rows(xd.astype(g.dtype, copy=False)).T @ g_rows).reshape(k_shape)
         gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
         return gx, gk, g_rows.sum(axis=0) if tb else None
 

@@ -79,7 +79,7 @@ def tape_arrays(out: T.Tensor, leaves=()) -> list:
     through its tape: the arrays its nodes' backward closures hold (a node
     holds no array of its own), in creation order. Arrays are de-duplicated by
     owning buffer (each entry is the owner) and labelled ``op.name`` by the
-    closure that holds them first (``multistep_lif.spikes``, ``conv2d.rows``,
+    closure that holds them first (``multistep_lif.spikes``, ``conv2d.xd``,
     ``Tensor.matmul.a``). Buffers of the tensors in ``leaves`` (parameters,
     inputs) are left out: the tape does not own them."""
     seen = {id(_owner(t.data)) for t in leaves}
@@ -92,6 +92,15 @@ def tape_arrays(out: T.Tensor, leaves=()) -> list:
                 seen.add(id(arr))
                 found.append((f"{op}.{name}", arr))
     return found
+
+
+def tape_bytes(out: T.Tensor, leaves=()) -> dict:
+    """MiB per label of the arrays ``tape_arrays(out, leaves)`` finds, in the
+    order each label first appears."""
+    mib = {}
+    for label, arr in tape_arrays(out, leaves):
+        mib[label] = mib.get(label, 0.0) + arr.nbytes / 2**20
+    return mib
 
 
 def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:

@@ -374,3 +374,28 @@ class TestCifarPath:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
         assert main(["eval", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_label_beyond_num_classes_errors(self, tmp_path, capsys, command):
+        """A label the model has no logit for exits 2 and names both class
+        counts, instead of a traceback (train) or a silent accuracy (eval)."""
+        rng = np.random.default_rng(0)
+        images = rng.integers(0, 256, (4, 3, 32, 32)).astype(np.float32) / 255.0
+        data = tmp_path / "batch.bin"
+        write_cifar10_binary(data, images, np.array([0, 3, 7, 9], dtype=np.uint8))
+        cfg = {k: v for k, v in TINY_CFG.items() if k != "samples"}
+        cfg.update(dataset="cifar10", num_classes=4, image_height=32, image_width=32,
+                   tokenizer_plan=["spe", "spe", "sped", "sped"])
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        ckpt = tmp_path / "checkpoint.spkf"
+        save_checkpoint(build(model_config_from(cfg, None), seed=0), ckpt)
+        argv = [command, "--config", str(cfg_path), "--data", str(data),
+                "--out", str(tmp_path / "run")]
+        if command == "eval":
+            argv += ["--checkpoint", str(ckpt)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "needs 10 classes" in err and "num_classes is 4" in err
+        assert not (tmp_path / "run" / "checkpoint.spkf").exists()

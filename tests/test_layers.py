@@ -171,6 +171,34 @@ class TestAttentionCore:
         for g, g_ref in zip(grads, ref_grads):
             assert g.dtype == g_ref.dtype == want and g.tobytes() == g_ref.tobytes()
 
+    @pytest.mark.parametrize("n,d", [(12, 4), (4, 6)], ids=["n>d", "n<=d"])
+    @pytest.mark.parametrize("dtype", [bool, np.float64], ids=["bool", "float64"])
+    def test_both_orders_agree(self, rng, n, d, dtype):
+        """attention_core contracts Q (K^T V) when d < N, else (Q K^T) V. On
+        random spikes the other order gives the same core bit for bit (every
+        sum is an exact integer) and, in float64, gradients within 1e-6."""
+        qkv = [(rng.random((2, 3, n, d)) < 0.5).astype(dtype) for _ in range(3)]
+        want = np.float32 if dtype is bool else np.float64  # bool spikes count in float32
+        weight = rng.standard_normal((2, 3, n, d))
+
+        def other_order(q, k, v):
+            kt = k.transpose((0, 1, 3, 2))
+            return (q @ kt) @ v if d < n else q @ (kt @ v)
+
+        runs = []
+        for fn in (attention_core, other_order):
+            leaves = [Tensor(a, requires_grad=dtype is not bool, dtype=None) for a in qkv]
+            core = fn(*leaves)
+            if dtype is not bool:
+                (core * weight).sum().backward()
+            runs.append((core.data, [leaf.grad for leaf in leaves]))
+        (core, grads), (ref, ref_grads) = runs
+        assert core.dtype == ref.dtype == want and core.tobytes() == ref.tobytes()
+        assert core.max() > 1
+        if dtype is not bool:
+            for g, g_ref in zip(grads, ref_grads):
+                np.testing.assert_allclose(g, g_ref, rtol=1e-6, atol=1e-12)
+
 
 class TestSSAModule:
     def _x(self, n=4, d=8, tb=4):

@@ -32,7 +32,7 @@ from spikingformer.model import (
 from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import cross_entropy, load_checkpoint, save_checkpoint
 
-from helpers import _owner, closure_arrays, tape_arrays, tape_nodes
+from helpers import _owner, closure_arrays, tape_arrays, tape_bytes, tape_nodes
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -369,9 +369,10 @@ DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
 
 class TestSpikesOnTheTape:
     """A recorded float32 forward keeps every spike at one byte: each SN
-    output, each maxpool of spikes and the patch rows of each conv with a
-    spike input are bool (a float64 model spikes in float64). Arrays are picked by the op that produced them, not by their values
-    (an ADD residual sum can hold only 0 and 1 by chance)."""
+    output, each maxpool of spikes and the input map of each conv with a
+    spike input are bool (a float64 model spikes in float64). Arrays are
+    picked by the op that produced them, not by their values (an ADD
+    residual sum can hold only 0 and 1 by chance)."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
@@ -390,8 +391,9 @@ class TestSpikesOnTheTape:
 
         monkeypatch.setattr(Tensor, "matmul", spy)
         monkeypatch.setattr(Tensor, "__matmul__", spy)
-        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)), model.parameters())
+        logits = model.forward(_batch(rng, b=4, cfg=cfg))
         monkeypatch.undo()
+        arrays = tape_arrays(logits, model.parameters())
         by_op = {}
         for label, arr in arrays:
             by_op.setdefault(label, []).append(arr)
@@ -401,10 +403,17 @@ class TestSpikesOnTheTape:
         pools = sum(kind == "sped" for kind in cfg.tokenizer_plan)
         assert len(by_op["maxpool2d.y"]) == pools
         assert all(a.dtype == bool for a in by_op["maxpool2d.y"])
-        # one conv per tokenizer unit; only the first (the encoder) sees the image
-        encoder, *spiking = by_op["conv2d.rows"]
+        # one conv per tokenizer unit, each keeping its input map; only the
+        # first (the encoder) sees the image, and the others' spike maps are
+        # on the tape already as SN or maxpool outputs
+        encoder, *spiking = [dict(closure_arrays(node.backward))["xd"]
+                             for node in tape_nodes(logits)
+                             if node.backward.__qualname__.startswith("conv2d")]
         assert len(spiking) == len(cfg.tokenizer_plan) and encoder.dtype == np.float32
         assert all(a.dtype == bool for a in spiking)
+        spike_ids = {id(a) for a in by_op["multistep_lif.spikes"] + by_op["maxpool2d.y"]}
+        assert all(id(_owner(a)) in spike_ids for a in spiking)
+        assert [label for label, _ in arrays if label.startswith("conv2d")] == ["conv2d.xd"]
         # every number computed from the spikes is float
         assert products and {a.dtype for a in products} == {np.dtype(np.float32)}
 
@@ -441,8 +450,9 @@ class TestSpikesOnTheTape:
 
 class TestTapeKeepsWhatBackwardReads:
     """A recorded float32 forward keeps only the arrays a backward reads: no
-    token-GEMM, conv2d or BN output and no LIF input is on its tape (attention's
-    Q K^T is, as the operand its V gradient reads). The backward sweep frees
+    token-GEMM, conv2d or BN output and no LIF input is on its tape
+    (attention's middle product is: Q K^T, or K^T V when d_head < N, as the
+    operand the other product's gradient reads). The backward sweep frees
     each node as it passes, while every parameter keeps its gradient."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
@@ -491,6 +501,35 @@ class TestTapeKeepsWhatBackwardReads:
         loss.backward()
         assert all(ref() is None for ref in hs)
         assert all(p.grad is not None for p in model.parameters())
+
+
+class TestSpikeCostTape:
+    """When d_head < N (the desk model at 16x16: N = 16, d_head = 8), a
+    recorded forward keeps no float copy or patch rows of a spike map: each
+    conv keeps its input map (only the encoder's, the image, is not on the
+    tape already), and attention keeps its [d, d] K^T V, not an [N, N]
+    Q K^T."""
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    def test_no_patch_rows_and_no_qk(self, rng, style):
+        cfg = dataclasses.replace(DESK, residual_style=style, image_size=(16, 16))
+        model = build(cfg, seed=0)
+        x = _batch(rng, b=4, cfg=cfg)
+        logits = model.forward(x)
+        heads, n, d_head = cfg.heads, 16, cfg.embed_dim // cfg.heads
+        arrays = tape_arrays(logits, model.parameters())
+        assert not [label for label, a in arrays
+                    if a.dtype != bool and a.shape[-3:] == (heads, n, n)]
+        kv = [a for _, a in arrays if a.shape[-3:] == (heads, d_head, d_head)]
+        assert len(kv) == cfg.blocks and all(a.dtype == np.float32 for a in kv)
+        # patch rows are [B*H*W, 9*C] for a conv with C input channels
+        widths = {9 * conv.weight.shape[2] for conv in model.modules()
+                  if isinstance(conv, layers.ConvBN2d) and not conv.tokens}
+        assert not [label for label, a in arrays if a.ndim == 2 and a.shape[1] in widths]
+        mib = tape_bytes(logits, model.parameters())
+        image = x.nbytes * cfg.timesteps / 2**20  # repeated over T at the input
+        assert [label for label in mib if label.startswith("conv2d")] == ["conv2d.xd"]
+        assert mib["conv2d.xd"] == image
 
 
 class TestFloatSpikesDifferential:

@@ -86,6 +86,19 @@ class TestSurrogate:
         with pytest.raises(ValueError):
             surrogate_grad(np.zeros(1), 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_out_bit_equal_to_allocating_call(self, rng, dtype):
+        """With ``out`` the derivative lands there, bit-equal to the plain
+        call, and v (the caller's scratch) ends holding 1 - s."""
+        v = (4.0 * rng.standard_normal(1000)).astype(dtype)
+        v[:3] = (0.0, 40.0, -40.0)  # the peak and both saturations (exp overflows)
+        want = surrogate_grad(v, 4.0)
+        scratch, out = v.copy(), np.empty_like(v)
+        assert surrogate_grad(scratch, 4.0, out=out) is out
+        assert out.dtype == want.dtype == dtype and out.tobytes() == want.tobytes()
+        s = 1.0 / (1.0 + np.exp(-4.0 * v.astype(np.float64)))
+        np.testing.assert_allclose(scratch, 1.0 - s, atol=1e-6)
+
 
 class TestParamValidation:
     @pytest.mark.parametrize("kwargs", [

@@ -222,6 +222,31 @@ class TestConv2dIm2colDifferential:
             assert relative_error(a, b).max() <= 1e-6
 
 
+class TestConv2dRepatchedWeightGrad:
+    """A recording conv2d keeps its input map and patches it again in the
+    backward: its weight gradient is bit-equal to the GEMM over the forward's
+    patch rows as floats, ``_patch_rows(x).astype(f).T @ g``, on a bool
+    spike map and on a float (encoder) map, contiguous or a channels-last
+    view of an NCHW array."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["bool", "float", "float-view"])
+    @pytest.mark.parametrize("hw", _CONV_MAPS, ids=lambda hw: f"{hw[0]}x{hw[1]}")
+    def test_bit_equal_to_forward_rows(self, rng, dtype, kind, hw):
+        if kind == "bool":
+            x = rng.random((3,) + hw + (5,)) < 0.4
+        elif kind == "float":
+            x = rng.uniform(0, 1, (3,) + hw + (5,)).astype(dtype)
+        else:
+            x = rng.uniform(0, 1, (3, 5) + hw).astype(dtype).transpose(0, 2, 3, 1)
+        w = rng.standard_normal((3, 3, 5, 4)).astype(dtype)
+        g = rng.standard_normal(x.shape[:3] + (4,)).astype(dtype)
+        kernel = Tensor(w, requires_grad=True, dtype=dtype)
+        (conv2d(Tensor(x, dtype=None), kernel) * Tensor(g, dtype=dtype)).sum().backward()
+        want = (T._patch_rows(x).astype(dtype).T @ g.reshape(-1, 4)).reshape(w.shape)
+        assert kernel.grad.dtype == dtype and kernel.grad.tobytes() == want.tobytes()
+
+
 def _eval_batchnorm(gamma, beta, mean, var):
     from spikingformer.layers import BatchNorm
 
