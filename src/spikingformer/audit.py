@@ -2,8 +2,9 @@
 
 A ForwardRecorder hooks every ConvBN (and the attention matmuls) during a
 forward pass. Input values are binned at the nearest integer in linear time
-(two counts decide a binary input; anything else goes through ``np.bincount``,
-or through a sort when its values span more integers than there are values);
+(one count decides a ``bool`` spike input; any other input is rounded and goes
+through ``np.bincount``, or through a sort when its values span more integers
+than there are values);
 anything more than 1e-5 away from an integer, or not finite, lands in an
 anomaly bucket instead of a bin.
 The purity verdict asserts the spike-driven claim: every conv input except
@@ -72,17 +73,12 @@ class ForwardRecorder:
         obs.elements += x.size
         if x.dtype == bool:  # spikes: binary by construction, one count decides them
             nonzero = int(np.count_nonzero(x))
-        else:
-            nonzero = int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
-        obs.nonzero += nonzero
-        # Binary (every spike input): no rounding needed. On the 4-384 audit's
-        # binary inputs this is ~15x faster than the bincount path below, and
-        # costs one bool pass (~3%) on the integer ones.
-        if x.dtype == bool or int(np.count_nonzero(x == 1)) == nonzero:
+            obs.nonzero += nonzero
             for v, c in ((0, x.size - nonzero), (1, nonzero)):
                 if c:
                     obs.histogram[v] += c
             return
+        obs.nonzero += int(np.count_nonzero(x != 0))  # a bool count is ~3x faster than a float one
         rounded = np.rint(x)
         with np.errstate(invalid="ignore"):  # inf - inf is NaN: an anomaly
             integral = np.abs(x - rounded) <= INTEGER_TOLERANCE
@@ -110,8 +106,11 @@ class ForwardRecorder:
         """
         items, heads, n, d = q.shape
         flops = heads * n * n * d
-        # counted in float: over bool spikes a plain matmul is a logical product
-        core = np.matmul(q, np.swapaxes(k, -1, -2), dtype=np.result_type(q, k, np.float32))
+        # counted in float (over bool spikes a plain matmul is a logical product),
+        # by BLAS on float copies of bool spikes: exact, as every count is below 2**24
+        dtype = np.result_type(q, k, np.float32)
+        kt = np.swapaxes(k.astype(dtype, copy=False), -1, -2)
+        core = np.matmul(q.astype(dtype, copy=False), kt)
         qk = self._layer(f"{attn.name}.qk", KIND_SSA)
         qk.flops_per_item = flops
         qk.items += items

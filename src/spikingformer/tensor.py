@@ -1,18 +1,19 @@
 """Minimal dense tensor engine with reverse-mode automatic differentiation.
 
 Tensors wrap numpy arrays. An op over a tracked operand gives its result a
-tape node (``_Node``): the parents' nodes, the backward closure, a gradient
-slot, and the shape and dtype that gradient takes. A node holds no array of
-its own output and no operand ``Tensor``; its closure captures only the
-arrays its backward reads (a product its operands, a reshape a shape, a
-conv its input map, a batch norm its normalised input and inverse
-deviation), so an intermediate
-that no backward reads is freed with its last Python reference. Calling
-``backward()`` on a scalar result runs the recorded closures in exact reverse
-creation order and accumulates gradients into every tensor created with
-``requires_grad=True``; each node is released as soon as its closure has run
-(its gradient, closure and parents dropped), and only leaves keep ``.grad``.
-A second ``backward()`` through a released graph raises ``RuntimeError``.
+tape node (``_Node``): per operand the operand's node, or the operand itself
+if it is a leaf (a parameter, or an input built with ``requires_grad=True``);
+the backward closure; a gradient slot; and the shape and dtype that gradient
+takes. Only recorded ops have nodes: a leaf keeps its gradient in its own
+``grad``. A node holds no array of its own output, and its closure captures
+only the arrays its backward reads (a product its operands, a reshape a
+shape, a conv its input map, a batch norm its normalised input and inverse
+deviation), so an intermediate that no backward reads is freed with its last
+Python reference. Calling ``backward()`` on a scalar result runs the recorded
+closures in exact reverse creation order and accumulates gradients into every
+leaf it reaches; each node is released as soon as its closure has run (its
+gradient, closure and parents dropped), and only leaves keep ``.grad``. A
+second ``backward()`` through a released graph raises ``RuntimeError``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -31,8 +32,8 @@ alone as logical OR / AND, or sum them as int64, an op counts them in float32,
 the model's own dtype; a constant meets them as a float; and a spike's
 gradient keeps the float dtype it arrives in.
 
-Gradients are never written in place: a node keeps the first array it
-receives, which may be shared with another node's gradient.
+Gradients are never written in place: a node or a leaf keeps the first array
+it receives, which may be shared with another node's gradient.
 """
 
 from __future__ import annotations
@@ -64,18 +65,19 @@ _RELEASED = ("backward() reached a tape node that an earlier backward() already 
 
 
 class _Node:
-    """One entry of the gradient tape.
+    """One entry of the gradient tape: the record of one op.
 
-    ``parents`` holds one node per operand of the op (None for an untracked
-    one); ``backward(g)`` returns one gradient per operand (None where none is
-    needed); ``grad`` is the gradient slot, and ``shape`` / ``dtype`` are those
-    of the tensor the node stands for. A leaf's node has no parents and no
-    closure; a node a sweep has passed has ``parents`` None.
+    ``parents`` holds, per operand of the op, the operand's node if it was
+    recorded, the operand itself if it is a leaf (``requires_grad``), or None
+    if it is untracked; ``backward(g)`` returns one gradient per operand (None
+    where none is needed); ``grad`` is the gradient slot, and ``shape`` /
+    ``dtype`` are those of the op's result. A node a sweep has passed has
+    ``parents`` None.
     """
 
     __slots__ = ("parents", "backward", "grad", "shape", "dtype", "seq")
 
-    def __init__(self, data: np.ndarray, parents=(), backward=None):
+    def __init__(self, data: np.ndarray, parents, backward):
         self.parents = parents
         self.backward = backward
         self.grad: Optional[np.ndarray] = None
@@ -83,35 +85,32 @@ class _Node:
         self.dtype = data.dtype
         self.seq = next(_seq_counter)
 
-    def accumulate(self, grad: np.ndarray) -> None:
-        if grad.shape != self.shape:
-            grad = _unbroadcast(grad, self.shape)
-        if self.grad is None:  # a gradient is never bool: a spike's stays float
-            self.grad = np.asarray(grad, dtype=None if self.dtype == bool else self.dtype)
-        else:
-            self.grad = self.grad + grad
 
-
-def _node_of(t: "Tensor") -> _Node:
-    """t's tape node; a leaf's is made on first use and follows its data."""
-    node = t._node
-    if node is None:
-        node = t._node = _Node(t.data)
-    elif node.parents == ():  # a leaf whose data may have been replaced
-        node.shape, node.dtype = t.data.shape, t.data.dtype
-    return node
+def _accumulate(target, grad: np.ndarray) -> None:
+    """Add grad into ``target.grad``: a node's, or a leaf tensor's, whose
+    current data gives the shape and dtype. The gradient is summed down to
+    that shape and takes that dtype on first arrival, except that it is never
+    bool: a spike's stays float."""
+    like = target if type(target) is _Node else target.data
+    if grad.shape != like.shape:
+        grad = _unbroadcast(grad, like.shape)
+    if target.grad is None:
+        target.grad = np.asarray(grad, dtype=None if like.dtype == bool else like.dtype)
+    else:
+        target.grad = target.grad + grad
 
 
 class Tensor:
     """A dense array plus optional participation in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("data", "requires_grad", "grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=np.float32):
         if isinstance(data, Tensor):
             data = data.data
         self.data = np.asarray(data, dtype=dtype)
         self.requires_grad = requires_grad
+        self.grad: Optional[np.ndarray] = None
         self._node: Optional[_Node] = None
 
     # -- basic introspection ------------------------------------------------
@@ -131,18 +130,7 @@ class Tensor:
     @property
     def tracked(self) -> bool:
         """A gradient flows into this tensor: it requires one or was recorded."""
-        return self.requires_grad or (self._node is not None and self._node.parents != ())
-
-    @property
-    def grad(self) -> Optional[np.ndarray]:
-        """The accumulated gradient: a leaf's stays after ``backward()``, a
-        recorded result's is freed as the sweep passes."""
-        return None if self._node is None else self._node.grad
-
-    @grad.setter
-    def grad(self, value) -> None:
-        if value is not None or self._node is not None:
-            _node_of(self).grad = value
+        return self.requires_grad or self._node is not None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -169,26 +157,26 @@ class Tensor:
             raise ValueError("backward() requires a scalar tensor")
         if not self.tracked:
             return
-        root = _node_of(self)
+        root = self if self._node is None else self._node  # a leaf is its own root
         nodes, stack = {}, [root]
         while stack:
             node = stack.pop()
-            if node is None:  # an untracked operand
+            if type(node) is not _Node:  # a leaf or an untracked operand
                 continue
             if node.parents is None:
                 raise RuntimeError(_RELEASED)
-            if node.parents and node.seq not in nodes:
+            if node.seq not in nodes:
                 nodes[node.seq] = node
                 stack.extend(node.parents)
         order = [nodes[seq] for seq in sorted(nodes)]
         del nodes
-        root.accumulate(np.ones_like(self.data))
+        _accumulate(root, np.ones_like(self.data))
         while order:
             node = order.pop()
             if node.grad is not None:
                 for parent, g in zip(node.parents, node.backward(node.grad)):
                     if parent is not None and g is not None:
-                        parent.accumulate(g)
+                        _accumulate(parent, g)
             node.grad = node.backward = node.parents = None
 
     # -- helpers ------------------------------------------------------------
@@ -260,7 +248,10 @@ class Tensor:
                     gb = np.swapaxes(fa, -1, -2) @ g
             return ga, gb
 
-        y = _token_gemm(a, b, dtype) if b.ndim == 2 else np.matmul(a, b, dtype=dtype)
+        if dtype is not None:  # spikes by spikes: BLAS on transient float copies, exact
+            y = np.matmul(a.astype(dtype), b.astype(dtype))  # as every count is below 2**24
+        else:
+            y = _token_gemm(a, b) if b.ndim == 2 else np.matmul(a, b)
         return _make(y, (self, other), bwd)
 
     __matmul__ = matmul
@@ -345,9 +336,8 @@ def _live_if_sparse(x: np.ndarray, axis):
     return live
 
 
-def _token_gemm(a: np.ndarray, b: np.ndarray, dtype=None) -> np.ndarray:
-    """a @ b for a 2-D b as one flat [M, K] GEMM over every leading axis of a,
-    multiplied in ``dtype`` when given.
+def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a 2-D b as one flat [M, K] GEMM over every leading axis of a.
 
     Event-driven: when at least _SILENT_ROW_SHARE of a's rows hold no nonzero
     (no spike arrived at that token), only the live rows are multiplied and
@@ -357,9 +347,9 @@ def _token_gemm(a: np.ndarray, b: np.ndarray, dtype=None) -> np.ndarray:
     out_shape = a.shape[:-1] + b.shape[1:]
     live = _live_if_sparse(rows, axis=1)
     if live is None:
-        return np.matmul(rows, b, dtype=dtype).reshape(out_shape)
-    y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b) if dtype is None else dtype)
-    y[live] = np.matmul(rows[live], b, dtype=dtype)
+        return np.matmul(rows, b).reshape(out_shape)
+    y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b))
+    y[live] = rows[live] @ b
     return y.reshape(out_shape)
 
 
@@ -371,14 +361,14 @@ def _records(parents) -> bool:
 
 
 def _make(data: np.ndarray, parents, backward) -> Tensor:
-    """An op's result, with a tape node over its operands' nodes when the op
-    records (``_records``): ``backward(g)`` returns one gradient per operand.
-    A result that does not record keeps no closure and so no reference to the
-    op's inputs."""
+    """An op's result, with a tape node over its operands (see ``_Node``) when
+    the op records (``_records``): ``backward(g)`` returns one gradient per
+    operand. A result that does not record keeps no closure and so no
+    reference to the op's inputs."""
     out = Tensor(data, dtype=None)
     if _records(parents):
-        nodes = tuple([_node_of(p) if p.tracked else None for p in parents])
-        out._node = _Node(out.data, nodes, backward)
+        links = tuple([p if p._node is None and p.requires_grad else p._node for p in parents])
+        out._node = _Node(out.data, links, backward)
     return out
 
 

@@ -63,12 +63,13 @@ def closure_arrays(fn):
 
 
 def tape_nodes(out: T.Tensor) -> list:
-    """The recorded nodes the result ``out`` reaches (leaves left out), in
-    creation order."""
+    """The recorded nodes the result ``out`` reaches, in creation order: a
+    node's parents also hold leaf tensors and None, which are skipped, as is a
+    node a sweep has released."""
     nodes, stack = {}, [out._node]
     while stack:
         node = stack.pop()
-        if node is not None and node.parents and node.seq not in nodes:
+        if isinstance(node, T._Node) and node.parents and node.seq not in nodes:
             nodes[node.seq] = node
             stack.extend(node.parents)
     return [nodes[seq] for seq in sorted(nodes)]

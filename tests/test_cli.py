@@ -7,9 +7,9 @@ import pytest
 
 from spikingformer import cli
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
-from spikingformer.model import build
+from spikingformer.model import Model, build
 from spikingformer.tensor import no_grad
-from spikingformer.train import save_checkpoint
+from spikingformer.train import load_checkpoint, save_checkpoint
 
 from helpers import write_cifar10_binary, write_v1_checkpoint
 
@@ -291,6 +291,30 @@ class TestFuseCommand:
         assert code == 0
         assert "equivalent" in capsys.readouterr().out
         assert (out / "checkpoint-fused.spkf").exists()
+
+    def test_verdict_runs_in_float64_and_checkpoint_is_the_float32_fusion(
+            self, tmp_path, config_path, trained, monkeypatch):
+        # float32 fusion re-associates the folded kernel's sums, which flips
+        # spikes at threshold; the verdict compares a float64 copy instead
+        checkpoint = str(trained / "checkpoint.spkf")
+        direct = load_checkpoint(checkpoint, model_config_from(TINY_CFG, None))
+        direct.eval()
+        direct.fuse()
+        save_checkpoint(direct, tmp_path / "direct.spkf")
+        forward = Model.forward
+        dtypes = []
+
+        def spy(self, x):
+            dtypes.append({p.data.dtype for p in self.parameters()})
+            return forward(self, x)
+
+        monkeypatch.setattr(Model, "forward", spy)
+        out = tmp_path / "fused"
+        assert main(["fuse", "--config", config_path, "--out", str(out),
+                     "--checkpoint", checkpoint]) == 0
+        assert dtypes == [{np.dtype(np.float64)}] * 2
+        written = (out / "checkpoint-fused.spkf").read_bytes()
+        assert written == (tmp_path / "direct.spkf").read_bytes()
 
     def test_fused_checkpoint_loads_in_every_command(self, tmp_path, config_path, trained,
                                                      capsys):

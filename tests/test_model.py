@@ -293,7 +293,7 @@ class TestFusedModel:
         tracked = []
         init = T._Node.__init__
 
-        def spy(self, *args, **kwargs):  # any tape node, a leaf's included
+        def spy(self, *args, **kwargs):  # any tape node
             init(self, *args, **kwargs)
             tracked.append(self)
 
@@ -502,6 +502,16 @@ class TestTapeKeepsWhatBackwardReads:
         assert all(ref() is None for ref in hs)
         assert all(p.grad is not None for p in model.parameters())
 
+    def test_parameters_keep_their_gradient_and_get_no_node(self, rng):
+        # only recorded ops have tape nodes: a leaf keeps its gradient itself
+        model = build(DESK, seed=0)
+        labels = rng.integers(0, DESK.num_classes, 4)
+        loss = cross_entropy(model.forward(_batch(rng, b=4, cfg=DESK)), labels)
+        loss.backward()
+        for p in model.parameters():
+            assert p._node is None
+            assert p.grad is not None and p.grad.shape == p.data.shape
+
 
 class TestSpikeCostTape:
     """When d_head < N (the desk model at 16x16: N = 16, d_head = 8), a
@@ -600,7 +610,7 @@ class TestDtype:
         return seen
 
     def test_cast_after_a_recorded_step_takes_the_new_dtype(self, rng):
-        # a parameter's tape node is made on first use and follows a later cast
+        # a parameter keeps its gradient itself, shaped and typed by its current data
         model = build(DESK, seed=0)
         x = _batch(rng, cfg=DESK)
         model.forward(x).sum().backward()

@@ -397,8 +397,8 @@ class TestBatchNormNodeDifferential:
         bn = BatchNorm(3)
         x = Tensor(rng.standard_normal((2, 4, 4, 3)), requires_grad=True)
         y = bn.forward(x)
-        assert y._node.parents == (x._node, bn.gamma._node, bn.beta._node)
-        assert all(p.parents == () for p in y._node.parents)  # leaves: no node between
+        assert y._node.parents == (x, bn.gamma, bn.beta)  # the leaves themselves
+        assert x._node is None and bn.gamma._node is None and bn.beta._node is None
 
 
 class TestDenseOps:
@@ -907,7 +907,7 @@ class TestNoGrad:
         with pytest.raises(RuntimeError, match="inside"):
             with no_grad():
                 raise RuntimeError("raised inside no_grad")
-        assert (w * 2.0)._node.parents == (w._node, None)  # the constant is untracked
+        assert (w * 2.0)._node.parents == (w, None)  # the constant is untracked
 
 
 _LIF = LIFParams()
