@@ -120,9 +120,9 @@ class ForwardRecorder:
         av = self._layer(f"{attn.name}.av", KIND_SSA)
         av.flops_per_item = flops
         av.items += items
-        # events = sum_{i,j,l} [A[i,j] != 0] * [V[j,l] != 0]
-        av.events += int(np.einsum("bhij,bhj->", (core != 0).astype(np.float64),
-                                   v.sum(axis=-1).astype(np.float64), optimize=True))
+        # events = sum_{i,j,l} [A[i,j] != 0] * [V[j,l] != 0]: a GEMV, exact (N * d < 2**24)
+        rows = np.matmul((core != 0).astype(dtype), v.sum(axis=-1, dtype=dtype)[..., None])
+        av.events += int(rows.sum(dtype=np.float64))
 
 
 @dataclass

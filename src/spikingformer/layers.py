@@ -216,7 +216,8 @@ class ConvBN2d(Module):
     tokenizer's maxpool). ``tokens=True``: a 1x1 convolution over
     the token axis of [B, N, D] tensors, i.e. a shared per-token linear map
     ``x @ W`` with an [in, out] kernel. Either way BN runs on the last axis.
-    ``fuse()`` folds the BN into a frozen kernel and bias in place.
+    ``fuse()`` folds the BN into a frozen kernel and bias in place; the fused
+    forward adds that bias to the bare product, ``y + bias``, for both kinds.
     """
 
     def __init__(self, in_channels, out_channels, rng, first_encoding=False, tokens=False):
@@ -233,15 +234,10 @@ class ConvBN2d(Module):
         self.bn = BatchNorm(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.tokens:
-            y = x @ self.weight
-            if self.bias is not None:
-                y = y + self.bias
-        else:
-            y = conv2d(x, self.weight, bias=self.bias)
+        y = x @ self.weight if self.tokens else conv2d(x, self.weight)
         if self.recorder is not None:  # MACs per item: output positions x kernel size
             self.recorder.observe_conv(self, x.data, math.prod(y.shape[1:-1]) * self.weight.size)
-        return y if self.bn is None else self.bn.forward(y)
+        return y + self.bias if self.bn is None else self.bn.forward(y)
 
     def fuse(self):
         """Fold the BN affine into the kernel and a bias, in place, and drop the BN.

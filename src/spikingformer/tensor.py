@@ -458,7 +458,7 @@ def _conv2d_input_grad(g_rows: np.ndarray, k2d: np.ndarray, x_shape):
     return np.ascontiguousarray(xpad[:, 1 : h + 1, 1 : w + 1])
 
 
-def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     """3x3 same cross-correlation (stride 1, zero padding 1) of a channels-last
     [B, H, W, C] map with a [3, 3, C, O] kernel, giving [B, H, W, O]: the
     tokenizer's only convolution (it downsamples by maxpool).
@@ -468,12 +468,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     ``rows.T @ g_rows`` in the kernel's own shape. A recording call keeps its
     input map for that gradient, and only when the kernel is tracked, never
     the rows, which are 9x larger (a spike map is on the tape already, as an
-    SN or maxpool output). The backward patches the map again in the
-    gradient's float dtype: the forward's rows as C-contiguous floats, so the
-    GEMM is the float path's. A call that records no tape node
-    is event-driven: once at least _SILENT_ROW_SHARE of the images are
-    all-zero, only the live images are patched and multiplied, and a silent
-    image's output is the bias (or zero).
+    SN or maxpool output). The backward patches the map again as C-contiguous
+    floats of the gradient's dtype, so its GEMM is the float path's. A call
+    that records no tape node is event-driven: once at least _SILENT_ROW_SHARE
+    of the images are all-zero, only the live images are patched and
+    multiplied, and a silent image's output is zero. A bias is the caller's.
     """
     if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
         raise ValueError(f"conv2d takes a [3, 3, C, O] kernel, got shape {kernel.shape}")
@@ -484,10 +483,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
             f"conv2d channel mismatch: input of shape {x.shape} read as [B, H, W, C] has "
             f"C={c}, kernel [kh, kw, C, O] expects C={ck}"
         )
-    parents = (x, kernel) if bias is None else (x, kernel, bias)
     k2d = kernel.data.reshape(-1, o)
     # a recording call stays dense: its backward is dense either way
-    live = None if _records(parents) else _live_if_sparse(x.data, axis=(1, 2, 3))
+    live = None if _records((x, kernel)) else _live_if_sparse(x.data, axis=(1, 2, 3))
     if live is None:
         rows = _patch_rows(x.data)
         y = rows @ k2d
@@ -495,10 +493,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         rows = _patch_rows(x.data[live])
         y = np.zeros((b, h * w, o), dtype=np.result_type(rows, k2d))
         y[live] = (rows @ k2d).reshape(-1, h * w, o)
-    if bias is not None:
-        y += bias.data
 
-    tx, tk, tb = x.tracked, kernel.tracked, bias is not None and bias.tracked
+    tx, tk = x.tracked, kernel.tracked
     x_shape, k_shape = x.shape, kernel.shape
     xd = x.data if tk else None
 
@@ -508,9 +504,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if tk:  # the forward's rows again, as floats
             gk = (_patch_rows(xd.astype(g.dtype, copy=False)).T @ g_rows).reshape(k_shape)
         gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
-        return gx, gk, g_rows.sum(axis=0) if tb else None
+        return gx, gk
 
-    return _make(y.reshape(b, h, w, o), parents, bwd)
+    return _make(y.reshape(b, h, w, o), (x, kernel), bwd)
 
 
 def maxpool2d(x: Tensor) -> Tensor:

@@ -164,15 +164,22 @@ def write_metrics_csv(metrics, path) -> None:
 # -- checkpoints ---------------------------------------------------------------
 
 
+def _finite(name: str, arr: np.ndarray) -> np.ndarray:
+    if not np.isfinite(arr).all():
+        raise ValueError(f"checkpoint tensor {name!r} holds a non-finite value (NaN or inf)")
+    return arr
+
+
 def save_checkpoint(model: Model, path) -> None:
     """Binary format: magic, u32 version, u32 count; per tensor a u32 name
-    length, UTF-8 name, u8 rank, u32 dims, little-endian f32 payload."""
-    state = model.state()
+    length, UTF-8 name, u8 rank, u32 dims, little-endian f32 payload. A NaN or
+    inf (after the f32 cast) raises ``ValueError`` before the file is opened."""
+    state = {name: _finite(name, np.ascontiguousarray(arr, dtype="<f4"))
+             for name, arr in sorted(model.state().items())}
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(state)))
-        for name in sorted(state):
-            arr = np.ascontiguousarray(state[name], dtype="<f4")
+        for name, arr in state.items():
             encoded = name.encode("utf-8")
             fh.write(struct.pack("<I", len(encoded)))
             fh.write(encoded)
@@ -187,7 +194,7 @@ def read_checkpoint(path) -> dict:
     A v1 file's rank-4 tensors (the only ones are spatial kernels) are
     transposed from [O, C, kh, kw] into contiguous [kh, kw, C, O] arrays.
     Any malformed file (bad magic or version, a short read anywhere, a
-    duplicate tensor name, trailing bytes) raises ``ValueError``.
+    duplicate name, a NaN or inf value, trailing bytes) raises ValueError.
     """
     with open(path, "rb") as fh:
         blob = memoryview(fh.read())
@@ -217,7 +224,7 @@ def read_checkpoint(path) -> dict:
         (rank,) = struct.unpack("<B", take(1, f"rank of tensor {name!r}"))
         dims = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of tensor {name!r}"))
         payload = take(4 * math.prod(dims), f"payload of tensor {name!r}")
-        arr = np.frombuffer(payload, dtype="<f4").reshape(dims)
+        arr = _finite(name, np.frombuffer(payload, dtype="<f4").reshape(dims))
         if version == 1 and rank == 4:
             arr = np.ascontiguousarray(arr.transpose(2, 3, 1, 0))
         state[name] = arr

@@ -200,6 +200,22 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: truncated checkpoint") and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["eval", "audit", "energy", "fuse"])
+    def test_nan_checkpoint_exits_cleanly(self, tmp_path, config_path, trained, command,
+                                          capsys):
+        # the last 4 bytes are a float of tokenizer.units.3.conv.weight; a NaN
+        # there silences every neuron after that conv (NaN >= threshold is false)
+        path = tmp_path / "nan.spkf"
+        path.write_bytes((trained / "checkpoint.spkf").read_bytes()[:-4]
+                         + np.float32(np.nan).tobytes())
+        out = tmp_path / "out"
+        assert main([command, "--config", config_path, "--checkpoint", str(path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: checkpoint tensor 'tokenizer.units.3.conv.weight' "
+                              "holds a non-finite value") and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
     def test_version_1_checkpoint_gives_bit_equal_logits(self, tmp_path, monkeypatch, fused):
         # embed_dim 12 makes the encoder conv 3 -> 3 channels: a [3, 3, 3, 3]

@@ -1,8 +1,10 @@
 """Package surface: every exported name resolves, and the CLI runs every
 exported function that is not an acceptance reference."""
 
+import ast
 import inspect
 import json
+import pathlib
 import sys
 
 import spikingformer
@@ -34,6 +36,23 @@ def test_submodule_names_are_modules():
     assert inspect.ismodule(train) and train is sys.modules["spikingformer.train"]
     assert callable(train.train) and callable(train.cross_entropy) and train.TrainConfig
     assert "train" not in spikingformer.__all__
+
+
+def test_runtime_imports_numpy_and_stdlib_only():
+    # numpy is the one declared dependency; scipy may be installed, but is not declared
+    allowed = set(sys.stdlib_module_names) | {"numpy"}
+    foreign = []
+    for path in sorted(pathlib.Path(spikingformer.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:  # not relative
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
+                        if name.split(".")[0] not in allowed]
+    assert not foreign, foreign
 
 
 def _cli_sweep(tmp_path):

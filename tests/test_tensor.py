@@ -103,7 +103,7 @@ class TestConv2d:
         x = Tensor(rng.standard_normal((1, 3, 3, 1)).astype(np.float32))
         w = Tensor(hwio(np.zeros((2, 1, 3, 3), dtype=np.float32)))
         b = Tensor(np.array([1.5, -2.0], dtype=np.float32))
-        y = conv2d(x, w, bias=b)
+        y = conv2d(x, w) + b
         assert np.all(y.data[..., 0] == 1.5) and np.all(y.data[..., 1] == -2.0)
 
 
@@ -522,8 +522,8 @@ class TestSilentImageConv:
 
     @staticmethod
     def _conv(x, w, bias, dtype):
-        b = None if bias is None else Tensor(bias, dtype=dtype)
-        return conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype), bias=b).data
+        y = conv2d(Tensor(x, dtype=dtype), Tensor(w, dtype=dtype))
+        return (y if bias is None else y + Tensor(bias, dtype=dtype)).data
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("with_bias", [False, True])
@@ -564,8 +564,8 @@ class TestSilentImageConv:
         w[1, 1, 2, 3] = np.nan
         bias = rng.standard_normal(4).astype(np.float32)
         with contextlib.nullcontext() if frozen else no_grad():
-            y = conv2d(Tensor(x, requires_grad=not frozen), Tensor(w),
-                       bias=Tensor(bias)).data[~x.any(axis=(1, 2, 3))]
+            y = (conv2d(Tensor(x, requires_grad=not frozen), Tensor(w))
+                 + Tensor(bias)).data[~x.any(axis=(1, 2, 3))]
         compacted = n_silent >= T._SILENT_ROW_SHARE * 8
         assert compacted == (which >= 2)
         assert np.all(y == bias) if compacted else np.all(np.isnan(y[..., 3]))
@@ -579,7 +579,7 @@ class TestSilentImageConv:
 
         def run(w):
             params = [Tensor(a, requires_grad=True, dtype=dtype) for a in (x, w, bias)]
-            y = conv2d(params[0], params[1], bias=params[2])
+            y = conv2d(params[0], params[1]) + params[2]
             (y * Tensor(upstream, dtype=dtype)).sum().backward()
             return [y.data] + [p.grad for p in params]
 
@@ -726,7 +726,7 @@ class TestBackward:
         b = tensor64(rng.standard_normal(3), requires_grad=True)
 
         def run():
-            return (conv2d(x, w, bias=b) ** 2.0).sum()
+            return ((conv2d(x, w) + b) ** 2.0).sum()
 
         run().backward()
         fd = finite_difference(lambda: run().item(), [x, w, b])
@@ -927,12 +927,10 @@ _UNTRACKED_OPS = {
     "sigmoid": lambda x: x.sigmoid(),
     "log_softmax": lambda x: log_softmax(x),
     "spike_threshold": lambda x: T.spike_threshold(x, 4.0),
-    "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))),
-                               bias=Tensor(np.zeros(3, dtype=np.float32))),
+    "conv2d": lambda x: conv2d(x, Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32)))),
     "conv2d_silent_image": lambda x: conv2d(
         x * np.array([0, 1], dtype=np.float32).reshape(2, 1, 1, 1),  # image 0 silent
-        Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32))),
-        bias=Tensor(np.zeros(3, dtype=np.float32))),
+        Tensor(hwio(np.ones((3, 4, 3, 3), dtype=np.float32)))),
     "maxpool2d": lambda x: maxpool2d(x),
     "multistep_lif": lambda x: multistep_lif(x, _LIF),
     "multistep_lif_chunked": lambda x: _chunked_lif(x),

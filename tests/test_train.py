@@ -410,6 +410,23 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         assert set(read_checkpoint(path)) == set(model.state())
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_payload(self, tmp_path, value):
+        path, blob = self._small_checkpoint(tmp_path)
+        # the last 4 bytes are the last float of "c", the last name in sorted order
+        path.write_bytes(blob[:-4] + np.float32(value).tobytes())
+        with pytest.raises(ValueError, match="tensor 'c' holds a non-finite value"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_save_refuses_non_finite_state_before_writing(self, tmp_path, value):
+        state = {"a": np.zeros(2, np.float32), "b.weight": np.array([1.0, value])}
+        path = tmp_path / "bad.spkf"
+        with pytest.raises(ValueError, match="tensor 'b.weight' holds a non-finite value"):
+            save_checkpoint(SimpleNamespace(state=lambda: state), path)
+        assert not path.exists()
+
 
 class TestFusedCheckpoint:
     def _fused(self):
