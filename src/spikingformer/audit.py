@@ -153,6 +153,8 @@ def run_recorded(model, batches) -> ForwardRecorder:
                 model.forward(batch)
     finally:
         model.set_recorder(None)
+    if not recorder.layers:
+        raise ValueError("no batch was recorded: batches is empty")
     for name, obs in recorder.layers.items():
         total = sum(obs.histogram.values()) + obs.anomalies
         if total != obs.elements:

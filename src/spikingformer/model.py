@@ -125,7 +125,8 @@ class Model(Module):
 
         Accepts static batches [B, C, H, W] (repeated across T at the input)
         or event batches [T, B, C, H, W] with T matching the config. The
-        input, an array or a Tensor, becomes a leaf in the parameters' dtype.
+        input, an array or a Tensor, becomes a leaf in the parameters' dtype;
+        a batch that holds no image raises ``ValueError``.
         """
         t = self.config.timesteps
         dtype = self.head.weight.data.dtype
@@ -139,6 +140,8 @@ class Model(Module):
             x = x.reshape((x.shape[0] * x.shape[1],) + x.shape[2:])
         else:
             raise ValueError(f"expected 4D or 5D input, got shape {x.shape}")
+        if x.shape[0] == 0:
+            raise ValueError("input batch holds no image")
         if x.shape[-3] != self.config.in_channels or x.shape[-2:] != tuple(self.config.image_size):
             raise ValueError(
                 f"input geometry {x.shape[-3:]} does not match config "

@@ -250,8 +250,10 @@ class Tensor:
 
         if dtype is not None:  # spikes by spikes: BLAS on transient float copies, exact
             y = np.matmul(a.astype(dtype), b.astype(dtype))  # as every count is below 2**24
+        elif b.ndim == 2:  # one flat GEMM over every leading axis of a: a token is a row
+            y = _live_gemm(a.reshape(-1, a.shape[-1]), b).reshape(a.shape[:-1] + b.shape[1:])
         else:
-            y = _token_gemm(a, b) if b.ndim == 2 else np.matmul(a, b)
+            y = np.matmul(a, b)
         return _make(y, (self, other), bwd)
 
     __matmul__ = matmul
@@ -304,11 +306,11 @@ class Tensor:
         return _make(s, (self,), lambda g: (g * s * (1.0 - s),))
 
 
-# Share of silent (all-zero) rows of a from which _token_gemm multiplies only
-# the live rows, and of silent images from which a tape-free conv2d builds
-# patch rows for the live images only. On the 4-384 token GEMMs (2048 rows of
-# 384 or 1536) the gather and scatter break even at 15-22% silent rows; at 1/4
-# the live-row GEMM is 5-14% faster on every shape.
+# Share of silent (all-zero) entries of _live_gemm's operand (a token GEMM's
+# rows, conv2d's images) from which only the live entries' rows are built and
+# multiplied. On the 4-384 token GEMMs (2048 rows of 384 or 1536) the gather
+# and scatter break even at 15-22% silent rows; at 1/4 the live-row GEMM is
+# 5-14% faster on every shape.
 _SILENT_ROW_SHARE = 0.25
 
 
@@ -327,30 +329,21 @@ def _as_float(x: np.ndarray, like: np.ndarray) -> np.ndarray:
     return x.astype(like.dtype) if x.dtype == bool else x
 
 
-def _live_if_sparse(x: np.ndarray, axis):
-    """Which entries of x's first axis hold a nonzero (``x.any(axis=axis)``),
-    or None when fewer than _SILENT_ROW_SHARE of them are silent."""
-    live = x.any(axis=axis)
-    if len(live) - np.count_nonzero(live) < _SILENT_ROW_SHARE * len(live):
-        return None
-    return live
+def _live_gemm(x: np.ndarray, b: np.ndarray, rows=lambda x: x) -> np.ndarray:
+    """rows(x) @ b for a 2-D b, where ``rows`` lays each entry of x's first axis
+    out as the GEMM rows of its middle axes (one row for a 2-D x).
 
-
-def _token_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for a 2-D b as one flat [M, K] GEMM over every leading axis of a.
-
-    Event-driven: when at least _SILENT_ROW_SHARE of a's rows hold no nonzero
-    (no spike arrived at that token), only the live rows are multiplied and
-    the silent rows of the result are exact zeros.
+    Event-driven: once at least _SILENT_ROW_SHARE of the entries hold no nonzero
+    (no spike reached that token or image), only the live entries' rows are
+    built and multiplied, and a silent entry's rows of the result are exact
+    zeros.
     """
-    rows = a.reshape(-1, a.shape[-1])
-    out_shape = a.shape[:-1] + b.shape[1:]
-    live = _live_if_sparse(rows, axis=1)
-    if live is None:
-        return np.matmul(rows, b).reshape(out_shape)
-    y = np.zeros((len(rows), b.shape[1]), dtype=np.result_type(a, b))
-    y[live] = rows[live] @ b
-    return y.reshape(out_shape)
+    live = x.any(axis=tuple(range(1, x.ndim)))
+    if len(live) - np.count_nonzero(live) < _SILENT_ROW_SHARE * len(live):
+        return rows(x) @ b
+    y = np.zeros(x.shape[:-1] + b.shape[1:], dtype=np.result_type(x, b))
+    y[live] = (rows(x[live]) @ b).reshape((-1,) + y.shape[1:])
+    return y.reshape(-1, b.shape[1])
 
 
 def _records(parents) -> bool:
@@ -464,15 +457,16 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     tokenizer's only convolution (it downsamples by maxpool).
 
     The kernel is stored as its GEMM operand: the patch rows [B*H*W, 9*C]
-    meet its [9*C, O] view in one dense GEMM, and the weight gradient is
-    ``rows.T @ g_rows`` in the kernel's own shape. A recording call keeps its
-    input map for that gradient, and only when the kernel is tracked, never
-    the rows, which are 9x larger (a spike map is on the tape already, as an
-    SN or maxpool output). The backward patches the map again as C-contiguous
-    floats of the gradient's dtype, so its GEMM is the float path's. A call
-    that records no tape node is event-driven: once at least _SILENT_ROW_SHARE
-    of the images are all-zero, only the live images are patched and
-    multiplied, and a silent image's output is zero. A bias is the caller's.
+    meet its [9*C, O] view in one GEMM (``_live_gemm``, as a token GEMM's
+    rows do), which is event-driven, recorded or not: once at least
+    _SILENT_ROW_SHARE of the images are all-zero, only the live images are
+    patched and multiplied, and a silent image's output is zero. The weight
+    gradient is ``rows.T @ g_rows`` in the kernel's own shape. A recording
+    call keeps its input map for that gradient, and only when the kernel is
+    tracked, never the rows, which are 9x larger (a spike map is on the tape
+    already, as an SN or maxpool output). The backward patches the whole map
+    again, spikes as floats of the gradient's dtype (``_as_float``), so its
+    dense GEMM is the float path's. A bias is the caller's.
     """
     if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
         raise ValueError(f"conv2d takes a [3, 3, C, O] kernel, got shape {kernel.shape}")
@@ -484,15 +478,7 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
             f"C={c}, kernel [kh, kw, C, O] expects C={ck}"
         )
     k2d = kernel.data.reshape(-1, o)
-    # a recording call stays dense: its backward is dense either way
-    live = None if _records((x, kernel)) else _live_if_sparse(x.data, axis=(1, 2, 3))
-    if live is None:
-        rows = _patch_rows(x.data)
-        y = rows @ k2d
-    else:  # event-driven: patch rows and GEMM for the images that carry a spike
-        rows = _patch_rows(x.data[live])
-        y = np.zeros((b, h * w, o), dtype=np.result_type(rows, k2d))
-        y[live] = (rows @ k2d).reshape(-1, h * w, o)
+    y = _live_gemm(x.data, k2d, _patch_rows)  # an image's rows are its patches
 
     tx, tk = x.tracked, kernel.tracked
     x_shape, k_shape = x.shape, kernel.shape
@@ -502,7 +488,7 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
         g_rows = g.reshape(-1, o)
         gk = None
         if tk:  # the forward's rows again, as floats
-            gk = (_patch_rows(xd.astype(g.dtype, copy=False)).T @ g_rows).reshape(k_shape)
+            gk = (_patch_rows(_as_float(xd, g)).T @ g_rows).reshape(k_shape)
         gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
         return gx, gk
 

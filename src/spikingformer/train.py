@@ -35,6 +35,8 @@ class TrainConfig:
     def __post_init__(self):
         if not self.lr >= 0:  # NaN fails too
             raise ValueError(f"lr must be >= 0, got {self.lr}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

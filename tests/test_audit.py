@@ -231,6 +231,10 @@ class TestModelAudit:
         assert not report.offending_layers
         assert report.layers  # something was actually audited
 
+    def test_no_batch_rejected(self):
+        with pytest.raises(ValueError, match="no batch was recorded"):
+            record(self._model(), [])
+
     def test_encoder_conv_not_audited(self, rng):
         report = record(self._model(), self._batch(rng))
         assert all("units.0" not in name for name in report.layers)

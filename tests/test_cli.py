@@ -165,6 +165,15 @@ class TestTrainCommand:
         main(["train", "--config", config_path, "--out", str(b), "--seed", "0"])
         assert (a / "checkpoint.spkf").read_bytes() == (b / "checkpoint.spkf").read_bytes()
 
+    def test_negative_weight_decay_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, weight_decay=-3.0)))
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: weight_decay must be >= 0") and "Traceback" not in err
+        assert not (out / "checkpoint.spkf").exists()
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_is_an_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"

@@ -203,6 +203,10 @@ class TestModelTracing:
                 continue
             assert sum(t.value_hist.values()) == pytest.approx(t.flops * t.timesteps)
 
+    def test_no_batch_rejected(self):
+        with pytest.raises(ValueError, match="no batch was recorded"):
+            trace_model(build(TINY, seed=0), [])
+
     def test_attention_traces_present(self, rng):
         kinds = [t.layer_id for t in self._traces(rng) if t.kind == KIND_SSA]
         assert any(l.endswith(".qk") for l in kinds)

@@ -129,6 +129,16 @@ class TestForward:
         with pytest.raises(ValueError, match="geometry"):
             model.forward(rng.uniform(0, 1, (2, 3, 16, 16)).astype(np.float32))
 
+    @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
+    @pytest.mark.parametrize("shape", [(0, 3, 8, 8), (2, 0, 3, 8, 8)], ids=["static", "events"])
+    def test_empty_batch_rejected(self, fused, shape):
+        model = build(TINY, seed=0)
+        model.eval()
+        if fused:
+            model.fuse()
+        with pytest.raises(ValueError, match="holds no image"):
+            model.forward(np.zeros(shape, dtype=np.float32))
+
     def test_samples_independent_within_batch(self, rng):
         model = build(TINY, seed=0)
         model.eval()
@@ -303,7 +313,7 @@ class TestFusedModel:
         assert tracked == []
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
-    def test_fused_logits_bit_equal_to_no_grad_and_tape(self, style):
+    def test_fused_logits_bit_equal_to_no_grad_and_tape(self, style, monkeypatch):
         import dataclasses
 
         cfg = dataclasses.replace(TINY, residual_style=style)
@@ -323,8 +333,19 @@ class TestFusedModel:
             untracked = model.forward(x).data
         for p in model.parameters():
             p.requires_grad = True
+        compacted = []  # per recorded conv2d call: enough silent images to skip them
+
+        def spy(x, kernel):
+            y = T.conv2d(x, kernel)
+            if y._node is not None:
+                silent = np.count_nonzero(~x.data.any(axis=(1, 2, 3)))
+                compacted.append(silent >= T._SILENT_ROW_SHARE * len(x.data))
+            return y
+
+        monkeypatch.setattr(layers, "conv2d", spy)
         taped = model.forward(x)
         assert taped._node is not None and fused._node is None
+        assert any(compacted)  # the tape's event-driven path is compared below
         np.testing.assert_array_equal(fused.data, untracked)
         np.testing.assert_array_equal(fused.data, taped.data)
 

@@ -165,6 +165,11 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="lr must be >= 0"):
             dataclasses.replace(FAST, lr=lr)
 
+    @pytest.mark.parametrize("weight_decay", [-3.0, float("nan")])
+    def test_invalid_weight_decay_rejected(self, weight_decay):
+        with pytest.raises(ValueError, match="weight_decay must be >= 0"):
+            dataclasses.replace(FAST, weight_decay=weight_decay)
+
     def test_zero_lr_leaves_model_unchanged(self):
         model = build(TINY, seed=0)
         before = {k: v.copy() for k, v in model.state().items()
