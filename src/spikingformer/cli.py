@@ -111,7 +111,9 @@ def load_config(path) -> dict:
 def model_config_from(cfg: dict, args) -> ModelConfig:
     overrides = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
     if "image_height" in cfg or "image_width" in cfg:
-        overrides["image_size"] = (cfg.get("image_height", 32), cfg.get("image_width", 32))
+        # a missing dimension comes from the preset, else from ModelConfig's default
+        h, w = (preset_config(cfg["preset"]) if "preset" in cfg else ModelConfig).image_size
+        overrides["image_size"] = (cfg.get("image_height", h), cfg.get("image_width", w))
     if "tokenizer_plan" in cfg:
         overrides["tokenizer_plan"] = tuple(cfg["tokenizer_plan"])
     if getattr(args, "timesteps", None) is not None:

@@ -132,12 +132,15 @@ class BatchNorm(Module):
             )
         reduce_axes = tuple(range(x.ndim - 1))
         data, dtype = x.data, x.data.dtype
-        inv_n = dtype.type(1.0 / math.prod(data.shape[:-1]))
-        training = self.training
+        training, inv_n = self.training, None  # only batch statistics take 1 / n
         if training:
+            n = math.prod(data.shape[:-1])
+            if not n:
+                raise ValueError("batchnorm cannot take batch statistics of an empty batch")
+            inv_n = dtype.type(1.0 / n)
             mu = data.sum(axis=reduce_axes, keepdims=True) * inv_n
             centered = data - mu
-            var = (centered ** 2.0).sum(axis=reduce_axes, keepdims=True) * inv_n
+            var = (centered * centered).sum(axis=reduce_axes, keepdims=True) * inv_n
             m = self.momentum
             self._buffers["running_mean"] = (
                 (1 - m) * self._buffers["running_mean"] + m * mu.reshape(-1)

@@ -109,10 +109,12 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):
     if model.fused:
         raise ValueError("model is fused and inference-only (its BNs are folded "
                          "and its parameters frozen); train the unfused model")
+    n = len(dataset)
+    if not n:
+        raise ValueError("dataset is empty: there is nothing to train on")
     rng = np.random.default_rng(cfg.seed)
     model.train()
     optimizer = AdamW(model.parameters(), cfg)
-    n = len(dataset)
     steps_per_epoch = max(1, n // cfg.batch_size)
     total_steps = cfg.epochs * steps_per_epoch
     metrics = []
@@ -143,6 +145,8 @@ def train(model: Model, dataset: Dataset, cfg: TrainConfig, metrics_path=None):
 
 def evaluate(model: Model, dataset: Dataset, batch_size: int = 64) -> float:
     """Top-1 accuracy in eval mode, tape-free; the model's mode is restored."""
+    if not len(dataset):
+        raise ValueError("dataset is empty: accuracy is undefined")
     was_training = model.training
     model.eval()
     correct = 0

@@ -20,7 +20,7 @@ from spikingformer.audit import (
     write_report_csv,
     write_report_json,
 )
-from spikingformer.energy import trace_model
+from spikingformer.energy import spikformer_recalc, trace_model
 from spikingformer.layers import ConvBN2d, SpikingSelfAttention
 from spikingformer.model import ModelConfig, build
 
@@ -101,12 +101,12 @@ class TestPurityReport:
 
 
 def _sorting_observe_conv(x, tol=1e-5):
-    """The np.unique recorder the bincount one replaced:
+    """Per-element reference: round every value, then sort the integral ones;
     (histogram, anomalies, nonzero, elements, items) of one conv input."""
     rounded = np.rint(x)
     anomalous = np.abs(x - rounded) > tol
-    values, counts = np.unique(rounded[~anomalous].astype(np.int64), return_counts=True)
-    histogram = dict(zip(values.tolist(), counts.tolist()))
+    values, counts = np.unique(rounded[~anomalous], return_counts=True)
+    histogram = {int(v): c for v, c in zip(values.tolist(), counts.tolist())}
     return histogram, int(anomalous.sum()), int(np.count_nonzero(x)), x.size, x.shape[0]
 
 
@@ -123,21 +123,21 @@ def _recorder_inputs():
         "near-inside": near + rng.choice([-1, 1], shape) * rng.uniform(0, 0.99e-5, shape),
         "near-outside": near + rng.choice([-1, 1], shape) * rng.uniform(1.01e-5, 3e-5, shape),
         "wide-span": np.array([[0.0, 1.0, 2.0, 1e7]]),
-        # 2**63 casts to INT64_MIN on both sides, so min..max spans all of int64
+        # past int64, where a cast to it would key every value INT64_MIN
         "beyond-int64": np.array([[0.0, 1.0, 2.0 ** 63, -5.0]]),
+        "1e20": np.array([[0.0, 1e20, 1.0, 1e20, -1e20]], np.float32),
     }
 
 
 class TestRecorderDifferential:
-    """The linear-time recorder against the np.unique recorder it replaced."""
+    """The distinct-value recorder against a per-element sorting reference."""
 
     @pytest.mark.parametrize("kind", list(_recorder_inputs()))
     def test_matches_sorting_recorder(self, kind):
         x = _recorder_inputs()[kind]
         rec = ForwardRecorder()
-        with np.errstate(invalid="ignore"):  # the beyond-int64 cast
-            rec.observe_conv(_FakeLayer("l"), x, 1)
-            histogram, anomalies, nonzero, elements, items = _sorting_observe_conv(x)
+        rec.observe_conv(_FakeLayer("l"), x, 1)
+        histogram, anomalies, nonzero, elements, items = _sorting_observe_conv(x)
         obs = rec.layers["l"]
         assert dict(obs.histogram) == histogram  # no zero-count bins: all-one is {1: n}
         assert (obs.anomalies, obs.nonzero, obs.elements, obs.items) == (
@@ -295,6 +295,26 @@ class TestModelAudit:
         for consumer in (record, trace_model):
             with pytest.raises(RuntimeError, match="histogram total"):
                 consumer(self._model(), self._batch(rng))
+
+    def test_inputs_beyond_int64_keep_their_value(self, rng, monkeypatch):
+        """Every audited conv input scaled to float32 1e20: the peaks that
+        max_convbn_input reads and the accumulates spikformer_recalc charges
+        keep the exact integer, never a wrapped negative one."""
+        observe = ForwardRecorder.observe_conv
+        big = np.float32(1e20)
+
+        def scaled(recorder, layer, x, flops):
+            observe(recorder, layer, x if layer.first_encoding else x * big, flops)
+
+        monkeypatch.setattr(ForwardRecorder, "observe_conv", scaled)
+        model = build(dataclasses.replace(TINY, residual_style="add"), seed=0)
+        batch = self._batch(rng)
+        peaks = {name: max(info["histogram"]) for name, info in record(model, batch).layers.items()}
+        assert peaks and all(peak == 0 or peak >= int(big) for peak in peaks.values())
+        assert max(peaks.values()) >= int(big)
+        report = spikformer_recalc(trace_model(model, batch))
+        assert all(ops >= 0 and pj >= 0 for _, _, ops, pj in report.entries)
+        assert report.total_pj > 1e20
 
     def test_tape_recorder_exposes_every_site(self, rng):
         """A recorder attached by hand to a forward on the tape reports each

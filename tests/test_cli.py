@@ -147,6 +147,14 @@ class TestConfigValidation:
         assert captured.err.startswith("error: ") and "tau" in captured.err
         assert "Traceback" not in captured.err and "verdict" not in captured.out
 
+    @pytest.mark.parametrize("cfg,size", [
+        ({"preset": "spikingformer-8-384", "image_height": 112}, (112, 224)),
+        ({"preset": "spikingformer-8-384", "image_width": 96}, (224, 96)),
+        ({k: v for k, v in TINY_CFG.items() if k != "image_width"}, (8, 32)),
+    ], ids=["preset-height", "preset-width", "no-preset"])
+    def test_missing_image_dimension_keeps_its_default(self, cfg, size):
+        assert model_config_from(cfg, None).image_size == size
+
     def test_invalid_json_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

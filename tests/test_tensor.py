@@ -290,6 +290,14 @@ class TestBatchnorm:
         want = np.broadcast_to(bn.beta.data, y.data.shape)
         np.testing.assert_allclose(y.data, want, atol=1e-5)
 
+    def test_empty_batch(self):
+        # eval mode normalises no rows; train mode has no batch statistics to take
+        bn = _eval_batchnorm([1.5], [0.5], [1.0], [4.0])
+        x = np.zeros((0, 1), dtype=np.float32)
+        assert bn.forward(Tensor(x)).data.shape == (0, 1)
+        with pytest.raises(ValueError, match="empty batch"):
+            bn.train().forward(Tensor(x))
+
     def test_running_stats_update(self, rng):
         from spikingformer.layers import BatchNorm
 

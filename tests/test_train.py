@@ -227,6 +227,13 @@ class TestTrainLoop:
             np.testing.assert_array_equal(p.data, before[name])
             assert p.grad is None
 
+    def test_empty_dataset_rejected(self):
+        model = build(TINY, seed=0)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            train(model, _dataset(0), FAST)
+        with pytest.raises(ValueError, match="dataset is empty"):
+            evaluate(model, _dataset(0))
+
     def test_evaluate_bounds(self):
         model = build(TINY, seed=0)
         acc = evaluate(model, _dataset(16))
