@@ -1,13 +1,13 @@
 """Instrumentation: per-ConvBN input histograms, firing rates, purity verdicts.
 
 A ForwardRecorder hooks every ConvBN (and the attention matmuls) during a
-forward pass. Input values are binned at the nearest integer: one count
-decides a ``bool`` spike input; any other input is sorted once by
-``np.unique`` and only its distinct values are rounded, so a bin's key is the
-exact integer at any magnitude. A value more than 1e-5 away from an integer,
-or not finite, lands in an anomaly bucket instead of a bin.
-The purity verdict asserts the spike-driven claim: every conv input except
-the encoder conv is exactly binary.
+forward pass. The encoder conv's analog input is only counted; every other
+conv input is binned at the nearest integer: one count decides a ``bool``
+spike input; any other input is sorted once by ``np.unique`` and only its
+distinct values are rounded, so a bin's key is the exact integer at any
+magnitude. A value more than 1e-5 away from an integer, or not finite, lands
+in an anomaly bucket instead of a bin. The purity verdict asserts the
+spike-driven claim: every conv input except the encoder conv is exactly binary.
 """
 
 from __future__ import annotations
@@ -70,6 +70,9 @@ class ForwardRecorder:
         obs.flops_per_item = flops_per_item
         obs.items += x.shape[0]
         obs.elements += x.size
+        if layer.first_encoding:  # analog data: only its fr is ever read, never a bin
+            obs.nonzero += int(np.count_nonzero(x))
+            return
         if x.dtype == bool:  # spikes: binary by construction, one count decides them
             nonzero = int(np.count_nonzero(x))
             obs.nonzero += nonzero
@@ -137,8 +140,8 @@ class PurityReport:
 
 def run_recorded(model, batches) -> ForwardRecorder:
     """Run tape-free forward passes over one array or an iterable of batches
-    with a fresh recorder attached; returns the recorder once every layer's
-    histogram (plus anomalies) accounts for each element it observed."""
+    with a fresh recorder attached; returns the recorder once every binned
+    site's histogram (plus anomalies) accounts for each element it observed."""
     recorder = ForwardRecorder()
     model.set_recorder(recorder)
     try:
@@ -151,7 +154,7 @@ def run_recorded(model, batches) -> ForwardRecorder:
         raise ValueError("no batch was recorded: batches is empty")
     for name, obs in recorder.layers.items():
         total = sum(obs.histogram.values()) + obs.anomalies
-        if total != obs.elements:
+        if obs.kind != KIND_FIRST and total != obs.elements:
             raise RuntimeError(f"histogram total {total} != elements {obs.elements} for {name}")
     return recorder
 

@@ -227,11 +227,12 @@ def cmd_audit(args) -> int:
 
 def cmd_energy(args) -> int:
     model, model_cfg, dataset = _eval_setup(args, need_checkpoint=False)
+    if args.mode is not None and model_cfg.residual_style != ADD:
+        raise ConfigError(f"--mode applies to ADD models only, not {model_cfg.residual_style}")
     traces = energy_mod.trace_model(model, (x for x, _ in batches(dataset, 32)))
     out = _out_dir(args)
     if model_cfg.residual_style == ADD:
-        mode = (energy_mod.MODE_INTEGER_AS_MAC if args.mode == 2
-                else energy_mod.MODE_INTEGER_AS_N_ACS)
+        mode = energy_mod.RECALC_MODES[(args.mode or 1) - 1]
         report = energy_mod.spikformer_recalc(traces, mode=mode)
     elif dataset.kind == KIND_EVENTS:
         report = energy_mod.energy_neuromorphic(traces)
@@ -299,7 +300,7 @@ def make_parser() -> argparse.ArgumentParser:
     audit_p = sub.add_parser("audit", parents=[common, ckpt])
     audit_p.add_argument("--require-pure", action="store_true")
     energy_p = sub.add_parser("energy", parents=[common, ckpt])
-    energy_p.add_argument("--mode", type=int, choices=(1, 2), default=1)
+    energy_p.add_argument("--mode", type=int, choices=(1, 2), help="ADD models only (default 1)")
     sub.add_parser("fuse", parents=[common, ckpt])
     sub.add_parser("params", parents=[common])
     return parser

@@ -9,6 +9,14 @@ SOPs follow SOP = fr * T * FLOPs. For the attention matmuls, fr is the
 exact fraction of scheduled products whose operands are both nonzero,
 measured on the recorded spikes (this reduces to the plain firing rate for
 convs over binary inputs).
+
+One charge table serves every mode (MAC = E_MAC, AC = E_AC; c_N counts the
+conv products whose integer operand is N; an encoder charged at MAC comes first):
+
+  trace kind           static     neuromorphic  integer-as-N-ACs  integer-as-MAC
+  first-encoding-conv  MAC*FLOPs  AC*SOP        MAC*FLOPs         MAC*FLOPs
+  snn-conv             AC*SOP     AC*SOP        AC*sum(N*c_N)     MAC*sum(c_N>1)+AC*c_1
+  ssa-matmul           AC*SOP     AC*SOP        AC*SOP            AC*SOP
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ from .audit import KIND_CONV, KIND_FIRST, KIND_SSA, run_recorded
 
 MODE_INTEGER_AS_N_ACS = "integer-as-N-ACs"
 MODE_INTEGER_AS_MAC = "integer-as-MAC"
+RECALC_MODES = (MODE_INTEGER_AS_N_ACS, MODE_INTEGER_AS_MAC)  # `energy --mode` 1 and 2
 
 PJ_PER_MJ = 1e9
 
@@ -74,33 +83,41 @@ def sops(flops: int, fr: float, timesteps: int) -> int:
     return int(round(fr * timesteps * flops))
 
 
-def _single_first_layer(traces) -> LayerTrace:
-    firsts = [t for t in traces if t.kind == KIND_FIRST]
-    if len(firsts) != 1:
-        raise ValueError(f"expected exactly one first-encoding-conv trace, got {len(firsts)}")
-    return firsts[0]
+def _report(traces, mode: str) -> EnergyReport:
+    """Charges traces in order by the module's table; every mode but
+    neuromorphic needs exactly one encoder trace."""
+    report = EnergyReport(mode=mode)
+    if mode != "neuromorphic":
+        firsts = [t for t in traces if t.kind == KIND_FIRST]
+        if len(firsts) != 1:
+            raise ValueError(f"expected exactly one first-encoding-conv trace, got {len(firsts)}")
+        traces = firsts + [t for t in traces if t.kind != KIND_FIRST]
+    for t in traces:
+        if t.kind == KIND_FIRST and mode != "neuromorphic":
+            report.add(t.layer_id, t.kind, t.flops, E_MAC * t.flops)
+        elif t.kind == KIND_CONV and mode in RECALC_MODES:
+            if t.value_hist is None:
+                raise ValueError(f"trace {t.layer_id} lacks the integer value histogram")
+            if mode == MODE_INTEGER_AS_N_ACS:  # no MACs: operand N is N accumulates
+                macs, acs = 0, sum(v * c for v, c in t.value_hist.items())
+            else:
+                macs = sum(c for v, c in t.value_hist.items() if v > 1)
+                acs = t.value_hist.get(1, 0)
+            report.add(t.layer_id, t.kind, int(round(macs + acs)), E_MAC * macs + E_AC * acs)
+        else:  # attention operands are binary spikes even in ADD style
+            ops = sops(t.flops, t.fr, t.timesteps)
+            report.add(t.layer_id, t.kind, ops, E_AC * ops)
+    return report
 
 
 def energy_static(traces) -> EnergyReport:
     """Static-image energy: encoder conv at MAC cost, everything else at AC."""
-    first = _single_first_layer(traces)
-    report = EnergyReport(mode="static")
-    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
-    for t in traces:
-        if t.kind == KIND_FIRST:
-            continue
-        ops = sops(t.flops, t.fr, t.timesteps)
-        report.add(t.layer_id, t.kind, ops, E_AC * ops)
-    return report
+    return _report(traces, "static")
 
 
 def energy_neuromorphic(traces) -> EnergyReport:
     """Event-input energy: pure AC sum over every layer."""
-    report = EnergyReport(mode="neuromorphic")
-    for t in traces:
-        ops = sops(t.flops, t.fr, t.timesteps)
-        report.add(t.layer_id, t.kind, ops, E_AC * ops)
-    return report
+    return _report(traces, "neuromorphic")
 
 
 def spikformer_recalc(traces, mode: str = MODE_INTEGER_AS_N_ACS) -> EnergyReport:
@@ -110,30 +127,9 @@ def spikformer_recalc(traces, mode: str = MODE_INTEGER_AS_N_ACS) -> EnergyReport
     accumulates. mode "integer-as-MAC": any product with operand > 1 is
     charged as a full multiply-accumulate.
     """
-    if mode not in (MODE_INTEGER_AS_N_ACS, MODE_INTEGER_AS_MAC):
+    if mode not in RECALC_MODES:
         raise ValueError(f"unknown recalculation mode {mode!r}")
-    first = _single_first_layer(traces)
-    report = EnergyReport(mode=mode)
-    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
-    for t in traces:
-        if t.kind == KIND_FIRST:
-            continue
-        if t.kind == KIND_CONV:
-            if t.value_hist is None:
-                raise ValueError(f"trace {t.layer_id} lacks the integer value histogram")
-            if mode == MODE_INTEGER_AS_N_ACS:
-                acs = sum(v * c for v, c in t.value_hist.items())
-                report.add(t.layer_id, t.kind, int(round(acs)), E_AC * acs)
-            else:
-                macs = sum(c for v, c in t.value_hist.items() if v > 1)
-                acs = t.value_hist.get(1, 0)
-                report.add(t.layer_id, t.kind, int(round(macs + acs)),
-                           E_MAC * macs + E_AC * acs)
-        else:
-            # attention operands are binary spikes even in ADD style
-            ops = sops(t.flops, t.fr, t.timesteps)
-            report.add(t.layer_id, t.kind, ops, E_AC * ops)
-    return report
+    return _report(traces, mode)
 
 
 def trace_model(model, batches) -> list:
@@ -146,14 +142,13 @@ def trace_model(model, batches) -> list:
     t_steps = model.config.timesteps
     traces = []
     for name, obs in sorted(recorder.layers.items()):
+        fr, hist = obs.firing_rate, None  # the encoder is charged by FLOPs or fr: no histogram
         if obs.kind == KIND_SSA:
             fr = obs.events / (obs.flops_per_item * obs.items) if obs.items else 0.0
-            traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, fr, t_steps))
-            continue
-        scale = obs.flops_per_item * t_steps / obs.elements if obs.elements else 0.0
-        hist = {v: c * scale for v, c in obs.histogram.items()}
-        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, obs.firing_rate,
-                                 t_steps, value_hist=hist))
+        elif obs.kind == KIND_CONV:
+            scale = obs.flops_per_item * t_steps / obs.elements if obs.elements else 0.0
+            hist = {v: c * scale for v, c in obs.histogram.items()}
+        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, fr, t_steps, value_hist=hist))
     return traces
 
 

@@ -132,7 +132,7 @@ class BatchNorm(Module):
             )
         reduce_axes = tuple(range(x.ndim - 1))
         data, dtype = x.data, x.data.dtype
-        training, inv_n = self.training, None  # only batch statistics take 1 / n
+        training = self.training
         if training:
             n = math.prod(data.shape[:-1])
             if not n:

@@ -50,9 +50,13 @@ def _owner(a: np.ndarray) -> np.ndarray:
 def closure_arrays(fn):
     """(name, array) for each array a backward closure captured, lists and
     tuples of arrays opened up. A closure captures arrays only: a captured
-    ``Tensor`` (an operand or an output) fails the check."""
+    ``Tensor`` (an operand or an output) fails the check. An empty cell (a
+    name one branch of the forward never binds) holds nothing and is skipped."""
     for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
-        stack = [cell.cell_contents]
+        try:
+            stack = [cell.cell_contents]
+        except ValueError:  # empty cell
+            continue
         while stack:
             value = stack.pop()
             assert not isinstance(value, T.Tensor), f"{fn.__qualname__} captures a Tensor as {name}"

@@ -91,6 +91,21 @@ class TestRecorderHistogram:
         assert rec.layers["z"].firing_rate == 0.0
         assert LayerObservation("unseen", KIND_CONV).firing_rate == 0.0
 
+    def test_encoder_input_is_counted_not_binned(self):
+        """The encoder conv's analog input feeds only its fr: the observation
+        counts elements and nonzeros (NaN is nonzero, -0.0 is zero) and keeps
+        no histogram and no anomalies."""
+        rec = ForwardRecorder()
+        layer = _FakeLayer("enc", first=True)
+        rec.observe_conv(layer, np.array([[0.0, 0.25, -1.5, -0.0], [2.0, np.nan, 0.0, 3.7]],
+                                         np.float32), 5)
+        rec.observe_conv(layer, np.array([[True, False, False, True]]), 5)
+        obs = rec.layers["enc"]
+        assert obs.kind == KIND_FIRST and obs.first_encoding
+        assert (obs.items, obs.elements, obs.nonzero, obs.flops_per_item) == (3, 12, 7, 5)
+        assert obs.firing_rate == 7 / 12
+        assert not obs.histogram and obs.anomalies == 0
+
 
 class TestPurityReport:
     def test_pure_follows_offending_layers(self):

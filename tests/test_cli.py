@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from spikingformer import cli
+from spikingformer.audit import KIND_FIRST
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
+from spikingformer.energy import E_MAC, trace_model
 from spikingformer.model import Model, build
 from spikingformer.tensor import no_grad
 from spikingformer.train import load_checkpoint, save_checkpoint
@@ -314,6 +316,44 @@ class TestEnergyCommand:
             totals[mode] = payload["total_pj"]
             assert payload["mode"].startswith("integer-as")
         assert totals[1] <= totals[2]
+
+    @pytest.mark.parametrize("dataset", ["synthetic-static", "synthetic-events"])
+    @pytest.mark.parametrize("mode", ["1", "2"])
+    def test_mode_on_a_spike_driven_model_exits_cleanly(self, tmp_path, monkeypatch, dataset,
+                                                          mode, capsys):
+        """--mode prices only ADD residuals: on any other model it is refused
+        before a forward runs and before --out is created."""
+        cfg = dict(TINY_CFG, dataset=dataset,
+                   in_channels=2 if dataset == "synthetic-events" else 3)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        monkeypatch.setattr(Model, "forward", lambda *a, **k: pytest.fail("a forward ran"))
+        out = tmp_path / "energy"
+        assert main(["energy", "--config", str(path), "--out", str(out), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--mode" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dataset", ["synthetic-static", "synthetic-events"])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "1"], ["--mode", "2"]],
+                             ids=["default", "mode1", "mode2"])
+    def test_add_style_convention(self, tmp_path, dataset, mode):
+        """ADD residuals are priced by a recalculation mode on either dataset,
+        integer-as-N-ACs unless --mode 2, with the encoder entered first at
+        E_MAC * FLOPs (also on event input)."""
+        in_channels = 2 if dataset == "synthetic-events" else 3
+        cfg = dict(TINY_CFG, residual_style="add", dataset=dataset, in_channels=in_channels)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "energy"
+        assert main(["energy", "--config", str(path), "--out", str(out)] + mode) == 0
+        payload = json.loads((out / "energy.json").read_text())
+        assert payload["mode"] == ("integer-as-MAC" if mode[1:] == ["2"] else "integer-as-N-ACs")
+        model = build(model_config_from(cfg, None)).eval()
+        encoder = next(t for t in trace_model(model, np.zeros((1, in_channels, 8, 8), np.float32))
+                       if t.kind == KIND_FIRST)
+        assert payload["layers"][0] == {"layer": encoder.layer_id, "kind": KIND_FIRST,
+                                        "ops": encoder.flops, "energy_pj": E_MAC * encoder.flops}
 
 
 class TestFuseCommand:

@@ -196,12 +196,15 @@ class TestModelTracing:
         assert sum(t.kind == KIND_FIRST for t in traces) == 1
 
     def test_histograms_sum_to_flops_times_t(self, rng):
-        # analog encoder inputs land in the anomaly bucket, so only the
-        # spike-fed convs carry complete operation-level histograms
+        # every spike-fed conv carries a complete operation-level histogram
         for t in self._traces(rng):
-            if t.value_hist is None or t.kind == KIND_FIRST:
-                continue
-            assert sum(t.value_hist.values()) == pytest.approx(t.flops * t.timesteps)
+            if t.kind == KIND_CONV:
+                assert sum(t.value_hist.values()) == pytest.approx(t.flops * t.timesteps)
+
+    def test_only_convs_past_the_encoder_carry_a_histogram(self, rng):
+        # the encoder is charged by its FLOPs or its fr, so its analog input is never binned
+        for t in self._traces(rng):
+            assert (t.value_hist is not None) == (t.kind == KIND_CONV), t.layer_id
 
     def test_no_batch_rejected(self):
         with pytest.raises(ValueError, match="no batch was recorded"):
@@ -252,3 +255,126 @@ class TestEnergyOutput:
     def test_entries_sum_to_total(self):
         report = self._report()
         assert sum(e[3] for e in report.entries) == pytest.approx(report.total_pj)
+
+
+# -- the three builders energy.py had before its one charge loop, kept as its reference --
+
+
+def _reference_first(traces):
+    firsts = [t for t in traces if t.kind == KIND_FIRST]
+    if len(firsts) != 1:
+        raise ValueError(f"expected exactly one first-encoding-conv trace, got {len(firsts)}")
+    return firsts[0]
+
+
+def _reference_static(traces):
+    first = _reference_first(traces)
+    report = EnergyReport(mode="static")
+    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
+    for t in traces:
+        if t.kind == KIND_FIRST:
+            continue
+        ops = sops(t.flops, t.fr, t.timesteps)
+        report.add(t.layer_id, t.kind, ops, E_AC * ops)
+    return report
+
+
+def _reference_neuromorphic(traces):
+    report = EnergyReport(mode="neuromorphic")
+    for t in traces:
+        ops = sops(t.flops, t.fr, t.timesteps)
+        report.add(t.layer_id, t.kind, ops, E_AC * ops)
+    return report
+
+
+def _reference_recalc(traces, mode):
+    if mode not in (MODE_INTEGER_AS_N_ACS, MODE_INTEGER_AS_MAC):
+        raise ValueError(f"unknown recalculation mode {mode!r}")
+    first = _reference_first(traces)
+    report = EnergyReport(mode=mode)
+    report.add(first.layer_id, first.kind, first.flops, E_MAC * first.flops)
+    for t in traces:
+        if t.kind == KIND_FIRST:
+            continue
+        if t.kind == KIND_CONV:
+            if t.value_hist is None:
+                raise ValueError(f"trace {t.layer_id} lacks the integer value histogram")
+            if mode == MODE_INTEGER_AS_N_ACS:
+                acs = sum(v * c for v, c in t.value_hist.items())
+                report.add(t.layer_id, t.kind, int(round(acs)), E_AC * acs)
+            else:
+                macs = sum(c for v, c in t.value_hist.items() if v > 1)
+                acs = t.value_hist.get(1, 0)
+                report.add(t.layer_id, t.kind, int(round(macs + acs)),
+                           E_MAC * macs + E_AC * acs)
+        else:
+            ops = sops(t.flops, t.fr, t.timesteps)
+            report.add(t.layer_id, t.kind, ops, E_AC * ops)
+    return report
+
+
+_CONVENTIONS = [
+    (energy_static, _reference_static),
+    (energy_neuromorphic, _reference_neuromorphic),
+] + [
+    (lambda t, m=mode: spikformer_recalc(t, m), lambda t, m=mode: _reference_recalc(t, m))
+    for mode in (MODE_INTEGER_AS_N_ACS, MODE_INTEGER_AS_MAC, "integer-as-half-MAC")
+]
+
+
+def _random_trace(rng, name, kind):
+    flops, fr, steps = int(rng.integers(0, 5000)), float(rng.random()), int(rng.integers(1, 5))
+    hist = None
+    if kind != KIND_SSA and rng.random() < 0.8:
+        # integer operands 0-8; counts as trace_model scales them (float), or plain ints
+        values = rng.choice(9, size=int(rng.integers(1, 6)), replace=False).tolist()
+        counts = rng.integers(0, 2000, len(values))
+        scale = float(rng.uniform(0.1, 3.0)) if rng.random() < 0.5 else 1
+        hist = {v: c * scale for v, c in zip(values, counts.tolist())}
+    return LayerTrace(name, kind, flops, fr, steps, value_hist=hist)
+
+
+def _random_traces(rng, encoders):
+    """Convs and attention matmuls in random order, with the encoder trace
+    placed first, last, in the middle, twice or nowhere."""
+    traces = [_random_trace(rng, f"layer{i}", [KIND_CONV, KIND_SSA][int(rng.integers(2))])
+              for i in range(int(rng.integers(1, 8)))]
+    encoder = [_random_trace(rng, f"encoder{i}", KIND_FIRST) for i in range(2)]
+    if encoders == "first":
+        return encoder[:1] + traces
+    if encoders == "last":
+        return traces + encoder[:1]
+    if encoders == "middle":
+        return traces[:1] + encoder[:1] + traces[1:]
+    if encoders == "doubled":
+        return traces[:1] + encoder[:1] + traces[1:] + encoder[1:]
+    return traces
+
+
+class TestOneChargeLoopMatchesTheSeparateBuilders:
+    """Every report the single charge loop writes is the one the three
+    separate builders wrote: the same entries in the same order, the same
+    total to the last bit, and the same error where they refused."""
+
+    @pytest.mark.parametrize("seed,encoders", enumerate(
+        ["first", "last", "middle", "doubled", "absent"]))
+    def test_reports_are_bit_identical(self, seed, encoders):
+        rng = np.random.default_rng(seed)
+        refused = 0
+        for _ in range(60):
+            traces = _random_traces(rng, encoders)
+            for price, reference in _CONVENTIONS:
+                try:
+                    expected = reference(traces)
+                except ValueError as exc:
+                    refused += 1
+                    with pytest.raises(type(exc)) as info:
+                        price(traces)
+                    assert str(info.value) == str(exc)
+                    continue
+                got = price(traces)
+                assert got.mode == expected.mode
+                assert got.entries == expected.entries
+                assert got.total_pj == expected.total_pj
+                assert repr(got) == repr(expected)  # int ops stay int, floats keep their bits
+        assert refused  # every placement meets at least one refusal (the unknown mode)

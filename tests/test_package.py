@@ -65,8 +65,11 @@ def _cli_sweep(tmp_path):
                                               in_channels=channels)))
             common = ["--config", str(config), "--out", str(run)]
             checkpoint = ["--checkpoint", str(run / "checkpoint.spkf")]
-            for argv in (["train"], ["eval", *checkpoint], ["audit"], ["energy", "--mode", "1"],
-                         ["energy", "--mode", "2"], ["fuse", *checkpoint]):
+            # --mode prices ADD residuals only; a spike-driven model refuses it
+            energy = ([["energy", "--mode", "1"], ["energy", "--mode", "2"]] if style == "add"
+                      else [["energy"]])
+            for argv in (["train"], ["eval", *checkpoint], ["audit"], *energy,
+                         ["fuse", *checkpoint]):
                 assert main(argv[:1] + common + argv[1:]) == 0, (style, dataset, argv)
     preset = tmp_path / "preset.json"
     preset.write_text(json.dumps({"preset": "spikingformer-4-384"}))
