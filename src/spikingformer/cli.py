@@ -8,12 +8,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import MISSING, fields
+from typing import get_type_hints
 
 import numpy as np
 
 from . import audit as audit_mod
 from . import energy as energy_mod
-from .data import KIND_EVENTS, Dataset, batches, load_cifar10_binary, synth_events, synth_static
+from .data import Dataset, batches, load_cifar10_binary, synth_events, synth_static
 from .layers import ADD, HEAD_VARIANTS, SPIKE_DRIVEN
 from .model import (
     ModelConfig,
@@ -32,31 +34,26 @@ from .train import (
     train,
 )
 
-# flat config schema: key -> (expected type(s), allowed values or None)
+
+def _scalar_fields(cls) -> dict:
+    """A config class's fields that one JSON scalar sets: name -> type."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if hints[f.name] in (int, float, str)}
+
+
+_MODEL_KEYS = _scalar_fields(ModelConfig)
+_TRAIN_KEYS = _scalar_fields(TrainConfig)
+
+# flat config schema: key -> (expected type(s), allowed values or None); the
+# scalar fields of ModelConfig and TrainConfig, plus the CLI's own keys
 _SCHEMA = {
-    "preset": (str, tuple(PRESETS)),
-    "blocks": (int, None),
-    "embed_dim": (int, None),
-    "heads": (int, None),
-    "timesteps": (int, None),
-    "num_classes": (int, None),
-    "in_channels": (int, None),
-    "image_height": (int, None),
-    "image_width": (int, None),
-    "scale": (float, None),
-    "tokenizer_plan": (list, None),
+    **{key: (kind, None) for key, kind in {**_MODEL_KEYS, **_TRAIN_KEYS}.items()},
     "head_variant": (str, HEAD_VARIANTS),
     "residual_style": (str, (SPIKE_DRIVEN, ADD)),
-    "mlp_ratio": (int, None),
-    "tau": (float, None),
-    "v_threshold": (float, None),
-    "v_reset": (float, None),
-    "alpha": (float, None),
-    "epochs": (int, None),
-    "batch_size": (int, None),
-    "lr": (float, None),
-    "weight_decay": (float, None),
-    "seed": (int, None),
+    "preset": (str, tuple(PRESETS)),
+    "image_height": (int, None),
+    "image_width": (int, None),
+    "tokenizer_plan": (list, None),
     "dataset": (str, ("synthetic-static", "synthetic-events", "cifar10")),
     "data_path": (str, None),
     "samples": (int, None),
@@ -65,12 +62,6 @@ _SCHEMA = {
 
 # key -> least allowed value
 _MINIMUM = {"samples": 1, "batch_size": 1, "epochs": 1, "timesteps": 1, "noise": 0}
-
-_TRAIN_KEYS = ("epochs", "batch_size", "lr", "weight_decay")
-
-_MODEL_KEYS = ("blocks", "embed_dim", "heads", "timesteps", "num_classes", "in_channels",
-               "scale", "head_variant", "residual_style", "mlp_ratio",
-               "tau", "v_threshold", "v_reset", "alpha")
 
 
 class ConfigError(ValueError):
@@ -120,8 +111,8 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
         overrides["timesteps"] = args.timesteps
     if "preset" in cfg:
         return preset_config(cfg["preset"], **overrides)
-    required = ("blocks", "embed_dim", "heads", "timesteps", "num_classes")
-    missing = [k for k in required if k not in overrides]
+    missing = [f.name for f in fields(ModelConfig)
+               if f.default is MISSING and f.name not in overrides]
     if missing:
         raise ConfigError(f"config missing required keys: {missing}")
     return ModelConfig(**overrides)
@@ -189,7 +180,7 @@ def _out_dir(args) -> str:
 
 def cmd_train(args) -> int:
     cfg, model_cfg, seed = _load(args)
-    train_cfg = TrainConfig(seed=seed, **{k: cfg[k] for k in _TRAIN_KEYS if k in cfg})
+    train_cfg = TrainConfig(**{**{k: cfg[k] for k in _TRAIN_KEYS if k in cfg}, "seed": seed})
     dataset = dataset_from(cfg, args, model_cfg, seed)
     model = build(model_cfg, seed=seed)
     out = _out_dir(args)
@@ -234,7 +225,7 @@ def cmd_energy(args) -> int:
     if model_cfg.residual_style == ADD:
         mode = energy_mod.RECALC_MODES[(args.mode or 1) - 1]
         report = energy_mod.spikformer_recalc(traces, mode=mode)
-    elif dataset.kind == KIND_EVENTS:
+    elif dataset.x.ndim == 5:  # event frames
         report = energy_mod.energy_neuromorphic(traces)
     else:
         report = energy_mod.energy_static(traces)

@@ -9,18 +9,15 @@ import numpy as np
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 CIFAR_CLASSES = 10
 
-KIND_STATIC = "static-image"
-KIND_EVENTS = "event-frames"
-
 
 @dataclass
 class Dataset:
-    """Labelled samples. Static x: [n, C, H, W]; events: [n, T, C, H, W]."""
+    """Labelled samples; the rank of x is the layout: static images are
+    [n, C, H, W], event frames [n, T, C, H, W]."""
 
     x: np.ndarray
     y: np.ndarray
     num_classes: int
-    kind: str
 
     def __len__(self):
         return len(self.y)
@@ -31,13 +28,13 @@ def batches(dataset: Dataset, batch_size: int, order=None):
 
     Samples are taken in ``order`` (an index array; default: dataset order),
     ``batch_size`` at a time, the last batch possibly short. Event frames
-    move from [B, T, ...] to [T, B, ...].
+    (a 5-D x) move from [B, T, ...] to [T, B, ...].
     """
     order = np.arange(len(dataset)) if order is None else order
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         xb = dataset.x[idx]
-        if dataset.kind == KIND_EVENTS:
+        if xb.ndim == 5:
             xb = np.moveaxis(xb, 0, 1)
         yield xb, dataset.y[idx]
 
@@ -56,7 +53,7 @@ def load_cifar10_binary(path, limit=None) -> Dataset:
     if labels.max(initial=0) >= CIFAR_CLASSES:
         raise ValueError(f"{path}: label {labels.max()} out of range for CIFAR-10")
     pixels = records[:, 1:].reshape(-1, 3, 32, 32).astype(np.float32) / 255.0
-    return Dataset(x=pixels, y=labels, num_classes=CIFAR_CLASSES, kind=KIND_STATIC)
+    return Dataset(x=pixels, y=labels, num_classes=CIFAR_CLASSES)
 
 
 def class_templates(classes: int, shape, seed: int) -> np.ndarray:
@@ -84,7 +81,7 @@ def synth_static(classes: int, n: int, seed: int, shape=(3, 8, 8), noise: float 
     if noise > 0:
         x = x + noise * rng.standard_normal(x.shape).astype(np.float32)
     x = np.clip(x, 0.0, 1.0).astype(np.float32)
-    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes, kind=KIND_STATIC)
+    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes)
 
 
 def synth_events(classes: int, n: int, t_steps: int, seed: int, shape=(2, 8, 8)) -> Dataset:
@@ -98,5 +95,5 @@ def synth_events(classes: int, n: int, t_steps: int, seed: int, shape=(2, 8, 8))
     y = rng.integers(0, classes, size=n)
     p = rates[y][:, None]  # [n, 1, C, H, W] broadcast over T
     x = (rng.uniform(size=(n, t_steps, c, h, w)) < p).astype(np.float32)
-    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes, kind=KIND_EVENTS)
+    return Dataset(x=x, y=y.astype(np.int64), num_classes=classes)
 

@@ -94,7 +94,7 @@ def _report(traces, mode: str) -> EnergyReport:
         traces = firsts + [t for t in traces if t.kind != KIND_FIRST]
     for t in traces:
         if t.kind == KIND_FIRST and mode != "neuromorphic":
-            report.add(t.layer_id, t.kind, t.flops, E_MAC * t.flops)
+            macs, acs = t.flops, 0
         elif t.kind == KIND_CONV and mode in RECALC_MODES:
             if t.value_hist is None:
                 raise ValueError(f"trace {t.layer_id} lacks the integer value histogram")
@@ -103,10 +103,10 @@ def _report(traces, mode: str) -> EnergyReport:
             else:
                 macs = sum(c for v, c in t.value_hist.items() if v > 1)
                 acs = t.value_hist.get(1, 0)
-            report.add(t.layer_id, t.kind, int(round(macs + acs)), E_MAC * macs + E_AC * acs)
         else:  # attention operands are binary spikes even in ADD style
-            ops = sops(t.flops, t.fr, t.timesteps)
-            report.add(t.layer_id, t.kind, ops, E_AC * ops)
+            macs, acs = 0, sops(t.flops, t.fr, t.timesteps)
+        # a zero count prices at an exact 0.0, so one line charges every mode
+        report.add(t.layer_id, t.kind, int(round(macs + acs)), E_MAC * macs + E_AC * acs)
     return report
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI: every subcommand against a tiny synthetic config."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from spikingformer import cli
 from spikingformer.audit import KIND_FIRST
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
 from spikingformer.energy import E_MAC, trace_model
-from spikingformer.model import Model, build
+from spikingformer.layers import ADD, HEAD_SN_FC_AVGPOOL, HEAD_VARIANTS, SPIKE_DRIVEN
+from spikingformer.model import PRESETS, Model, ModelConfig, build
 from spikingformer.tensor import no_grad
-from spikingformer.train import load_checkpoint, save_checkpoint
+from spikingformer.train import TrainConfig, load_checkpoint, save_checkpoint
 
 from helpers import write_cifar10_binary, write_v1_checkpoint
 
@@ -496,3 +498,115 @@ class TestCifarPath:
         err = capsys.readouterr().err
         assert "needs 10 classes" in err and "num_classes is 4" in err
         assert not (tmp_path / "run" / "checkpoint.spkf").exists()
+
+
+# The config tables as they stood when each was written out by hand; the
+# derived tables must keep every key, type and allowed value.
+_REFERENCE_SCHEMA = {
+    "preset": (str, tuple(PRESETS)),
+    "blocks": (int, None),
+    "embed_dim": (int, None),
+    "heads": (int, None),
+    "timesteps": (int, None),
+    "num_classes": (int, None),
+    "in_channels": (int, None),
+    "image_height": (int, None),
+    "image_width": (int, None),
+    "scale": (float, None),
+    "tokenizer_plan": (list, None),
+    "head_variant": (str, HEAD_VARIANTS),
+    "residual_style": (str, (SPIKE_DRIVEN, ADD)),
+    "mlp_ratio": (int, None),
+    "tau": (float, None),
+    "v_threshold": (float, None),
+    "v_reset": (float, None),
+    "alpha": (float, None),
+    "epochs": (int, None),
+    "batch_size": (int, None),
+    "lr": (float, None),
+    "weight_decay": (float, None),
+    "seed": (int, None),
+    "dataset": (str, ("synthetic-static", "synthetic-events", "cifar10")),
+    "data_path": (str, None),
+    "samples": (int, None),
+    "noise": (float, None),
+}
+_REFERENCE_TRAIN_KEYS = ("epochs", "batch_size", "lr", "weight_decay")
+_REFERENCE_MODEL_KEYS = ("blocks", "embed_dim", "heads", "timesteps", "num_classes",
+                         "in_channels", "scale", "head_variant", "residual_style", "mlp_ratio",
+                         "tau", "v_threshold", "v_reset", "alpha")
+_REFERENCE_REQUIRED = ("blocks", "embed_dim", "heads", "timesteps", "num_classes")
+
+# field -> (config keys that set it, the value the built config then holds);
+# every value differs from what TINY_CFG builds
+_FIELD_CASES = {
+    "blocks": ({"blocks": 2}, 2),
+    "embed_dim": ({"embed_dim": 16}, 16),
+    "heads": ({"heads": 4}, 4),
+    "timesteps": ({"timesteps": 3}, 3),
+    "num_classes": ({"num_classes": 5}, 5),
+    "in_channels": ({"in_channels": 2}, 2),
+    "image_size": ({"image_height": 16, "image_width": 12}, (16, 12)),
+    "scale": ({"scale": 0.25}, 0.25),
+    "tokenizer_plan": ({"tokenizer_plan": ["sped", "spe", "sped"]}, ("sped", "spe", "sped")),
+    "head_variant": ({"head_variant": HEAD_SN_FC_AVGPOOL}, HEAD_SN_FC_AVGPOOL),
+    "residual_style": ({"residual_style": ADD}, ADD),
+    "mlp_ratio": ({"mlp_ratio": 2}, 2),
+    "tau": ({"tau": 3}, 3.0),
+    "v_threshold": ({"v_threshold": 0.5}, 0.5),
+    "v_reset": ({"v_reset": -0.25}, -0.25),
+    "alpha": ({"alpha": 2.5}, 2.5),
+    "epochs": ({"epochs": 3}, 3),
+    "batch_size": ({"batch_size": 4}, 4),
+    "lr": ({"lr": 0.01}, 0.01),
+    "weight_decay": ({"weight_decay": 0.125}, 0.125),
+    "seed": ({"seed": 7}, 7),
+}
+
+
+def _built_configs(tmp_path, monkeypatch, cfg) -> dict:
+    """{ModelConfig: ..., TrainConfig: ...} as ``train`` builds them from a
+    JSON config, with the training loop itself stubbed out."""
+    seen = {}
+
+    def fake_train(model, dataset, train_cfg, metrics_path):
+        seen.update({type(c): c for c in (model.config, train_cfg)})
+        return [{"loss": 0.0, "acc": 0.0}]
+
+    monkeypatch.setattr(cli, "train", fake_train)
+    tmp_path.mkdir()
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    return seen
+
+
+class TestConfigSchema:
+    def test_schema_matches_the_reference(self):
+        assert cli._SCHEMA == _REFERENCE_SCHEMA
+
+    def test_key_tables_match_the_reference(self):
+        assert tuple(cli._MODEL_KEYS) == _REFERENCE_MODEL_KEYS
+        # seed is the one TrainConfig field the old table left out: cmd_train
+        # passes the seed that ``_load`` resolved (--seed, else the config's)
+        assert tuple(cli._TRAIN_KEYS) == _REFERENCE_TRAIN_KEYS + ("seed",)
+        for key, kind in {**cli._MODEL_KEYS, **cli._TRAIN_KEYS}.items():
+            assert kind is _REFERENCE_SCHEMA[key][0], key
+
+    def test_required_keys_match_the_reference(self):
+        with pytest.raises(ConfigError) as info:
+            model_config_from({}, None)
+        assert str(info.value) == f"config missing required keys: {list(_REFERENCE_REQUIRED)}"
+        for key in _REFERENCE_REQUIRED:
+            cfg = {k: v for k, v in TINY_CFG.items() if k != key}
+            with pytest.raises(ConfigError, match=rf"missing required keys: \['{key}'\]"):
+                model_config_from(cfg, None)
+
+    @pytest.mark.parametrize("cls,field", [pytest.param(cls, f.name, id=f.name)
+                                           for cls in (ModelConfig, TrainConfig)
+                                           for f in fields(cls)])
+    def test_every_field_reaches_its_config(self, tmp_path, monkeypatch, cls, field):
+        keys, expected = _FIELD_CASES[field]  # a new field needs a case here
+        default = _built_configs(tmp_path / "default", monkeypatch, TINY_CFG)[cls]
+        built = _built_configs(tmp_path / "set", monkeypatch, dict(TINY_CFG, **keys))[cls]
+        assert getattr(built, field) == expected != getattr(default, field)

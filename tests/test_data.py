@@ -5,6 +5,8 @@ import pytest
 
 from spikingformer.data import (
     CIFAR_RECORD_BYTES,
+    Dataset,
+    batches,
     class_templates,
     load_cifar10_binary,
     synth_events,
@@ -126,3 +128,42 @@ class TestSyntheticEvents:
         r0 = ds.x[ds.y == 0].mean(axis=(0, 1))
         r1 = ds.x[ds.y == 1].mean(axis=(0, 1))
         assert np.abs(r0 - r1).max() > 0.1
+
+
+class TestBatches:
+    """The rank of a dataset's x is its layout: a 4-D one is static images,
+    a 5-D one event frames that ``Model.forward`` takes T-major."""
+
+    @staticmethod
+    def _dataset(rng, shape):
+        return Dataset(x=rng.standard_normal(shape).astype(np.float32),
+                       y=rng.integers(0, 3, shape[0]), num_classes=3)
+
+    def test_static_batches_are_the_samples_in_order(self, rng):
+        ds = self._dataset(rng, (7, 2, 4, 4))
+        order = rng.permutation(7)
+        out = list(batches(ds, 3, order=order))
+        assert [len(y) for _, y in out] == [3, 3, 1]  # the last batch is short
+        for i, (xb, yb) in enumerate(out):
+            idx = order[3 * i : 3 * i + 3]
+            np.testing.assert_array_equal(xb, ds.x[idx])
+            np.testing.assert_array_equal(yb, ds.y[idx])
+
+    def test_default_order_is_dataset_order(self, rng):
+        ds = self._dataset(rng, (5, 2, 4, 4))
+        xs, ys = zip(*batches(ds, 2))
+        np.testing.assert_array_equal(np.concatenate(xs), ds.x)
+        np.testing.assert_array_equal(np.concatenate(ys), ds.y)
+
+    @pytest.mark.parametrize("n,batch", [(7, 3), (4, 4)], ids=["short-last", "batch-equals-T"])
+    def test_event_batches_are_time_major(self, rng, n, batch):
+        ds = self._dataset(rng, (n, 4, 2, 4, 4))  # T = 4
+        order = rng.permutation(n)
+        out = list(batches(ds, batch, order=order))
+        assert [len(y) for _, y in out] == [min(batch, n - s) for s in range(0, n, batch)]
+        for i, (xb, yb) in enumerate(out):
+            idx = order[batch * i : batch * (i + 1)]
+            assert xb.shape == (4, len(idx), 2, 4, 4)
+            for j, sample in enumerate(idx):
+                np.testing.assert_array_equal(xb[:, j], ds.x[sample])
+            np.testing.assert_array_equal(yb, ds.y[idx])
