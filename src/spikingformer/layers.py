@@ -158,12 +158,14 @@ class BatchNorm(Module):
         gamma, beta = self.gamma.data, self.beta.data
         parents = (x, self.gamma, self.beta)
         x_hat = np.multiply(centered, inv_std, out=centered)
-        if _records(parents):
-            y = x_hat * gamma
-        else:  # no backward reads x_hat: scale it in place
-            y = x_hat
-            y *= gamma
-        y += beta
+
+        def affine(out=None):  # also the tape's rebuild of y, from the arrays bwd keeps
+            y = np.multiply(x_hat, gamma, out=out)
+            y += beta
+            return y
+
+        # no backward reads x_hat unless the call records: else scale it in place
+        y = affine() if _records(parents) else affine(out=x_hat)
         tx = x.tracked
 
         def bwd(g):
@@ -180,7 +182,10 @@ class BatchNorm(Module):
                     gx = g * scale
             return gx, g_gamma, g_beta
 
-        return _make(y, parents, bwd)
+        out = _make(y, parents, bwd)
+        if out._node is not None:
+            out._node.remat = affine
+        return out
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""

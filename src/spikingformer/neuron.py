@@ -88,9 +88,13 @@ def multistep_lif(
     spikes (``bool`` for a float32 x, else 0/1 in x's dtype) equal a loop of
     ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
     and never detaches the reset. The backward runs the BPTT recurrence in
-    reverse over T and reads only H and the spikes, never the input; H is
-    stored for it only when the call records a tape node. In spiking mode
-    the backward allocates two scratch rows per call and nothing per step.
+    reverse over T and reads only H and the spikes, never the input. A call
+    that records a tape node keeps H for it, unless x's node can rebuild x
+    (``_Node.remat``: a batch norm's output, through any reshapes). Then the
+    forward keeps only the spikes, and the backward rebuilds x and runs
+    ``lif_step``'s operations over it again in place, each reset taken from
+    the stored spikes, so H is the forward's bit for bit. In spiking mode
+    the BPTT sweep allocates two scratch rows per call and nothing per step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -100,38 +104,47 @@ def multistep_lif(
     dt = xd.dtype.type
     decay, v_th, v_reset = dt(1.0 / params.tau), dt(params.v_threshold), dt(params.v_reset)
     steps, n = xd.shape[0], math.prod(xd.shape[1:])
-    x2 = xd.reshape(steps, n)
     one = dt(1.0)  # 1 - S in x's dtype: a Python 1.0 minus bool spikes is float64 (NEP 50)
+
+    def sweep(x2, hs, s2, fire):
+        """lif_step's operations over [T, n] rows in preallocated buffers,
+        writing H[t] into hs if given (which may be x2 itself: H overwrites X
+        in place) and, if ``fire``, the spikes into s2; else the reset reads
+        s2's spikes."""
+        bufs = [np.empty(min(n, _LIF_CHUNK), dtype=x2.dtype) for _ in range(4)]
+        for lo in range(0, n, _LIF_CHUNK):  # the whole T loop per chunk, so its slices stay in cache
+            hi = min(lo + _LIF_CHUNK, n)
+            v, h_tmp, x_tmp, reset = (buf[: hi - lo] for buf in bufs)
+            v.fill(v_reset)
+            for t in range(steps):
+                h = h_tmp if hs is None else hs[t, lo:hi]
+                s = s2[t, lo:hi]
+                xt = x2[t, lo:hi]
+                if input_scale != 1.0:
+                    xt = np.multiply(xt, dt(input_scale), out=x_tmp)
+                # with V_reset = 0, V - V_reset and + S * V_reset change no value
+                np.subtract(xt, np.subtract(v, v_reset, out=reset) if v_reset else v, out=h)
+                np.add(v, np.multiply(h, decay, out=h), out=h)
+                if fire and mode == SPIKING:
+                    np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
+                elif fire:
+                    with np.errstate(over="ignore"):
+                        s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
+                if t + 1 == steps:  # nothing reads the membrane after the last step
+                    break
+                np.multiply(h, np.subtract(one, s, out=v), out=v)
+                if v_reset:
+                    np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+
     spikes = np.empty((steps, n), dtype=bool if mode == SPIKING and dt is np.float32 else dt)
-    # H[t] is kept for the backward only; a tape-free call reuses one chunk of scratch
-    hs = np.empty((steps, n), dtype=xd.dtype) if _records((x,)) else None
-    bufs = [np.empty(min(n, _LIF_CHUNK), dtype=xd.dtype) for _ in range(4)]
-    for lo in range(0, n, _LIF_CHUNK):  # the whole T loop per chunk, so its slices stay in cache
-        hi = min(lo + _LIF_CHUNK, n)
-        v, h_tmp, x_tmp, reset = (buf[: hi - lo] for buf in bufs)
-        v.fill(v_reset)
-        for t in range(steps):  # lif_step's operations, in preallocated buffers
-            h = h_tmp if hs is None else hs[t, lo:hi]
-            s = spikes[t, lo:hi]
-            xt = x2[t, lo:hi]
-            if input_scale != 1.0:
-                xt = np.multiply(xt, dt(input_scale), out=x_tmp)
-            # with V_reset = 0, V - V_reset and + S * V_reset change no value
-            np.subtract(xt, np.subtract(v, v_reset, out=h) if v_reset else v, out=h)
-            np.add(v, np.multiply(h, decay, out=h), out=h)
-            if mode == SPIKING:
-                np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
-            else:
-                with np.errstate(over="ignore"):
-                    s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
-            if t + 1 == steps:  # nothing reads the membrane after the last step
-                break
-            np.multiply(h, np.subtract(one, s, out=v), out=v)
-            if v_reset:
-                np.add(v, np.multiply(s, v_reset, out=reset), out=v)
-    spikes = spikes.reshape(xd.shape)
-    if hs is not None:
-        hs = hs.reshape(xd.shape)
+    # H[t] is kept for the backward only, and only where the input cannot be
+    # rebuilt (a batch norm's output can): else one chunk of scratch serves
+    records = _records((x,))
+    rebuild = x._node.remat if records and x._node is not None else None
+    hs = np.empty((steps, n), dtype=xd.dtype) if records and rebuild is None else None
+    sweep(xd.reshape(steps, n), hs, spikes, fire=True)
+    shape = xd.shape
+    spikes = spikes.reshape(shape)
 
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed
@@ -140,17 +153,24 @@ def multistep_lif(
         # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau. Spiking mode
         # allocates no temporary: g_h holds dL/dV of step t + 1 and then dL/dH,
         # sg the surrogate and then its term, and the row gx[t] is scratch
-        # (H - V_th, then 1 - S) until it receives the step's gradient.
-        gx = np.empty_like(hs)
-        g_h = np.zeros_like(hs[0])
-        sg = np.empty_like(hs[0])
+        # (H - V_th, then 1 - S) until it receives the step's gradient. It
+        # reads H[t] only once, first, so gx is H's own buffer; relaxed mode
+        # reads it again.
+        h2 = hs
+        if h2 is None:  # the input again, then H over it in place, each reset by the spikes
+            h2 = rebuild().reshape(steps, n)
+            sweep(h2, h2, spikes.reshape(steps, n), fire=False)
+        h_all = h2.reshape(shape)
+        gx = h_all if mode == SPIKING else np.empty_like(h_all)
+        g_h = np.zeros_like(h_all[0])
+        sg = np.empty_like(h_all[0])
         for t in range(steps - 1, -1, -1):
             scratch = gx[t]
-            surrogate_grad(np.subtract(hs[t], v_th, out=scratch), params.alpha, out=sg)
+            surrogate_grad(np.subtract(h_all[t], v_th, out=scratch), params.alpha, out=sg)
             if mode == SPIKING:  # the reset is detached
                 np.multiply(g[t], sg, out=sg)
             else:
-                sg *= (g[t] + g_h * v_reset) - g_h * hs[t]
+                sg *= (g[t] + g_h * v_reset) - g_h * h_all[t]
             np.multiply(g_h, np.subtract(one, spikes[t], out=scratch), out=g_h)
             g_h += sg
             np.multiply(g_h, decay, out=gx[t])

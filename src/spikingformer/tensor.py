@@ -9,11 +9,15 @@ takes. Only recorded ops have nodes: a leaf keeps its gradient in its own
 only the arrays its backward reads (a product its operands, a reshape a
 shape, a conv its input map, a batch norm its normalised input and inverse
 deviation), so an intermediate that no backward reads is freed with its last
-Python reference. Calling ``backward()`` on a scalar result runs the recorded
-closures in exact reverse creation order and accumulates gradients into every
-leaf it reaches; each node is released as soon as its closure has run (its
-gradient, closure and parents dropped), and only leaves keep ``.grad``. A
-second ``backward()`` through a released graph raises ``RuntimeError``.
+Python reference. A node may also offer ``remat``, a bit-exact rebuild of its
+output from arrays its closure holds: a batch norm's is ``x_hat * gamma +
+beta`` and a reshape passes it on, so a LIF layer fed by a batch norm keeps
+only its spikes and rebuilds its ``H`` history in its backward. Calling
+``backward()`` on a scalar result runs the recorded closures in exact reverse
+creation order and accumulates gradients into every leaf it reaches; each
+node is released as soon as its closure has run (its gradient, closure,
+parents and rebuild dropped), and only leaves keep ``.grad``. A second
+``backward()`` through a released graph raises ``RuntimeError``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -71,11 +75,14 @@ class _Node:
     recorded, the operand itself if it is a leaf (``requires_grad``), or None
     if it is untracked; ``backward(g)`` returns one gradient per operand (None
     where none is needed); ``grad`` is the gradient slot, and ``shape`` /
-    ``dtype`` are those of the op's result. A node a sweep has passed has
-    ``parents`` None.
+    ``dtype`` are those of the op's result. ``remat``, if set, rebuilds
+    that result bit for bit from arrays the closure already keeps, so a
+    consumer need not keep an array of its own that it could derive from the
+    result (see ``BatchNorm.forward`` and ``multistep_lif``). A node a sweep
+    has passed has ``parents`` and ``remat`` None.
     """
 
-    __slots__ = ("parents", "backward", "grad", "shape", "dtype", "seq")
+    __slots__ = ("parents", "backward", "grad", "shape", "dtype", "seq", "remat")
 
     def __init__(self, data: np.ndarray, parents, backward):
         self.parents = parents
@@ -84,6 +91,7 @@ class _Node:
         self.shape = data.shape
         self.dtype = data.dtype
         self.seq = next(_seq_counter)
+        self.remat = None
 
 
 def _accumulate(target, grad: np.ndarray) -> None:
@@ -177,7 +185,7 @@ class Tensor:
                 for parent, g in zip(node.parents, node.backward(node.grad)):
                     if parent is not None and g is not None:
                         _accumulate(parent, g)
-            node.grad = node.backward = node.parents = None
+            node.grad = node.backward = node.parents = node.remat = None
 
     # -- helpers ------------------------------------------------------------
 
@@ -283,7 +291,12 @@ class Tensor:
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
         before = self.data.shape
-        return _make(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
+        out = _make(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
+        remat = self._node.remat if self._node is not None else None
+        if remat is not None and out._node is not None:  # a rebuild passes through
+            after = out.shape
+            out._node.remat = lambda: remat().reshape(after)
+        return out
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
@@ -323,9 +336,10 @@ def _count_dtype(*arrays):
 
 def _as_float(x: np.ndarray, like: np.ndarray) -> np.ndarray:
     """x, or, for bool spikes, their copy in ``like``'s float dtype and in x's
-    memory layout, for a backward GEMM against a gradient. The GEMM is then
-    the float path's BLAS call: numpy's own cast of a transposed bool operand
-    lays it out anew, and the other BLAS kernel can round the sum differently."""
+    memory layout, for a GEMM against a float operand (a kernel, or in a
+    backward a gradient). The GEMM is then the float path's BLAS call:
+    numpy's own cast of a transposed bool operand lays it out anew, and the
+    other BLAS kernel can round the sum differently."""
     return x.astype(like.dtype) if x.dtype == bool else x
 
 
@@ -336,13 +350,14 @@ def _live_gemm(x: np.ndarray, b: np.ndarray, rows=lambda x: x) -> np.ndarray:
     Event-driven: once at least _SILENT_ROW_SHARE of the entries hold no nonzero
     (no spike reached that token or image), only the live entries' rows are
     built and multiplied, and a silent entry's rows of the result are exact
-    zeros.
+    zeros. Bool spikes are cast to b's float dtype before ``rows`` lays them
+    out: a conv patches the float map once, and no GEMM casts bool rows.
     """
     live = x.any(axis=tuple(range(1, x.ndim)))
     if len(live) - np.count_nonzero(live) < _SILENT_ROW_SHARE * len(live):
-        return rows(x) @ b
+        return rows(_as_float(x, b)) @ b
     y = np.zeros(x.shape[:-1] + b.shape[1:], dtype=np.result_type(x, b))
-    y[live] = (rows(x[live]) @ b).reshape((-1,) + y.shape[1:])
+    y[live] = (rows(_as_float(x[live], b)) @ b).reshape((-1,) + y.shape[1:])
     return y.reshape(-1, b.shape[1])
 
 

@@ -5,6 +5,7 @@ A module name of its own keeps these importable when another suite's
 """
 
 import struct
+import types
 
 import numpy as np
 
@@ -49,21 +50,34 @@ def _owner(a: np.ndarray) -> np.ndarray:
 
 def closure_arrays(fn):
     """(name, array) for each array a backward closure captured, lists and
-    tuples of arrays opened up. A closure captures arrays only: a captured
-    ``Tensor`` (an operand or an output) fails the check. An empty cell (a
-    name one branch of the forward never binds) holds nothing and is skipped."""
-    for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
-        try:
-            stack = [cell.cell_contents]
-        except ValueError:  # empty cell
+    tuples of arrays opened up, and the closures of captured functions (a
+    rebuild function, a helper) walked into, each function once, an array
+    there named by its own cell. A closure captures arrays only: a captured
+    ``Tensor`` (an operand or an output) at any depth fails the check. An
+    empty cell (a name one branch of the forward never binds) holds nothing
+    and is skipped."""
+    seen = set()
+    functions = [fn]
+    while functions:
+        fn = functions.pop(0)
+        if id(fn) in seen:
             continue
-        while stack:
-            value = stack.pop()
-            assert not isinstance(value, T.Tensor), f"{fn.__qualname__} captures a Tensor as {name}"
-            if isinstance(value, (list, tuple)):
-                stack.extend(reversed(value))
-            elif isinstance(value, np.ndarray):
-                yield name, value
+        seen.add(id(fn))
+        for name, cell in zip(fn.__code__.co_freevars, fn.__closure__ or ()):
+            try:
+                stack = [cell.cell_contents]
+            except ValueError:  # empty cell
+                continue
+            while stack:
+                value = stack.pop()
+                assert not isinstance(value, T.Tensor), \
+                    f"{fn.__qualname__} captures a Tensor as {name}"
+                if isinstance(value, (list, tuple)):
+                    stack.extend(reversed(value))
+                elif isinstance(value, np.ndarray):
+                    yield name, value
+                elif isinstance(value, types.FunctionType):
+                    functions.append(value)
 
 
 def tape_nodes(out: T.Tensor) -> list:

@@ -508,19 +508,58 @@ class TestTapeKeepsWhatBackwardReads:
         tape = {id(arr) for _, arr in tape_arrays(logits, model.parameters())}
         assert [op for op, arr in unread if id(arr) in tape] == []
 
+    # the SNs of the desk model (SN head) whose input no batch norm gives:
+    # a residual sum (the stream's SNs, except block 0's spike-driven sn_in,
+    # whose input is the tokenizer's last BN through a reshape) or attention's
+    # core. Only these keep their H history; every other SN rebuilds it from
+    # its BN's normalised input in the backward.
+    KEEP_H = {
+        SPIKE_DRIVEN: ["blocks.0.attn.sn_attn", "blocks.0.mlp.sn1", "blocks.1.attn.sn_attn",
+                       "blocks.1.attn.sn_in", "blocks.1.mlp.sn1", "head.sn"],
+        ADD: ["blocks.0.attn.sn_attn", "blocks.1.attn.sn_attn", "head.sn"],
+    }
+
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
-    def test_backward_frees_the_tape(self, rng, style):
+    def test_backward_frees_the_tape(self, rng, style, monkeypatch):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0)
+        sites = {}  # owner id of an SN's spikes -> (its name, its input's size)
+        forward = SN.forward
+
+        def spy(sn, x, t_steps):
+            out = forward(sn, x, t_steps)
+            sites[id(_owner(out.data))] = (sn.name, x.size)
+            return out
+
+        monkeypatch.setattr(SN, "forward", spy)
         labels = rng.integers(0, cfg.num_classes, 4)
         loss = cross_entropy(model.forward(_batch(rng, b=4, cfg=cfg)), labels)
-        hs = [weakref.ref(_owner(arr)) for node in tape_nodes(loss)
-              if node.backward.__qualname__.startswith("multistep_lif")
-              for name, arr in closure_arrays(node.backward) if name == "hs"]
-        assert len(hs) == sum(isinstance(m, SN) for m in model.modules())
-        assert all(ref() is not None for ref in hs)
+        monkeypatch.undo()
+        tape = tape_arrays(loss, model.parameters())
+        label_of = {id(arr): label for label, arr in tape}
+        keep_h = []
+        for node in tape_nodes(loss):
+            if not node.backward.__qualname__.startswith("multistep_lif"):
+                continue
+            arrays = list(closure_arrays(node.backward))
+            name, size = sites[id(_owner(dict(arrays)["spikes"]))]
+            # the arrays this node puts on the tape, not one an earlier node holds
+            own = [(label_of[id(_owner(a))], a) for _, a in arrays
+                   if label_of.get(id(_owner(a)), "").startswith("multistep_lif")]
+            floats = [label for label, a in own if a.dtype.kind == "f" and a.size == size]
+            if floats:
+                assert [label for label, _ in own] == ["multistep_lif.hs", "multistep_lif.spikes"]
+                assert floats == ["multistep_lif.hs"]
+                keep_h.append(name)
+            else:
+                assert [label for label, _ in own] == ["multistep_lif.spikes"]
+        assert sorted(keep_h) == self.KEEP_H[style]
+        assert len(sites) == sum(isinstance(m, SN) for m in model.modules())
+        refs = [weakref.ref(arr) for _, arr in tape]
+        del tape, label_of, arrays, own
+        assert all(ref() is not None for ref in refs)
         loss.backward()
-        assert all(ref() is None for ref in hs)
+        assert all(ref() is None for ref in refs)
         assert all(p.grad is not None for p in model.parameters())
 
     def test_parameters_keep_their_gradient_and_get_no_node(self, rng):
@@ -532,6 +571,39 @@ class TestTapeKeepsWhatBackwardReads:
         for p in model.parameters():
             assert p._node is None
             assert p.grad is not None and p.grad.shape == p.data.shape
+
+
+class TestRebuildReadsTheForward:
+    """The backward rebuilds a BN-fed SN's input from the arrays the forward
+    used, not from the module's current parameters: rebinding every
+    parameter and buffer between forward and backward (``astype``, or
+    ``load_state`` of other values) leaves every gradient as it was."""
+
+    REBINDS = {
+        "astype": lambda model: model.astype(np.float64),
+        "load_state": lambda model: model.load_state(
+            {name: arr + 0.5 for name, arr in model.state().items()}),
+    }
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    @pytest.mark.parametrize("rebind", sorted(REBINDS))
+    def test_rebinding_parameters_changes_no_gradient(self, rng, style, rebind):
+        cfg = dataclasses.replace(DESK, residual_style=style)
+        x = _batch(rng, b=4, cfg=cfg)
+        labels = rng.integers(0, cfg.num_classes, 4)
+
+        def grads(between):
+            model = build(cfg, seed=0)
+            loss = cross_entropy(model.forward(x), labels)
+            between(model)
+            loss.backward()
+            return [p.grad for p in model.parameters()]
+
+        expected = grads(lambda model: None)
+        got = grads(self.REBINDS[rebind])
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):  # astype casts a gradient to the new dtype, exactly
+            assert np.array_equal(g, e)
 
 
 class TestSpikeCostTape:

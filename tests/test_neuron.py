@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spikingformer import neuron
+from spikingformer.layers import BatchNorm
 from spikingformer.neuron import (
     LIFParams,
     MembraneState,
@@ -16,6 +17,8 @@ from spikingformer.neuron import (
     multistep_lif,
 )
 from spikingformer.tensor import Tensor, heaviside, no_grad, surrogate_grad
+
+from helpers import closure_arrays
 
 DEFAULTS = LIFParams()
 
@@ -337,3 +340,63 @@ class TestChunkedTimeLoop:
         if record:
             out.sum().backward()
             assert x.grad.shape == (3, 0, 4)
+
+
+class TestRebuiltHistory:
+    """An SN whose input is a batch norm's output keeps no H on the tape: its
+    backward rebuilds the BN output from the arrays the BN node keeps, then H
+    over it in place, each reset taken from the stored spikes. Spikes and
+    every gradient equal, bit for bit, those of the same run with the rebuild
+    dropped (which keeps H as every other SN does)."""
+
+    LIF = [  # (mode, params, input_scale): v_reset 0 and 0.5, input_scale 1 and 1/8
+        (mode, LIFParams(v_reset=v_reset), scale)
+        for mode in ("spiking", "relaxed") for v_reset in (0.0, 0.5) for scale in (1.0, 0.125)
+    ]
+
+    @staticmethod
+    def _run(x, steps, training, mode, params, scale, rebuild):
+        rng = np.random.default_rng(7)
+        channels = x.shape[-1]
+        bn = BatchNorm(channels).astype(x.dtype)
+        bn.gamma.data = ((1.0 + rng.random(channels)) * 2.0 / scale).astype(x.dtype)
+        bn.beta.data = (rng.standard_normal(channels) / scale).astype(x.dtype)
+        bn._buffers["running_mean"] = rng.standard_normal(channels).astype(x.dtype)
+        bn._buffers["running_var"] = (0.5 + rng.random(channels)).astype(x.dtype)
+        bn.training = training
+        xt = Tensor(x, requires_grad=True, dtype=x.dtype)
+        y = bn.forward(xt)
+        assert y._node.remat is not None
+        if not rebuild:
+            y._node.remat = None
+        out = multistep_lif(y.reshape((steps, -1) + x.shape[1:]), params, mode=mode,
+                            input_scale=scale)
+        kept = [name for name, _ in closure_arrays(out._node.backward) if name == "hs"]
+        assert kept == ([] if rebuild else ["hs"])
+        weight = np.linspace(-1.0, 1.0, out.size).reshape(out.shape).astype(x.dtype)
+        (out * Tensor(weight, dtype=x.dtype)).sum().backward()
+        return out.data, xt.grad, bn.gamma.grad, bn.beta.grad
+
+    def _assert_bit_equal(self, x, steps, training, mode, params, scale):
+        rebuilt = self._run(x, steps, training, mode, params, scale, rebuild=True)
+        kept = self._run(x, steps, training, mode, params, scale, rebuild=False)
+        assert rebuilt[0].min() != rebuilt[0].max()  # some sites fire, some do not
+        assert np.any(rebuilt[1] != 0)
+        for got, expected in zip(rebuilt, kept):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode,params,scale", LIF)
+    @pytest.mark.parametrize("steps", [1, 4])
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_input_gradients_bit_equal(self, rng, monkeypatch, dtype, mode, params, scale,
+                                       steps, training):
+        monkeypatch.setattr(neuron, "_LIF_CHUNK", 16)  # 30 neurons per step: two blocks
+        x = rng.standard_normal((steps * 2, 3, 5)).astype(dtype)
+        self._assert_bit_equal(x, steps, training, mode, params, scale)
+
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    def test_more_neurons_than_a_block(self, rng, training):
+        x = rng.standard_normal((4, 150, 250)).astype(np.float32)  # n = 75,000 per step
+        assert 2 * 150 * 250 > neuron._LIF_CHUNK
+        self._assert_bit_equal(x, 2, training, "spiking", LIFParams(v_reset=0.5), 0.125)
