@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, _make, _records, conv2d, maxpool2d
+from .tensor import Tensor, _make, _offer, _records, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -182,10 +182,7 @@ class BatchNorm(Module):
                     gx = g * scale
             return gx, g_gamma, g_beta
 
-        out = _make(y, parents, bwd)
-        if out._node is not None:
-            out._node.remat = affine
-        return out
+        return _offer(_make(y, parents, bwd), affine)
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""
@@ -339,8 +336,9 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     """Q K^T V on the trailing two axes of [..., N, d] operands (no softmax).
 
     With no softmax the product is associative, so it contracts in the
-    cheaper order: Q (K^T V) when d < N, whose [d, d] middle product is what
-    the tape keeps, else (Q K^T) V with an [N, N] one. Over bool spikes each
+    cheaper order: Q (K^T V) when d < N, with a [d, d] middle product, else
+    (Q K^T) V with an [N, N] one (a recorded backward rebuilds it from the
+    spikes' packed copies, so neither is on the tape). Over bool spikes each
     entry of the middle product counts the products whose operands both
     fired; every sum of 0/1 spikes is an integer below 2^24, so both orders
     give the same core bit for bit.

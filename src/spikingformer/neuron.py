@@ -10,9 +10,10 @@ The hard threshold is not differentiable, so the recorded backward uses the
 derivative of the sigmoid 1/(1+exp(-alpha*x)) in its place. A fully smooth
 "relaxed" mode (sigmoid firing, no binary reset) exists for end-to-end
 finite-difference checking only. Spiking mode is where a spike's dtype is
-chosen: a float32 input fires ``bool`` spikes, one byte per neuron, and any
-other float input (float64, the finite-difference precision) fires 0/1 in its
-own dtype. Relaxed-mode outputs are not binary and keep the input's dtype.
+chosen: a float32 input fires ``bool`` spikes, one byte per neuron (one bit
+on the tape), and any other float input (float64, the finite-difference
+precision) fires 0/1 in its own dtype. Relaxed-mode outputs are not binary
+and keep the input's dtype.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _make, _records, spike_threshold, surrogate_grad
+from .tensor import Tensor, _make, _offer, _records, spike_threshold, surrogate_grad
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
@@ -73,6 +74,16 @@ def lif_step(state: MembraneState, x: Tensor, params: LIFParams):
     return s, MembraneState(v_next)
 
 
+def _pack(spikes: np.ndarray) -> np.ndarray:
+    """bool spikes at one bit each (uint8, ceil(size / 8) bytes): the tape's copy."""
+    return np.packbits(spikes)
+
+
+def _unpack(bits: np.ndarray, shape) -> np.ndarray:
+    """A new bool array of ``shape`` holding the spikes ``_pack`` gave ``bits``."""
+    return np.unpackbits(bits, count=math.prod(shape)).view(bool).reshape(shape)
+
+
 def multistep_lif(
     x: Tensor,
     params: LIFParams,
@@ -89,12 +100,16 @@ def multistep_lif(
     ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
     and never detaches the reset. The backward runs the BPTT recurrence in
     reverse over T and reads only H and the spikes, never the input. A call
-    that records a tape node keeps H for it, unless x's node can rebuild x
-    (``_Node.remat``: a batch norm's output, through any reshapes). Then the
-    forward keeps only the spikes, and the backward rebuilds x and runs
-    ``lif_step``'s operations over it again in place, each reset taken from
-    the stored spikes, so H is the forward's bit for bit. In spiking mode
-    the BPTT sweep allocates two scratch rows per call and nothing per step.
+    that records a tape node keeps ``bool`` spikes at one bit each
+    (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes) and offers
+    them unpacked as its rebuild, through which its own backward and every
+    consumer's read them; float spikes (relaxed mode, float64) it keeps as
+    they are. It keeps H too, unless x's node can rebuild x (``_Node.remat``:
+    a batch norm's output, or attention's product, through any reshapes and
+    transposes). Then the backward rebuilds x and runs ``lif_step``'s
+    operations over it again in place, each reset taken from the stored
+    spikes, so H is the forward's bit for bit. In spiking mode the BPTT
+    sweep allocates two scratch rows per call and nothing per step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -138,13 +153,17 @@ def multistep_lif(
 
     spikes = np.empty((steps, n), dtype=bool if mode == SPIKING and dt is np.float32 else dt)
     # H[t] is kept for the backward only, and only where the input cannot be
-    # rebuilt (a batch norm's output can): else one chunk of scratch serves
+    # rebuilt (a batch norm's output or attention's product can): else one
+    # chunk of scratch serves
     records = _records((x,))
     rebuild = x._node.remat if records and x._node is not None else None
     hs = np.empty((steps, n), dtype=xd.dtype) if records and rebuild is None else None
     sweep(xd.reshape(steps, n), hs, spikes, fire=True)
     shape = xd.shape
     spikes = spikes.reshape(shape)
+    # a recorded call keeps bool spikes at one bit each, and offers them unpacked
+    packed = _pack(spikes) if records and spikes.dtype == bool else None
+    read_spikes = (lambda: spikes) if packed is None else (lambda: _unpack(packed, shape))
 
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed
@@ -156,6 +175,7 @@ def multistep_lif(
         # (H - V_th, then 1 - S) until it receives the step's gradient. It
         # reads H[t] only once, first, so gx is H's own buffer; relaxed mode
         # reads it again.
+        spikes = read_spikes()
         h2 = hs
         if h2 is None:  # the input again, then H over it in place, each reset by the spikes
             h2 = rebuild().reshape(steps, n)
@@ -179,4 +199,5 @@ def multistep_lif(
                 gx[t] *= dt(input_scale)
         return (gx,)
 
-    return _make(spikes, (x,), bwd)
+    out = _make(spikes, (x,), bwd)
+    return out if packed is None else _offer(out, read_spikes)

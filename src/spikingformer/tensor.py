@@ -6,18 +6,25 @@ if it is a leaf (a parameter, or an input built with ``requires_grad=True``);
 the backward closure; a gradient slot; and the shape and dtype that gradient
 takes. Only recorded ops have nodes: a leaf keeps its gradient in its own
 ``grad``. A node holds no array of its own output, and its closure captures
-only the arrays its backward reads (a product its operands, a reshape a
-shape, a conv its input map, a batch norm its normalised input and inverse
+only what its backward reads (a product its operands, a reshape a shape, a
+conv its input map, a batch norm its normalised input and inverse
 deviation), so an intermediate that no backward reads is freed with its last
-Python reference. A node may also offer ``remat``, a bit-exact rebuild of its
-output from arrays its closure holds: a batch norm's is ``x_hat * gamma +
-beta`` and a reshape passes it on, so a LIF layer fed by a batch norm keeps
-only its spikes and rebuilds its ``H`` history in its backward. Calling
-``backward()`` on a scalar result runs the recorded closures in exact reverse
-creation order and accumulates gradients into every leaf it reaches; each
-node is released as soon as its closure has run (its gradient, closure,
-parents and rebuild dropped), and only leaves keep ``.grad``. A second
-``backward()`` through a released graph raises ``RuntimeError``.
+Python reference. A node may also offer ``remat``, a rebuild of its output
+into a new array, bit for bit, from what its closure holds: a batch norm's
+is ``x_hat * gamma + beta``, a LIF layer's unpacks its spikes from the one
+bit each it keeps, a matmul's multiplies its operands again, a maxpool's
+pools its input's rebuild, and a reshape or a transpose passes its input's
+on. One read rule follows (``_kept``): a backward reads an operand through
+its producer's rebuild whenever one is offered, never holding the array, so
+no bool buffer, nor attention's product of spikes, outlives the forward;
+and a LIF layer whose input has a rebuild (a batch norm's output,
+attention's product) keeps only its spikes and rebuilds its ``H`` history
+in its backward. Calling ``backward()`` on a
+scalar result runs the recorded closures in exact reverse creation order
+and accumulates gradients into every leaf it reaches; each node is released
+as soon as its closure has run (its gradient, closure, parents and rebuild
+dropped), and only leaves keep ``.grad``. A second ``backward()`` through a
+released graph raises ``RuntimeError``.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -30,11 +37,12 @@ no reference to its inputs, and it skips work that only a backward needs.
 A new tensor is float32 unless built with another ``dtype`` (float64 is for
 finite-difference checks); an op result keeps the dtype numpy computed, and a
 constant it lifts takes the dtype of the tensor it meets. A float32 model's
-spikes are ``bool``, one byte each (a float64 model's are float64 0/1), and
-arithmetic on them is float: where numpy would add or multiply bool operands
-alone as logical OR / AND, or sum them as int64, an op counts them in float32,
-the model's own dtype; a constant meets them as a float; and a spike's
-gradient keeps the float dtype it arrives in.
+spikes are ``bool``, one byte each in the forward and one bit each on the
+tape (a float64 model's are float64 0/1), and arithmetic on them is float:
+where numpy would add or multiply bool operands alone as logical OR / AND,
+or sum them as int64, an op counts them in float32, the model's own dtype;
+a constant meets them as a float; and a spike's gradient keeps the float
+dtype it arrives in.
 
 Gradients are never written in place: a node or a leaf keeps the first array
 it receives, which may be shared with another node's gradient.
@@ -76,9 +84,10 @@ class _Node:
     if it is untracked; ``backward(g)`` returns one gradient per operand (None
     where none is needed); ``grad`` is the gradient slot, and ``shape`` /
     ``dtype`` are those of the op's result. ``remat``, if set, rebuilds
-    that result bit for bit from arrays the closure already keeps, so a
-    consumer need not keep an array of its own that it could derive from the
-    result (see ``BatchNorm.forward`` and ``multistep_lif``). A node a sweep
+    that result bit for bit, into a new array a caller may overwrite, from
+    what the closure already keeps, so a consumer need not keep an array of
+    its own that it could derive from the result (any operand, read through
+    ``_kept``; a LIF layer's input, see ``multistep_lif``). A node a sweep
     has passed has ``parents`` and ``remat`` None.
     """
 
@@ -220,13 +229,15 @@ class Tensor:
 
     def __mul__(self, other):
         other = self._lift(other)
-        a, b = self.data, other.data
-        ta, tb = self.tracked, other.tracked
+        y = np.multiply(self.data, other.data, dtype=_count_dtype(self.data, other.data))
+        # each operand's gradient reads the other one
+        a = _kept(self) if other.tracked else None
+        b = _kept(other) if self.tracked else None
 
         def bwd(g):
-            return g * b if ta else None, g * a if tb else None
+            return None if b is None else g * _read(b), None if a is None else g * _read(a)
 
-        return _make(np.multiply(a, b, dtype=_count_dtype(a, b)), (self, other), bwd)
+        return _make(y, (self, other), bwd)
 
     __rmul__ = __mul__
 
@@ -240,29 +251,34 @@ class Tensor:
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._lift(other)
-        a, b = self.data, other.data
         ta, tb = self.tracked, other.tracked
-        dtype = _count_dtype(a, b)
+        dtype = _count_dtype(self.data, other.data)
+        flat = other.ndim == 2
+
+        def product(lhs, rhs):
+            if dtype is not None:  # spikes by spikes: BLAS on transient float copies, exact
+                return np.matmul(lhs.astype(dtype), rhs.astype(dtype))  # as every count is < 2**24
+            if flat:  # one flat GEMM over every leading axis of lhs: a token is a row
+                y = _live_gemm(lhs.reshape(-1, lhs.shape[-1]), rhs)
+                return y.reshape(lhs.shape[:-1] + rhs.shape[1:])
+            return np.matmul(lhs, rhs)
+
+        y = product(self.data, other.data)
+        a, b = _kept(self), _kept(other)
 
         def bwd(g):
             ga = gb = None
             if ta:
-                ga = g @ np.swapaxes(_as_float(b, g), -1, -2)
+                ga = g @ np.swapaxes(_as_float(_read(b), g), -1, -2)
             if tb:
-                fa = _as_float(a, g)
-                if b.ndim == 2:  # one GEMM over every leading axis of a
-                    gb = fa.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+                fa = _as_float(_read(a), g)
+                if flat:  # one GEMM over every leading axis of a
+                    gb = fa.reshape(-1, fa.shape[-1]).T @ g.reshape(-1, g.shape[-1])
                 else:
                     gb = np.swapaxes(fa, -1, -2) @ g
             return ga, gb
 
-        if dtype is not None:  # spikes by spikes: BLAS on transient float copies, exact
-            y = np.matmul(a.astype(dtype), b.astype(dtype))  # as every count is below 2**24
-        elif b.ndim == 2:  # one flat GEMM over every leading axis of a: a token is a row
-            y = _live_gemm(a.reshape(-1, a.shape[-1]), b).reshape(a.shape[:-1] + b.shape[1:])
-        else:
-            y = np.matmul(a, b)
-        return _make(y, (self, other), bwd)
+        return _offer(_make(y, (self, other), bwd), lambda: product(_read(a), _read(b)))
 
     __matmul__ = matmul
 
@@ -292,16 +308,14 @@ class Tensor:
             shape = tuple(shape[0])
         before = self.data.shape
         out = _make(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
-        remat = self._node.remat if self._node is not None else None
-        if remat is not None and out._node is not None:  # a rebuild passes through
-            after = out.shape
-            out._node.remat = lambda: remat().reshape(after)
-        return out
+        after = out.shape
+        return _passed_on(self, out, lambda y: y.reshape(after))
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        return _make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
+        out = _make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
+        return _passed_on(self, out, lambda y: y.transpose(axes))
 
     # -- pointwise nonlinearities --------------------------------------------
 
@@ -378,6 +392,36 @@ def _make(data: np.ndarray, parents, backward) -> Tensor:
         links = tuple([p if p._node is None and p.requires_grad else p._node for p in parents])
         out._node = _Node(out.data, links, backward)
     return out
+
+
+def _offer(out: Tensor, remat) -> Tensor:
+    """out, its node (if the op recorded one) offering ``remat``: a call that
+    returns a new array equal, bit for bit, to out's data."""
+    if out._node is not None:
+        out._node.remat = remat
+    return out
+
+
+def _passed_on(src: Tensor, out: Tensor, view) -> Tensor:
+    """out, a view of src (a reshape or a transpose), offering src's rebuild
+    seen through the same ``view``, if src's node has one."""
+    remat = src._node.remat if src._node is not None else None
+    return out if remat is None else _offer(out, lambda: view(remat()))
+
+
+def _kept(t: Tensor):
+    """What a backward keeps to read operand t: the rebuild t's producer
+    offers, if any, else t's array. So the tape holds spikes only as their
+    one-bit copies, and attention's middle product as the spikes it
+    multiplies: no bool buffer, nor a product of spikes, outlives the
+    forward."""
+    remat = t._node.remat if t._node is not None else None
+    return t.data if remat is None else remat
+
+
+def _read(kept) -> np.ndarray:
+    """The operand array a backward reads from what ``_kept`` gave."""
+    return kept() if callable(kept) else kept
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
@@ -477,9 +521,9 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     _SILENT_ROW_SHARE of the images are all-zero, only the live images are
     patched and multiplied, and a silent image's output is zero. The weight
     gradient is ``rows.T @ g_rows`` in the kernel's own shape. A recording
-    call keeps its input map for that gradient, and only when the kernel is
-    tracked, never the rows, which are 9x larger (a spike map is on the tape
-    already, as an SN or maxpool output). The backward patches the whole map
+    call keeps its input map for that gradient (as ``_kept`` gives it: a
+    spike map as its SN's packed copy), and only when the kernel is tracked,
+    never the rows, which are 9x larger. The backward patches the whole map
     again, spikes as floats of the gradient's dtype (``_as_float``), so its
     dense GEMM is the float path's. A bias is the caller's.
     """
@@ -497,13 +541,13 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
 
     tx, tk = x.tracked, kernel.tracked
     x_shape, k_shape = x.shape, kernel.shape
-    xd = x.data if tk else None
+    xd = _kept(x) if tk else None
 
     def bwd(g):
         g_rows = g.reshape(-1, o)
         gk = None
         if tk:  # the forward's rows again, as floats
-            gk = (_patch_rows(_as_float(xd, g)).T @ g_rows).reshape(k_shape)
+            gk = (_patch_rows(_as_float(_read(xd), g)).T @ g_rows).reshape(k_shape)
         gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
         return gx, gk
 
@@ -516,7 +560,10 @@ def maxpool2d(x: Tensor) -> Tensor:
 
     The forward is the max of the four strided views; the backward sends each
     gradient to the first maximal view in (0,0), (0,1), (1,0), (1,1) order,
-    which is where argmax over the window would send it when spikes tie.
+    which is where argmax over the window would send it when spikes tie. A
+    recording call keeps nothing of its own: its backward and its rebuild
+    pool the input again, read as ``_kept`` gives it (spikes through their
+    SN's packed copy).
     """
     h, w = x.shape[1:3]
     if h < 2 or w < 2:
@@ -524,11 +571,15 @@ def maxpool2d(x: Tensor) -> Tensor:
     oh, ow = h // 2, w // 2
     windows = [(slice(None), slice(i, 2 * oh, 2), slice(j, 2 * ow, 2))
                for i in (0, 1) for j in (0, 1)]
-    views = [x.data[win] for win in windows]
-    y = np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
-    x_shape = x.shape
+
+    def pool(xd):
+        views = [xd[win] for win in windows]
+        return views, np.maximum(np.maximum(views[0], views[1]), np.maximum(views[2], views[3]))
+
+    xd, x_shape = _kept(x), x.shape
 
     def bwd(g):
+        views, y = pool(_read(xd))
         gx = np.zeros(x_shape, dtype=g.dtype)  # not x's dtype: spikes are bool
         free = np.ones(y.shape, dtype=bool)  # no maximal view found yet
         for win, view in zip(windows, views):
@@ -538,7 +589,8 @@ def maxpool2d(x: Tensor) -> Tensor:
             free ^= hit
         return (gx,)
 
-    return _make(y, (x,), bwd)
+    out = _make(pool(x.data)[1], (x,), bwd)
+    return _offer(out, lambda: pool(_read(xd))[1])
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

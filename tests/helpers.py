@@ -97,10 +97,11 @@ def tape_arrays(out: T.Tensor, leaves=()) -> list:
     """(label, array) for every array the recorded result ``out`` keeps alive
     through its tape: the arrays its nodes' backward closures hold (a node
     holds no array of its own), in creation order. Arrays are de-duplicated by
-    owning buffer (each entry is the owner) and labelled ``op.name`` by the
-    closure that holds them first (``multistep_lif.spikes``, ``conv2d.xd``,
-    ``Tensor.matmul.a``). Buffers of the tensors in ``leaves`` (parameters,
-    inputs) are left out: the tape does not own them."""
+    owning buffer (each entry is the owner) and labelled ``op.name``: the op
+    of the first node whose closure holds them, directly or through a
+    rebuild it captured, and the cell that holds them (``multistep_lif.packed``,
+    ``conv2d.xd``, ``Tensor.matmul.b``). Buffers of the tensors in ``leaves``
+    (parameters, inputs) are left out: the tape does not own them."""
     seen = {id(_owner(t.data)) for t in leaves}
     found = []
     for node in tape_nodes(out):

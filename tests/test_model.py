@@ -1,12 +1,13 @@
 """Whole-model assembly: parameter counts, forward semantics, residual styles."""
 
 import dataclasses
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from spikingformer import layers
+from spikingformer import layers, neuron
 from spikingformer import tensor as T
 from spikingformer import train as train_mod
 from spikingformer.audit import record
@@ -388,16 +389,46 @@ DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
 
 
+def _packed_copies(monkeypatch):
+    """Spy on ``SN.forward``: {id of each SN's packed tape copy: (its name,
+    a copy of its bool spikes)}, filled as the model runs. The copy is the
+    one array the SN output's rebuild reads."""
+    sites = {}
+    forward = SN.forward
+
+    def spy(sn, x, t_steps):
+        out = forward(sn, x, t_steps)
+        (packed,) = [a for _, a in closure_arrays(out._node.remat)]
+        sites[id(packed)] = (sn.name, out.data.copy())
+        return out
+
+    monkeypatch.setattr(SN, "forward", spy)
+    return sites
+
+
+def _is_op(node, op):
+    return node.backward.__qualname__.startswith(op + ".")
+
+
+def _held(node, leaves):
+    """The owners of the arrays a node's backward reads, leaves' left out."""
+    skip = {id(_owner(t.data)) for t in leaves}
+    return [_owner(a) for _, a in closure_arrays(node.backward) if id(_owner(a)) not in skip]
+
+
 class TestSpikesOnTheTape:
-    """A recorded float32 forward keeps every spike at one byte: each SN
-    output, each maxpool of spikes and the input map of each conv with a
-    spike input are bool (a float64 model spikes in float64). Arrays are
-    picked by the op that produced them, not by their values (an ADD
-    residual sum can hold only 0 and 1 by chance)."""
+    """A recorded float32 forward keeps every spike at one bit: each SN's
+    node keeps ``np.packbits`` of its bool spikes, uint8 of ceil(n / 8) bytes
+    for n spikes, and its rebuild unpacks them into a new array, so no bool
+    array is on the tape. Every backward that reads spikes reads them from
+    those copies: each conv but the encoder (its input map is an SN output or
+    a maxpool of one, and a maxpool keeps nothing of its own) and both
+    operands of attention's spike-by-spike product. A float64 model spikes in
+    float64 and keeps its spikes as they are."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
-    def test_spike_arrays_are_bool(self, rng, style, training, monkeypatch):
+    def test_every_sn_keeps_one_bit_per_spike(self, rng, style, training, monkeypatch):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0)
         if not training:
@@ -412,69 +443,113 @@ class TestSpikesOnTheTape:
 
         monkeypatch.setattr(Tensor, "matmul", spy)
         monkeypatch.setattr(Tensor, "__matmul__", spy)
+        sites = _packed_copies(monkeypatch)
         logits = model.forward(_batch(rng, b=4, cfg=cfg))
         monkeypatch.undo()
-        arrays = tape_arrays(logits, model.parameters())
-        by_op = {}
-        for label, arr in arrays:
-            by_op.setdefault(label, []).append(arr)
-        sns = sum(isinstance(m, SN) for m in model.modules())  # each one runs once
-        assert len(by_op["multistep_lif.spikes"]) == sns
-        assert all(a.dtype == bool for a in by_op["multistep_lif.spikes"])
-        pools = sum(kind == "sped" for kind in cfg.tokenizer_plan)
-        assert len(by_op["maxpool2d.y"]) == pools
-        assert all(a.dtype == bool for a in by_op["maxpool2d.y"])
-        # one conv per tokenizer unit, each keeping its input map; only the
-        # first (the encoder) sees the image, and the others' spike maps are
-        # on the tape already as SN or maxpool outputs
-        encoder, *spiking = [dict(closure_arrays(node.backward))["xd"]
-                             for node in tape_nodes(logits)
-                             if node.backward.__qualname__.startswith("conv2d")]
-        assert len(spiking) == len(cfg.tokenizer_plan) and encoder.dtype == np.float32
-        assert all(a.dtype == bool for a in spiking)
-        spike_ids = {id(a) for a in by_op["multistep_lif.spikes"] + by_op["maxpool2d.y"]}
-        assert all(id(_owner(a)) in spike_ids for a in spiking)
-        assert [label for label, _ in arrays if label.startswith("conv2d")] == ["conv2d.xd"]
+        leaves = model.parameters()
+        arrays = tape_arrays(logits, leaves)
+        assert [label for label, a in arrays if a.dtype == bool] == []
+        packed = {id(a): a for label, a in arrays if label == "multistep_lif.packed"}
+        assert packed.keys() == sites.keys()
+        assert len(sites) == sum(isinstance(m, SN) for m in model.modules())  # each one runs once
+        lifs = [node for node in tape_nodes(logits) if _is_op(node, "multistep_lif")]
+        assert len(lifs) == len(sites)
+        for node in lifs:
+            (copy,) = [a for _, a in closure_arrays(node.remat)]  # what its rebuild reads
+            name, spikes = sites[id(copy)]
+            assert spikes.dtype == bool
+            assert copy.dtype == np.uint8 and copy.shape == (-(-spikes.size // 8),), name
+            rebuilt = node.remat()  # a new bool array, bit-equal to the spikes
+            assert rebuilt.dtype == bool and rebuilt.tobytes() == spikes.tobytes(), name
+            assert not np.shares_memory(rebuilt, node.remat())
+        # one conv per tokenizer unit: the encoder keeps the image, every
+        # other conv and every maxpool reads one SN's packed copy, nothing else
+        encoder, *spiking = [node for node in tape_nodes(logits) if _is_op(node, "conv2d")]
+        assert [a.dtype for a in _held(encoder, leaves)] == [np.float32]
+        pools = [node for node in tape_nodes(logits) if _is_op(node, "maxpool2d")]
+        assert len(spiking) == len(cfg.tokenizer_plan)
+        assert len(pools) == sum(kind == "sped" for kind in cfg.tokenizer_plan)
+        for node in spiking + pools:
+            (copy,) = _held(node, leaves)
+            assert id(copy) in sites
+        assert [label for label, _ in arrays if label.startswith(("conv2d", "maxpool2d"))] \
+            == ["conv2d.xd"]
         # every number computed from the spikes is float
         assert products and {a.dtype for a in products} == {np.dtype(np.float32)}
 
+    # per image size: attention's spike-by-spike product and the SNs it reads
+    # (at 8x8 N = 4 <= d_head = 8, so Q K^T; at 16x16 N = 16, so K^T V)
+    SPIKE_PRODUCT = {8: ("sn_k", "sn_q"), 16: ("sn_k", "sn_v")}
+
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
-    def test_attention_counts_bool_q_and_k(self, rng, style):
-        """Each block's Q K^T multiplies the SN outputs themselves: both operands
-        are views of a bool spike buffer, with no float copy of Q between."""
-        cfg = dataclasses.replace(DESK, residual_style=style)
+    @pytest.mark.parametrize("image", sorted(SPIKE_PRODUCT))
+    def test_attention_reads_its_spikes_from_packed_copies(self, rng, style, image,
+                                                           monkeypatch):
+        """Each block's spike-by-spike product reads both its operands from
+        their SNs' packed copies, and the other product reads the third SN's
+        copy and the middle product through its rebuild: all three copies,
+        and no float array."""
+        cfg = dataclasses.replace(DESK, residual_style=style, image_size=(image, image))
         model = build(cfg, seed=0)
+        sites = _packed_copies(monkeypatch)
         logits = model.forward(_batch(rng, b=4, cfg=cfg))
-        spikes = {id(a) for label, a in tape_arrays(logits, model.parameters())
-                  if label == "multistep_lif.spikes"}
-        qk = []  # the operands each matmul node keeps for its backward
-        for node in tape_nodes(logits):
-            if node.backward.__qualname__.startswith("Tensor.matmul"):
-                operands = dict(closure_arrays(node.backward))
-                if all(operands[name].dtype == bool for name in "ab"):
-                    qk.append((operands["a"], operands["b"]))
-        assert len(qk) == cfg.blocks
-        for operands in qk:
-            assert all(id(_owner(a)) in spikes for a in operands)
+        monkeypatch.undo()
+        leaves = model.parameters()
+        names = {key: name for key, (name, _) in sites.items()}
+        products = [_held(node, leaves) for node in tape_nodes(logits)  # not a token GEMM
+                    if _is_op(node, "Tensor.matmul")
+                    and all(type(parent) is T._Node for parent in node.parents)]
+        assert len(products) == 2 * cfg.blocks
+        spike_by_spike = [sorted(names[id(a)] for a in held) for held in products
+                          if len(held) == 2 and all(id(a) in sites for a in held)]
+        assert spike_by_spike == [[f"blocks.{i}.attn.{sn}" for sn in self.SPIKE_PRODUCT[image]]
+                                  for i in range(cfg.blocks)]
+        other = [sorted(names[id(a)] for a in held) for held in products if len(held) == 3]
+        assert other == [[f"blocks.{i}.attn.{sn}" for sn in ("sn_k", "sn_q", "sn_v")]
+                         for i in range(cfg.blocks)]
+        assert all(id(a) in sites for held in products for a in held)
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_float64_model_spikes_in_float64(self, rng, style):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0).astype(np.float64)
         arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)), model.parameters())
-        assert all(a.dtype != bool for _, a in arrays)
+        assert {a.dtype for _, a in arrays} == {np.dtype(np.float64)}  # no bool, no packed copy
         outs = [a for label, a in arrays if label == "multistep_lif.spikes"]
         assert len(outs) == sum(isinstance(m, SN) for m in model.modules())
         for a in outs:
-            assert a.dtype == np.float64 and np.all((a == 0) | (a == 1))
+            assert np.all((a == 0) | (a == 1))
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["no_grad", "fused"])
+    def test_untaped_forwards_never_pack(self, rng, fused, monkeypatch):
+        model = build(DESK, seed=0).eval()
+        calls = []
+        packbits = np.packbits
+
+        def spy(*args, **kwargs):
+            calls.append(args[0].size)
+            return packbits(*args, **kwargs)
+
+        monkeypatch.setattr(np, "packbits", spy)
+        x = _batch(rng, b=4, cfg=DESK)
+        model.forward(x)  # a recorded forward packs once per SN
+        assert len(calls) == sum(isinstance(m, SN) for m in model.modules()) - 1  # head: no SN
+        del calls[:]
+        if fused:
+            model.fuse()
+            model.forward(x)
+        else:
+            with no_grad():
+                model.forward(x)
+        assert calls == []
 
 
 class TestTapeKeepsWhatBackwardReads:
     """A recorded float32 forward keeps only the arrays a backward reads: no
-    token-GEMM, conv2d or BN output and no LIF input is on its tape
-    (attention's middle product is: Q K^T, or K^T V when d_head < N, as the
-    operand the other product's gradient reads). The backward sweep frees
-    each node as it passes, while every parameter keeps its gradient."""
+    matmul, conv2d or BN output and no LIF input is on its tape (attention's
+    middle product, Q K^T or K^T V, is read through its rebuild). The
+    backward sweep frees each node as it passes, while every parameter keeps
+    its gradient."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_unread_outputs_are_not_on_the_tape(self, rng, style, monkeypatch):
@@ -494,73 +569,78 @@ class TestTapeKeepsWhatBackwardReads:
 
             monkeypatch.setattr(owner, attr, wrapped)
 
-        def token_gemm(args, out):  # a matmul by a weight, not attention's Q K^T V
-            return out.data if args[1].ndim == 2 else None
+        def matmul(args, out):  # a token GEMM, or one of attention's products
+            return out.data
 
-        spy(Tensor, "matmul", "token GEMM", token_gemm)
-        spy(Tensor, "__matmul__", "token GEMM", token_gemm)
+        spy(Tensor, "matmul", "matmul", matmul)
+        spy(Tensor, "__matmul__", "matmul", matmul)
         spy(layers, "conv2d", "conv2d", lambda args, out: out.data)
         spy(BatchNorm, "forward", "BatchNorm.forward", lambda args, out: out.data)
         spy(layers, "multistep_lif", "LIF input", lambda args, out: args[0].data)
         logits = model.forward(_batch(rng, b=4, cfg=cfg))
         monkeypatch.undo()
-        assert {op for op, _ in unread} == {"token GEMM", "conv2d", "BatchNorm.forward", "LIF input"}
+        assert {op for op, _ in unread} == {"matmul", "conv2d", "BatchNorm.forward", "LIF input"}
+        products = [arr for op, arr in unread if op == "matmul" and arr.ndim == 4]
+        assert len(products) == 2 * cfg.blocks  # attention's, per head
         tape = {id(arr) for _, arr in tape_arrays(logits, model.parameters())}
         assert [op for op, arr in unread if id(arr) in tape] == []
 
-    # the SNs of the desk model (SN head) whose input no batch norm gives:
-    # a residual sum (the stream's SNs, except block 0's spike-driven sn_in,
-    # whose input is the tokenizer's last BN through a reshape) or attention's
-    # core. Only these keep their H history; every other SN rebuilds it from
-    # its BN's normalised input in the backward.
+    # the SNs of the desk model (SN head) whose input nothing rebuilds: a
+    # residual sum (the stream's SNs, except block 0's spike-driven sn_in,
+    # whose input is the tokenizer's last BN through a reshape). Only these
+    # keep their H history; every other SN rebuilds its input in the
+    # backward, from its BN's normalised input or, for sn_attn, as
+    # attention's product of spikes read from their packed copies.
     KEEP_H = {
-        SPIKE_DRIVEN: ["blocks.0.attn.sn_attn", "blocks.0.mlp.sn1", "blocks.1.attn.sn_attn",
-                       "blocks.1.attn.sn_in", "blocks.1.mlp.sn1", "head.sn"],
-        ADD: ["blocks.0.attn.sn_attn", "blocks.1.attn.sn_attn", "head.sn"],
+        SPIKE_DRIVEN: ["blocks.0.mlp.sn1", "blocks.1.attn.sn_in", "blocks.1.mlp.sn1", "head.sn"],
+        ADD: ["head.sn"],
     }
+
+    @staticmethod
+    def _lif_arrays(loss, leaves, sites):
+        """Per LIF node of the tape: (its SN's name, {cell name: (owner id,
+        dtype, size)} of the arrays that node puts on the tape, not one an
+        earlier node holds). No array is returned, so none is kept alive."""
+        seen = {id(_owner(t.data)) for t in leaves}
+        found = []
+        for node in tape_nodes(loss):
+            own = {}
+            for name, a in closure_arrays(node.backward):
+                if id(_owner(a)) not in seen:
+                    seen.add(id(_owner(a)))
+                    own[name] = (id(_owner(a)), _owner(a).dtype, a.size)
+            if _is_op(node, "multistep_lif"):
+                found.append((sites[own["packed"][0]][0], own))
+        return found
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_backward_frees_the_tape(self, rng, style, monkeypatch):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0)
-        sites = {}  # owner id of an SN's spikes -> (its name, its input's size)
-        forward = SN.forward
-
-        def spy(sn, x, t_steps):
-            out = forward(sn, x, t_steps)
-            sites[id(_owner(out.data))] = (sn.name, x.size)
-            return out
-
-        monkeypatch.setattr(SN, "forward", spy)
+        sites = _packed_copies(monkeypatch)
         labels = rng.integers(0, cfg.num_classes, 4)
         loss = cross_entropy(model.forward(_batch(rng, b=4, cfg=cfg)), labels)
         monkeypatch.undo()
-        tape = tape_arrays(loss, model.parameters())
-        label_of = {id(arr): label for label, arr in tape}
         keep_h = []
-        for node in tape_nodes(loss):
-            if not node.backward.__qualname__.startswith("multistep_lif"):
-                continue
-            arrays = list(closure_arrays(node.backward))
-            name, size = sites[id(_owner(dict(arrays)["spikes"]))]
-            # the arrays this node puts on the tape, not one an earlier node holds
-            own = [(label_of[id(_owner(a))], a) for _, a in arrays
-                   if label_of.get(id(_owner(a)), "").startswith("multistep_lif")]
-            floats = [label for label, a in own if a.dtype.kind == "f" and a.size == size]
-            if floats:
-                assert [label for label, _ in own] == ["multistep_lif.hs", "multistep_lif.spikes"]
-                assert floats == ["multistep_lif.hs"]
-                keep_h.append(name)
+        for sn, own in self._lif_arrays(loss, model.parameters(), sites):
+            spikes = sites[own["packed"][0]][1].size
+            assert own["packed"][1:] == (np.uint8, -(-spikes // 8))
+            if "hs" in own:
+                assert list(own) == ["hs", "packed"]
+                assert own["hs"][1:] == (np.float32, spikes)
+                keep_h.append(sn)
             else:
-                assert [label for label, _ in own] == ["multistep_lif.spikes"]
+                assert list(own) == ["packed"]
         assert sorted(keep_h) == self.KEEP_H[style]
         assert len(sites) == sum(isinstance(m, SN) for m in model.modules())
-        refs = [weakref.ref(arr) for _, arr in tape]
-        del tape, label_of, arrays, own
+        sites.clear()
+        refs = [weakref.ref(arr) for _, arr in tape_arrays(loss, model.parameters())]
         assert all(ref() is not None for ref in refs)
         loss.backward()
         assert all(ref() is None for ref in refs)
         assert all(p.grad is not None for p in model.parameters())
+        with pytest.raises(RuntimeError, match="already released"):
+            loss.backward()
 
     def test_parameters_keep_their_gradient_and_get_no_node(self, rng):
         # only recorded ops have tape nodes: a leaf keeps its gradient itself
@@ -608,10 +688,11 @@ class TestRebuildReadsTheForward:
 
 class TestSpikeCostTape:
     """When d_head < N (the desk model at 16x16: N = 16, d_head = 8), a
-    recorded forward keeps no float copy or patch rows of a spike map: each
-    conv keeps its input map (only the encoder's, the image, is not on the
-    tape already), and attention keeps its [d, d] K^T V, not an [N, N]
-    Q K^T."""
+    recorded forward keeps no copy or patch rows of a spike map and no
+    attention product: each SN keeps its spikes at one bit (the only spike
+    map on the tape), each conv but the encoder reads its input map from
+    them, and attention rebuilds its [d, d] K^T V from them, so neither it
+    nor an [N, N] Q K^T is on the tape."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_no_patch_rows_and_no_qk(self, rng, style):
@@ -621,10 +702,9 @@ class TestSpikeCostTape:
         logits = model.forward(x)
         heads, n, d_head = cfg.heads, 16, cfg.embed_dim // cfg.heads
         arrays = tape_arrays(logits, model.parameters())
+        assert not [label for label, a in arrays if a.dtype == bool]
         assert not [label for label, a in arrays
-                    if a.dtype != bool and a.shape[-3:] == (heads, n, n)]
-        kv = [a for _, a in arrays if a.shape[-3:] == (heads, d_head, d_head)]
-        assert len(kv) == cfg.blocks and all(a.dtype == np.float32 for a in kv)
+                    if a.shape[-3:] in ((heads, n, n), (heads, d_head, d_head))]
         # patch rows are [B*H*W, 9*C] for a conv with C input channels
         widths = {9 * conv.weight.shape[2] for conv in model.modules()
                   if isinstance(conv, layers.ConvBN2d) and not conv.tokens}
@@ -633,6 +713,33 @@ class TestSpikeCostTape:
         image = x.nbytes * cfg.timesteps / 2**20  # repeated over T at the input
         assert [label for label in mib if label.startswith("conv2d")] == ["conv2d.xd"]
         assert mib["conv2d.xd"] == image
+        spikes = [math.prod(node.shape) for node in tape_nodes(logits)
+                  if _is_op(node, "multistep_lif")]
+        assert len(spikes) == sum(isinstance(m, SN) for m in model.modules()) - 1  # head: no SN
+        assert mib["multistep_lif.packed"] == sum(-(-size // 8) for size in spikes) / 2**20
+
+
+    @pytest.mark.parametrize("style,batch,budget_mib", [(ADD, 4, 100.0), (SPIKE_DRIVEN, 8, 170.0)])
+    def test_4_384_eval_tape_budget(self, style, batch, budget_mib):
+        """The seed-0 4-384, its BN calibrated on the first 4 images of its
+        seeded data as the benchmark calibrates it, keeps at most
+        ``budget_mib`` on an eval-mode tape of the next ``batch`` images,
+        none of it bool."""
+        from spikingformer.data import synth_static
+
+        cfg = preset_config("spikingformer-4-384", residual_style=style)
+        model = build(cfg, seed=0)
+        x = synth_static(cfg.num_classes, 4 + batch, 0,
+                         shape=(cfg.in_channels,) + tuple(cfg.image_size)).x
+        for bn in model.modules():
+            if isinstance(bn, BatchNorm):
+                bn.momentum = 1.0
+        with no_grad():
+            model.forward(x[:4])  # train mode: each BN adopts this batch's statistics
+        logits = model.eval().forward(x[4:])
+        arrays = tape_arrays(logits, model.parameters())
+        assert [label for label, a in arrays if a.dtype == bool] == []
+        assert sum(a.nbytes for _, a in arrays) / 2**20 <= budget_mib
 
 
 class TestFloatSpikesDifferential:
@@ -673,6 +780,59 @@ class TestFloatSpikesDifferential:
         ref_logits, ref_grads = self._run(cfg, training, x)
         sns = sum(isinstance(m, SN) for m in build(cfg, seed=0).modules())
         assert len(copies) == sns - (head in (HEAD_AVGPOOL_FC, HEAD_FC_AVGPOOL))  # an unused SN
+        assert logits.dtype == ref_logits.dtype == np.float32
+        assert logits.tobytes() == ref_logits.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in grads.items():
+            assert g.dtype == ref_grads[name].dtype == np.float32, name
+            assert g.tobytes() == ref_grads[name].tobytes(), name
+
+
+class TestPackedTapeDifferential:
+    """The one-bit tape changes no number. The reference run keeps each SN's
+    bool spikes on the tape (the pack/unpack pair made the identity, so
+    every backward reads the forward's own array) and drops every matmul's
+    product rebuild (so each sn_attn keeps its H). Logits and every
+    parameter gradient are bit-equal to the default path's, with attention
+    in either order (N = 4 <= d_head at 8x8, N = 16 > d_head at 16x16)."""
+
+    @staticmethod
+    def _run(cfg, training, x):
+        model = build(cfg, seed=0)
+        if not training:
+            model.eval()
+        logits = model.forward(x)
+        dtypes = {a.dtype for _, a in tape_arrays(logits, model.parameters())}
+        hs = sum(name == "hs" for node in tape_nodes(logits) if _is_op(node, "multistep_lif")
+                 for name, _ in closure_arrays(node.backward))
+        cross_entropy(logits, np.array([0, 1, 2, 3])).backward()
+        return logits.data, {name: p.grad for name, p in model.named_parameters()}, dtypes, hs
+
+    @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
+    @pytest.mark.parametrize("head", HEAD_VARIANTS)
+    @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+    @pytest.mark.parametrize("image", [8, 16])
+    def test_bit_equal_to_a_tape_of_bool_spikes(self, rng, monkeypatch, style, head, training,
+                                                image):
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=head,
+                                  image_size=(image, image))
+        x = _batch(rng, b=4, cfg=cfg)
+        logits, grads, dtypes, hs = self._run(cfg, training, x)
+        monkeypatch.setattr(neuron, "_pack", lambda spikes: spikes)
+        monkeypatch.setattr(neuron, "_unpack", lambda spikes, shape: spikes)
+        matmul = Tensor.matmul
+
+        def no_rebuild(a, b):
+            out = matmul(a, b)
+            out._node.remat = None
+            return out
+
+        monkeypatch.setattr(Tensor, "matmul", no_rebuild)
+        monkeypatch.setattr(Tensor, "__matmul__", no_rebuild)
+        ref_logits, ref_grads, ref_dtypes, ref_hs = self._run(cfg, training, x)
+        assert np.dtype(np.uint8) in dtypes and np.dtype(bool) not in dtypes
+        assert np.dtype(bool) in ref_dtypes and np.dtype(np.uint8) not in ref_dtypes
+        assert ref_hs == hs + cfg.blocks  # every sn_attn
         assert logits.dtype == ref_logits.dtype == np.float32
         assert logits.tobytes() == ref_logits.tobytes()
         assert grads.keys() == ref_grads.keys()

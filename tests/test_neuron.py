@@ -400,3 +400,50 @@ class TestRebuiltHistory:
         x = rng.standard_normal((4, 150, 250)).astype(np.float32)  # n = 75,000 per step
         assert 2 * 150 * 250 > neuron._LIF_CHUNK
         self._assert_bit_equal(x, 2, training, "spiking", LIFParams(v_reset=0.5), 0.125)
+
+
+class TestPackedSpikes:
+    """A recorded call that fires bool spikes keeps them at one bit each
+    (``np.packbits``: uint8, ceil(n / 8) bytes for n spikes) and reads them
+    back unpacked, in its own backward and in every consumer's. Any spike
+    count, one that leaves a partial last byte included, and a single time
+    step give lif_step's spikes and gradients bit for bit. Relaxed mode and
+    float64 inputs fire float arrays, which the node keeps as they are."""
+
+    @pytest.mark.parametrize("steps", [1, 3])
+    @pytest.mark.parametrize("neurons", [(1,), (3,), (5, 3)])
+    def test_lif_step_gradients_bit_equal(self, rng, steps, neurons):
+        x = (2.0 * rng.standard_normal((steps,) + neurons)).astype(np.float32)
+        w = rng.standard_normal(x.shape).astype(np.float32)
+        xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+        out = multistep_lif(xt, DEFAULTS)
+        assert out.size % 8  # the last byte is partial
+        kept = list(closure_arrays(out._node.backward))
+        assert [(name, a.dtype, a.size) for name, a in kept] == \
+            [("hs", np.float32, out.size), ("packed", np.uint8, -(-out.size // 8))]
+        (out * wt).sum().backward()  # the weight's gradient reads the spikes back
+        outs, leaves = composed_lif(x, DEFAULTS)
+        loss = outs[0] * w[0]
+        for t in range(1, steps):
+            loss = loss + outs[t] * w[t]
+        loss.sum().backward()
+        spikes = np.stack([s.data for s in outs])
+        assert out.data.astype(np.float32).tobytes() == spikes.tobytes()
+        assert wt.grad.dtype == np.float32 and wt.grad.tobytes() == spikes.tobytes()
+        expected = np.stack([leaf.grad for leaf in leaves])
+        assert np.all(expected != 0) and xt.grad.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode,dtype", [("relaxed", np.float32), ("spiking", np.float64),
+                                            ("relaxed", np.float64)])
+    def test_float_spikes_keep_their_own_array(self, rng, monkeypatch, mode, dtype):
+        calls = []
+        packbits = np.packbits
+        monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(a) or packbits(*a, **k))
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True, dtype=dtype)
+        out = multistep_lif(x, DEFAULTS, mode=mode)
+        assert out.data.dtype == dtype and out._node.remat is None
+        kept = [a for _, a in closure_arrays(out._node.backward)]
+        assert [a.dtype for a in kept] == [dtype, dtype]  # H and the spikes themselves
+        assert any(a is out.data for a in kept)
+        out.sum().backward()
+        assert calls == []

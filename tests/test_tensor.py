@@ -21,7 +21,7 @@ from spikingformer.tensor import (
     no_grad,
 )
 
-from helpers import finite_difference, relative_error, tensor64
+from helpers import closure_arrays, finite_difference, relative_error, tensor64
 
 
 def nhwc(a):
@@ -647,6 +647,90 @@ class TestMaxpoolDifferential:
         x = Tensor(np.ones((1, 2, 2, 1), np.float32), requires_grad=True)
         maxpool2d(x).sum().backward()
         np.testing.assert_array_equal(x.grad[0, ..., 0], [[1.0, 0.0], [0.0, 0.0]])
+
+
+def _recorded_spikes(rng, shape, steps=2):
+    """(leaf, spikes): bool spikes [steps * shape[0], *shape[1:]] of a recorded
+    LIF over a float32 leaf, so the spike map is tracked and its node keeps
+    them packed. The first shape[1] // 2 + 1 entries along the map's axis 1
+    are far below threshold, so over half its rows hold no spike (a token
+    GEMM over them takes the live-row path)."""
+    x = 2.0 * rng.standard_normal((steps,) + shape).astype(np.float32)
+    x[:, :, : shape[1] // 2 + 1] = -10.0
+    leaf = Tensor(x, requires_grad=True)
+    return leaf, multistep_lif(leaf, LIFParams()).reshape((steps * shape[0],) + shape[1:])
+
+
+# ops over a [4, 6, 6, 5] spike map whose node offers a rebuild of their result
+_REBUILT_OPS = {
+    "lif": lambda s, w: s,
+    "reshape": lambda s, w: s.reshape(4, 36, 5),
+    "transpose": lambda s, w: s.transpose((0, 3, 1, 2)),
+    "maxpool2d": lambda s, w: maxpool2d(s),
+    "token_gemm": lambda s, w: s.reshape(4, 36, 5) @ w,
+    "float_by_spikes": lambda s, w: (w.transpose((1, 0)) @ s.reshape(4, 36, 5)
+                                     .transpose((0, 2, 1))) @ s.reshape(4, 36, 5),
+    "spikes_by_spikes": lambda s, w: s.reshape(4, 36, 5).transpose((0, 2, 1))
+                                     @ s.reshape(4, 36, 5),
+}
+
+
+class TestRebuilds:
+    """A recorded op's rebuild (``_Node.remat``) returns a new array equal,
+    bit for bit, to the op's output: a LIF's unpacked spikes, a reshape's or
+    a transpose's view of its input's rebuild, a maxpool of its input's
+    rebuild and a matmul's product of the operands it reads (a token GEMM,
+    over live rows or dense, a batched float product, spikes by spikes). A
+    backward reads spikes through their rebuild, so it holds no bool array
+    and computes what it computes from the forward's own spike array."""
+
+    @staticmethod
+    def _run(name):
+        rng = np.random.default_rng(3)
+        leaf, spikes = _recorded_spikes(rng, (2, 6, 6, 5))
+        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+        out = _REBUILT_OPS[name](spikes, w)
+        weight = np.linspace(-1.0, 1.0, out.size, dtype=np.float32).reshape(out.shape)
+        (out * Tensor(weight)).sum().backward()
+        return out.data, [g for g in (leaf.grad, w.grad) if g is not None]
+
+    @pytest.mark.parametrize("name", sorted(_REBUILT_OPS))
+    @pytest.mark.parametrize("compact", [True, False], ids=["live_rows", "dense"])
+    def test_rebuild_is_a_new_bit_equal_array(self, rng, monkeypatch, name, compact):
+        if not compact:
+            monkeypatch.setattr(T, "_SILENT_ROW_SHARE", 2.0)
+        leaf, spikes = _recorded_spikes(rng, (2, 6, 6, 5))
+        w = Tensor(rng.standard_normal((5, 3)).astype(np.float32), requires_grad=True)
+        out = _REBUILT_OPS[name](spikes, w)
+        rebuilt = out._node.remat()
+        assert rebuilt.dtype == out.data.dtype and rebuilt.shape == out.shape
+        assert rebuilt.tobytes() == out.data.tobytes()
+        assert not np.shares_memory(rebuilt, out.data)
+        assert not np.shares_memory(rebuilt, out._node.remat())
+        assert [a.dtype for _, a in closure_arrays(out._node.backward) if a.dtype == bool] == []
+
+    @pytest.mark.parametrize("name", sorted(_REBUILT_OPS))
+    def test_gradients_bit_equal_to_kept_spikes(self, monkeypatch, name):
+        out, grads = self._run(name)
+        monkeypatch.setattr(neuron, "_pack", lambda spikes: spikes)
+        monkeypatch.setattr(neuron, "_unpack", lambda spikes, shape: spikes)
+        ref, ref_grads = self._run(name)
+        assert out.tobytes() == ref.tobytes()
+        assert len(grads) == len(ref_grads) == (2 if name in ("float_by_spikes", "token_gemm") else 1)
+        for g, g_ref in zip(grads, ref_grads):
+            assert g.dtype == g_ref.dtype and g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("hw", [(5, 7), (3, 2), (7, 3)])
+    def test_maxpool_of_packed_spikes_on_odd_maps(self, rng, hw):
+        _, spikes = _recorded_spikes(rng, (2,) + hw + (3,))
+        y = maxpool2d(spikes)
+        (packed,) = [a for _, a in closure_arrays(y._node.backward)]
+        assert packed.dtype == np.uint8  # the SN's copy: the maxpool keeps nothing of its own
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        (gx,) = y._node.backward(g)
+        ref_y, ref_gx = _maxpool_reference(nchw(spikes.data.astype(np.float32)), nchw(g))
+        assert y.data.dtype == bool and y.data.astype(np.float32).tobytes() == nhwc(ref_y).tobytes()
+        assert gx.dtype == np.float32 and gx.tobytes() == nhwc(ref_gx).tobytes()
 
 
 class TestBackward:
