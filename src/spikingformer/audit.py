@@ -47,6 +47,11 @@ class LayerObservation:
 
     @property
     def firing_rate(self) -> float:
+        """The share of input elements that are nonzero; at an ssa-matmul
+        site, the share of scheduled products whose operands are both
+        nonzero (the rate the SOP formula takes in place of fr)."""
+        if self.kind == KIND_SSA:
+            return self.events / (self.flops_per_item * self.items) if self.items else 0.0
         return self.nonzero / self.elements if self.elements else 0.0
 
     @property
@@ -98,8 +103,8 @@ class ForwardRecorder:
         """Record the two matmuls of Q K^T V with exact event counts.
 
         q, k, v are head-split: [items, H, N, d]. An "event" is a scheduled
-        multiply whose operands are both nonzero; the effective rate
-        events / (T * FLOPs) plugs into the SOP formula in place of fr.
+        multiply whose operands are both nonzero; the site's ``firing_rate``
+        is their share of the scheduled products.
         """
         items, heads, n, d = q.shape
         flops = heads * n * n * d

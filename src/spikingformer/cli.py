@@ -99,7 +99,7 @@ def load_config(path) -> dict:
     return validate_config(raw)
 
 
-def model_config_from(cfg: dict, args) -> ModelConfig:
+def model_config_from(cfg: dict) -> ModelConfig:
     overrides = {k: cfg[k] for k in _MODEL_KEYS if k in cfg}
     if "image_height" in cfg or "image_width" in cfg:
         # a missing dimension comes from the preset, else from ModelConfig's default
@@ -107,8 +107,6 @@ def model_config_from(cfg: dict, args) -> ModelConfig:
         overrides["image_size"] = (cfg.get("image_height", h), cfg.get("image_width", w))
     if "tokenizer_plan" in cfg:
         overrides["tokenizer_plan"] = tuple(cfg["tokenizer_plan"])
-    if getattr(args, "timesteps", None) is not None:
-        overrides["timesteps"] = args.timesteps
     if "preset" in cfg:
         return preset_config(cfg["preset"], **overrides)
     missing = [f.name for f in fields(ModelConfig)
@@ -134,7 +132,7 @@ def _load(args) -> tuple:
         ("--data", args.data is not None and kind != "cifar10")) if wasted]
     if unread:
         raise ConfigError(f"the {kind} dataset never reads {' or '.join(unread)}")
-    return cfg, model_config_from(cfg, args), seed
+    return cfg, model_config_from(cfg), seed
 
 
 def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
@@ -282,7 +280,6 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("--data", help="dataset path (for cifar10)")
     common.add_argument("--out", help="output directory")
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--timesteps", type=int, default=None)
     common.add_argument("--limit", type=int, default=None, help="cap dataset size")
     ckpt = argparse.ArgumentParser(add_help=False)
     ckpt.add_argument("--checkpoint", help="checkpoint file")

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .audit import KIND_CONV, KIND_FIRST, KIND_SSA, run_recorded
+from .audit import KIND_CONV, KIND_FIRST, run_recorded
 
 MODE_INTEGER_AS_N_ACS = "integer-as-N-ACs"
 MODE_INTEGER_AS_MAC = "integer-as-MAC"
@@ -142,13 +142,12 @@ def trace_model(model, batches) -> list:
     t_steps = model.config.timesteps
     traces = []
     for name, obs in sorted(recorder.layers.items()):
-        fr, hist = obs.firing_rate, None  # the encoder is charged by FLOPs or fr: no histogram
-        if obs.kind == KIND_SSA:
-            fr = obs.events / (obs.flops_per_item * obs.items) if obs.items else 0.0
-        elif obs.kind == KIND_CONV:
+        hist = None  # the encoder and attention are charged by FLOPs or fr: no histogram
+        if obs.kind == KIND_CONV:
             scale = obs.flops_per_item * t_steps / obs.elements if obs.elements else 0.0
             hist = {v: c * scale for v, c in obs.histogram.items()}
-        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, fr, t_steps, value_hist=hist))
+        traces.append(LayerTrace(name, obs.kind, obs.flops_per_item, obs.firing_rate, t_steps,
+                                 value_hist=hist))
     return traces
 
 

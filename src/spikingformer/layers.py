@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, _make, _offer, _records, conv2d, maxpool2d
+from .tensor import Tensor, _make, _records, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -182,7 +182,7 @@ class BatchNorm(Module):
                     gx = g * scale
             return gx, g_gamma, g_beta
 
-        return _offer(_make(y, parents, bwd), affine)
+        return _make(y, parents, bwd, affine)
 
     def scale_and_shift(self):
         """Deployment-mode affine (w_BN, b_BN) from the running statistics."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _make, _offer, _records, spike_threshold, surrogate_grad
+from .tensor import Tensor, _kept, _make, _records, spike_threshold, surrogate_grad
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
@@ -101,15 +101,15 @@ def multistep_lif(
     and never detaches the reset. The backward runs the BPTT recurrence in
     reverse over T and reads only H and the spikes, never the input. A call
     that records a tape node keeps ``bool`` spikes at one bit each
-    (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes) and offers
-    them unpacked as its rebuild, through which its own backward and every
-    consumer's read them; float spikes (relaxed mode, float64) it keeps as
-    they are. It keeps H too, unless x's node can rebuild x (``_Node.remat``:
-    a batch norm's output, or attention's product, through any reshapes and
-    transposes). Then the backward rebuilds x and runs ``lif_step``'s
-    operations over it again in place, each reset taken from the stored
-    spikes, so H is the forward's bit for bit. In spiking mode the BPTT
-    sweep allocates two scratch rows per call and nothing per step.
+    (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes), and their
+    unpacking is its rebuild (the ``tensor`` module's rebuild rule), through
+    which its own backward reads them too; float spikes (relaxed mode,
+    float64) it keeps as they are. It keeps H too, exactly when ``_kept``
+    gives x's array; where it gives x's rebuild, the backward rebuilds x and
+    runs ``lif_step``'s operations over it again in place, each reset taken
+    from the stored spikes, so H is the forward's bit for bit. In spiking
+    mode the BPTT sweep allocates two scratch rows per call and nothing per
+    step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -152,16 +152,16 @@ def multistep_lif(
                     np.add(v, np.multiply(s, v_reset, out=reset), out=v)
 
     spikes = np.empty((steps, n), dtype=bool if mode == SPIKING and dt is np.float32 else dt)
-    # H[t] is kept for the backward only, and only where the input cannot be
-    # rebuilt (a batch norm's output or attention's product can): else one
-    # chunk of scratch serves
+    # H[t] is kept for the backward only, and only where the input has no
+    # rebuild: else one chunk of scratch serves
     records = _records((x,))
-    rebuild = x._node.remat if records and x._node is not None else None
+    kept = _kept(x) if records else None
+    rebuild = kept if callable(kept) else None
     hs = np.empty((steps, n), dtype=xd.dtype) if records and rebuild is None else None
     sweep(xd.reshape(steps, n), hs, spikes, fire=True)
     shape = xd.shape
     spikes = spikes.reshape(shape)
-    # a recorded call keeps bool spikes at one bit each, and offers them unpacked
+    # a recorded call keeps bool spikes at one bit each, and its rebuild unpacks them
     packed = _pack(spikes) if records and spikes.dtype == bool else None
     read_spikes = (lambda: spikes) if packed is None else (lambda: _unpack(packed, shape))
 
@@ -199,5 +199,4 @@ def multistep_lif(
                 gx[t] *= dt(input_scale)
         return (gx,)
 
-    out = _make(spikes, (x,), bwd)
-    return out if packed is None else _offer(out, read_spikes)
+    return _make(spikes, (x,), bwd, None if packed is None else read_spikes)

@@ -3,28 +3,30 @@
 Tensors wrap numpy arrays. An op over a tracked operand gives its result a
 tape node (``_Node``): per operand the operand's node, or the operand itself
 if it is a leaf (a parameter, or an input built with ``requires_grad=True``);
-the backward closure; a gradient slot; and the shape and dtype that gradient
-takes. Only recorded ops have nodes: a leaf keeps its gradient in its own
-``grad``. A node holds no array of its own output, and its closure captures
-only what its backward reads (a product its operands, a reshape a shape, a
-conv its input map, a batch norm its normalised input and inverse
-deviation), so an intermediate that no backward reads is freed with its last
-Python reference. A node may also offer ``remat``, a rebuild of its output
-into a new array, bit for bit, from what its closure holds: a batch norm's
-is ``x_hat * gamma + beta``, a LIF layer's unpacks its spikes from the one
-bit each it keeps, a matmul's multiplies its operands again, a maxpool's
-pools its input's rebuild, and a reshape or a transpose passes its input's
-on. One read rule follows (``_kept``): a backward reads an operand through
-its producer's rebuild whenever one is offered, never holding the array, so
-no bool buffer, nor attention's product of spikes, outlives the forward;
-and a LIF layer whose input has a rebuild (a batch norm's output,
-attention's product) keeps only its spikes and rebuilds its ``H`` history
-in its backward. Calling ``backward()`` on a
+the backward closure; the op's rebuild, if it has one; a gradient slot; and
+the shape and dtype that gradient takes. Only recorded ops have nodes: a leaf
+keeps its gradient in its own ``grad``. A node holds no array of its own
+output, and its closure captures only what its backward reads (a product its
+operands, a reshape a shape, a conv its input map, a batch norm its
+normalised input and inverse deviation), so an intermediate that no backward
+reads is freed with its last Python reference. Calling ``backward()`` on a
 scalar result runs the recorded closures in exact reverse creation order
 and accumulates gradients into every leaf it reaches; each node is released
 as soon as its closure has run (its gradient, closure, parents and rebuild
 dropped), and only leaves keep ``.grad``. A second ``backward()`` through a
 released graph raises ``RuntimeError``.
+
+The rebuild rule. An op may hand ``_make`` a rebuild of its output (the
+node's ``remat``): a call that returns a new array equal, bit for bit, to
+that output, from what the op's closure holds already. A batch norm's is
+``x_hat * gamma + beta``, a LIF layer's unpacks its spikes from the one bit
+each it keeps, a matmul's multiplies its operands again, a maxpool's pools
+its input's rebuild, and a reshape or a transpose views its input's rebuild.
+A backward keeps each operand as ``_kept`` gives it: its producer's rebuild
+where there is one, else its array. So no bool buffer, nor attention's
+product of spikes, outlives the forward; and a LIF layer whose input has a
+rebuild (a batch norm's output, attention's product) keeps only its spikes
+and rebuilds its ``H`` history in its backward.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -82,25 +84,22 @@ class _Node:
     ``parents`` holds, per operand of the op, the operand's node if it was
     recorded, the operand itself if it is a leaf (``requires_grad``), or None
     if it is untracked; ``backward(g)`` returns one gradient per operand (None
-    where none is needed); ``grad`` is the gradient slot, and ``shape`` /
-    ``dtype`` are those of the op's result. ``remat``, if set, rebuilds
-    that result bit for bit, into a new array a caller may overwrite, from
-    what the closure already keeps, so a consumer need not keep an array of
-    its own that it could derive from the result (any operand, read through
-    ``_kept``; a LIF layer's input, see ``multistep_lif``). A node a sweep
-    has passed has ``parents`` and ``remat`` None.
+    where none is needed); ``remat`` is the op's rebuild or None (see the
+    module's rebuild rule); ``grad`` is the gradient slot, and ``shape`` /
+    ``dtype`` are those of the op's result. A node a sweep has passed has
+    ``parents`` and ``remat`` None.
     """
 
     __slots__ = ("parents", "backward", "grad", "shape", "dtype", "seq", "remat")
 
-    def __init__(self, data: np.ndarray, parents, backward):
+    def __init__(self, data: np.ndarray, parents, backward, remat):
         self.parents = parents
         self.backward = backward
         self.grad: Optional[np.ndarray] = None
         self.shape = data.shape
         self.dtype = data.dtype
         self.seq = next(_seq_counter)
-        self.remat = None
+        self.remat = remat
 
 
 def _accumulate(target, grad: np.ndarray) -> None:
@@ -278,7 +277,7 @@ class Tensor:
                     gb = np.swapaxes(fa, -1, -2) @ g
             return ga, gb
 
-        return _offer(_make(y, (self, other), bwd), lambda: product(_read(a), _read(b)))
+        return _make(y, (self, other), bwd, lambda: product(_read(a), _read(b)))
 
     __matmul__ = matmul
 
@@ -306,16 +305,18 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        before = self.data.shape
-        out = _make(self.data.reshape(shape), (self,), lambda g: (g.reshape(before),))
-        after = out.shape
-        return _passed_on(self, out, lambda y: y.reshape(after))
+        before, src = self.data.shape, _kept(self)
+        y = self.data.reshape(shape)
+        after = y.shape
+        remat = (lambda: src().reshape(after)) if callable(src) else None
+        return _make(y, (self,), lambda g: (g.reshape(before),), remat)
 
     def transpose(self, axes: Sequence[int]) -> "Tensor":
         axes = tuple(axes)
         inv = tuple(np.argsort(axes))
-        out = _make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),))
-        return _passed_on(self, out, lambda y: y.transpose(axes))
+        src = _kept(self)
+        remat = (lambda: src().transpose(axes)) if callable(src) else None
+        return _make(self.data.transpose(axes), (self,), lambda g: (g.transpose(inv),), remat)
 
     # -- pointwise nonlinearities --------------------------------------------
 
@@ -382,39 +383,22 @@ def _records(parents) -> bool:
     return _grad_enabled and any(p.tracked for p in parents)
 
 
-def _make(data: np.ndarray, parents, backward) -> Tensor:
+def _make(data: np.ndarray, parents, backward, remat=None) -> Tensor:
     """An op's result, with a tape node over its operands (see ``_Node``) when
     the op records (``_records``): ``backward(g)`` returns one gradient per
-    operand. A result that does not record keeps no closure and so no
-    reference to the op's inputs."""
+    operand, and ``remat``, if given, is the op's rebuild of the result (see
+    the module's rebuild rule). A result that does not record keeps no
+    closure and so no reference to the op's inputs."""
     out = Tensor(data, dtype=None)
     if _records(parents):
         links = tuple([p if p._node is None and p.requires_grad else p._node for p in parents])
-        out._node = _Node(out.data, links, backward)
+        out._node = _Node(out.data, links, backward, remat)
     return out
-
-
-def _offer(out: Tensor, remat) -> Tensor:
-    """out, its node (if the op recorded one) offering ``remat``: a call that
-    returns a new array equal, bit for bit, to out's data."""
-    if out._node is not None:
-        out._node.remat = remat
-    return out
-
-
-def _passed_on(src: Tensor, out: Tensor, view) -> Tensor:
-    """out, a view of src (a reshape or a transpose), offering src's rebuild
-    seen through the same ``view``, if src's node has one."""
-    remat = src._node.remat if src._node is not None else None
-    return out if remat is None else _offer(out, lambda: view(remat()))
 
 
 def _kept(t: Tensor):
-    """What a backward keeps to read operand t: the rebuild t's producer
-    offers, if any, else t's array. So the tape holds spikes only as their
-    one-bit copies, and attention's middle product as the spikes it
-    multiplies: no bool buffer, nor a product of spikes, outlives the
-    forward."""
+    """What a backward keeps to read operand t, by the module's rebuild rule:
+    the rebuild t's producer has, if any (a callable), else t's array."""
     remat = t._node.remat if t._node is not None else None
     return t.data if remat is None else remat
 
@@ -521,11 +505,11 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     _SILENT_ROW_SHARE of the images are all-zero, only the live images are
     patched and multiplied, and a silent image's output is zero. The weight
     gradient is ``rows.T @ g_rows`` in the kernel's own shape. A recording
-    call keeps its input map for that gradient (as ``_kept`` gives it: a
-    spike map as its SN's packed copy), and only when the kernel is tracked,
-    never the rows, which are 9x larger. The backward patches the whole map
-    again, spikes as floats of the gradient's dtype (``_as_float``), so its
-    dense GEMM is the float path's. A bias is the caller's.
+    call keeps its input map for that gradient, by the module's rebuild rule,
+    and only when the kernel is tracked, never the rows, which are 9x larger.
+    The backward patches the whole map again, spikes as floats of the
+    gradient's dtype (``_as_float``), so its dense GEMM is the float path's.
+    A bias is the caller's.
     """
     if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
         raise ValueError(f"conv2d takes a [3, 3, C, O] kernel, got shape {kernel.shape}")
@@ -562,8 +546,7 @@ def maxpool2d(x: Tensor) -> Tensor:
     gradient to the first maximal view in (0,0), (0,1), (1,0), (1,1) order,
     which is where argmax over the window would send it when spikes tie. A
     recording call keeps nothing of its own: its backward and its rebuild
-    pool the input again, read as ``_kept`` gives it (spikes through their
-    SN's packed copy).
+    pool the input again, kept by the module's rebuild rule.
     """
     h, w = x.shape[1:3]
     if h < 2 or w < 2:
@@ -589,8 +572,7 @@ def maxpool2d(x: Tensor) -> Tensor:
             free ^= hit
         return (gx,)
 
-    out = _make(pool(x.data)[1], (x,), bwd)
-    return _offer(out, lambda: pool(_read(xd))[1])
+    return _make(pool(x.data)[1], (x,), bwd, lambda: pool(_read(xd))[1])
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

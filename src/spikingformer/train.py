@@ -241,11 +241,12 @@ def read_checkpoint(path) -> dict:
 
 def load_checkpoint(path, config: ModelConfig) -> Model:
     """Build a model for ``config`` and load a checkpoint written by
-    ``save_checkpoint``; a state without BN statistics (written after
-    ``Model.fuse``) loads into a fused model."""
+    ``save_checkpoint``; a state that holds none of the built model's BN
+    statistics (its buffers: written after ``Model.fuse``) loads into a
+    fused model."""
     state = read_checkpoint(path)
     model = build(config)
-    if not any(name.endswith(".running_mean") for name in state):
+    if all(name not in state for name, _ in model.named_buffers()):
         model.fuse()
     model.load_state(state)
     return model

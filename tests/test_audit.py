@@ -232,6 +232,18 @@ class TestAttentionEvents:
         obs = rec.layers["a.qk"]
         assert obs.events == obs.flops_per_item * obs.items
 
+    def test_site_rate_is_the_share_of_event_products(self):
+        rec = ForwardRecorder()
+        q = np.array([[1.0, 0.0], [1.0, 1.0]]).reshape(1, 1, 2, 2)
+        k = np.array([[0.0, 1.0], [1.0, 1.0]]).reshape(1, 1, 2, 2)
+        rec.observe_attention(_FakeLayer("attn"), q, k, np.zeros((1, 1, 2, 2)))
+        rec.observe_attention(_FakeLayer("attn"), q, k, np.ones((1, 1, 2, 2)))
+        qk, av = rec.layers["attn.qk"], rec.layers["attn.av"]
+        # 2 * 4 of the 2 * 8 products of Q K^T meet two spikes; A V's meet them
+        # only where Q K^T is nonzero (3 of 4 entries) and V is all ones
+        assert qk.firing_rate == 8 / 16 and av.firing_rate == 6 / 16
+        assert LayerObservation("unseen", KIND_SSA).firing_rate == 0.0
+
 
 class TestModelAudit:
     def _model(self):
@@ -359,6 +371,16 @@ class TestReportOutput:
     def test_text_histogram_mentions_layers(self, rng):
         text = text_histogram(self._report(rng))
         assert "fr=" in text and "|" in text
+
+    def test_text_histogram_reports_anomalies(self):
+        rec = ForwardRecorder()
+        rec.observe_conv(_FakeLayer("l"), np.array([[0.0, 1.0, 0.5, 2.25]]), flops_per_item=1)
+        obs = rec.layers["l"]
+        report = PurityReport(layers={"l": {"kind": obs.kind, "histogram": dict(obs.histogram),
+                                            "firing_rate": obs.firing_rate,
+                                            "anomalies": obs.anomalies}},
+                              offending_layers=["l"])
+        assert text_histogram(report).splitlines()[-1] == "  !non-integer anomalies: 2"
 
     def test_csv_round_trip(self, rng, tmp_path):
         path = tmp_path / "purity.csv"

@@ -157,7 +157,7 @@ class TestConfigValidation:
         ({k: v for k, v in TINY_CFG.items() if k != "image_width"}, (8, 32)),
     ], ids=["preset-height", "preset-width", "no-preset"])
     def test_missing_image_dimension_keeps_its_default(self, cfg, size):
-        assert model_config_from(cfg, None).image_size == size
+        assert model_config_from(cfg).image_size == size
 
     def test_invalid_json_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -244,7 +244,7 @@ class TestEvalCommand:
         cfg = dict(TINY_CFG, embed_dim=12)
         config_path = tmp_path / "config.json"
         config_path.write_text(json.dumps(cfg))
-        model = build(model_config_from(cfg, None), seed=0)
+        model = build(model_config_from(cfg), seed=0)
         assert model.tokenizer.units[0].conv.weight.shape == (3, 3, 3, 3)
         with no_grad():
             model.forward(np.random.default_rng(0).random((8, 3, 8, 8)))  # BN statistics
@@ -276,17 +276,24 @@ class TestAuditCommand:
         assert (out / "purity.csv").exists() and (out / "purity.json").exists()
 
     def test_require_pure_fails_on_add_style(self, tmp_path, capsys):
+        # saturated as criterion 03 does: every neuron fires, so ADD residual
+        # sums feed integers above 1 into the convs
         cfg = dict(TINY_CFG, residual_style="add", blocks=2)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(cfg))
+        model = build(model_config_from(cfg), seed=0)
+        for name, p in model.named_parameters():
+            if name.endswith("beta"):
+                p.data[:] = 10.0
+            elif name.endswith("gamma") or "weight" in name:
+                p.data[:] = 0.0
+        save_checkpoint(model, tmp_path / "saturated.spkf")
         code = main(["audit", "--config", str(path), "--out", str(tmp_path / "o"),
-                     "--require-pure"])
+                     "--checkpoint", str(tmp_path / "saturated.spkf"), "--require-pure"])
         captured = capsys.readouterr()
-        # fresh BN statistics may keep spikes binary; only assert consistency
-        if "verdict: pure" in captured.out:
-            assert code == 0
-        else:
-            assert code == 1 and "impure" in captured.err
+        assert code == 1
+        assert "impure under --require-pure" in captured.err
+        assert "verdict: impure" in captured.out and "offending layers:" in captured.out
 
 
 class TestEnergyCommand:
@@ -351,7 +358,7 @@ class TestEnergyCommand:
         assert main(["energy", "--config", str(path), "--out", str(out)] + mode) == 0
         payload = json.loads((out / "energy.json").read_text())
         assert payload["mode"] == ("integer-as-MAC" if mode[1:] == ["2"] else "integer-as-N-ACs")
-        model = build(model_config_from(cfg, None)).eval()
+        model = build(model_config_from(cfg)).eval()
         encoder = next(t for t in trace_model(model, np.zeros((1, in_channels, 8, 8), np.float32))
                        if t.kind == KIND_FIRST)
         assert payload["layers"][0] == {"layer": encoder.layer_id, "kind": KIND_FIRST,
@@ -372,7 +379,7 @@ class TestFuseCommand:
         # float32 fusion re-associates the folded kernel's sums, which flips
         # spikes at threshold; the verdict compares a float64 copy instead
         checkpoint = str(trained / "checkpoint.spkf")
-        direct = load_checkpoint(checkpoint, model_config_from(TINY_CFG, None))
+        direct = load_checkpoint(checkpoint, model_config_from(TINY_CFG))
         direct.eval()
         direct.fuse()
         save_checkpoint(direct, tmp_path / "direct.spkf")
@@ -419,6 +426,26 @@ class TestParamsCommand:
         assert main(["params", "--config", str(path)]) == 0
         assert "deviation" in capsys.readouterr().out
 
+    def test_preset_past_published_bound_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"preset": "spikingformer-4-384", "embed_dim": 512,
+                                    "heads": 8}))
+        assert main(["params", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "(16.54M)" in captured.out
+        assert "reference spikingformer-4-384: 9.32M" in captured.out
+        assert "deviates more than 2%" in captured.err
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"tokenizer_plan": ["spe", "pool", "sped"]}, "unknown tokenizer unit kind 'pool'"),
+        ({"embed_dim": 6}, "embed_dim 6 not divisible by 2^2"),
+    ], ids=["unit-kind", "embed-dim"])
+    def test_bad_tokenizer_exits_2(self, tmp_path, capsys, overrides, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **overrides)))
+        assert main(["params", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCifarPath:
     def _eval_count(self, tmp_path, capsys, extra=(), **cfg_overrides):
@@ -433,7 +460,7 @@ class TestCifarPath:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         ckpt = tmp_path / "checkpoint.spkf"
-        save_checkpoint(build(model_config_from(cfg, None), seed=0), ckpt)
+        save_checkpoint(build(model_config_from(cfg), seed=0), ckpt)
         capsys.readouterr()
         assert main(["eval", "--config", str(cfg_path), "--data", str(data),
                      "--checkpoint", str(ckpt), *extra]) == 0
@@ -488,7 +515,7 @@ class TestCifarPath:
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))
         ckpt = tmp_path / "checkpoint.spkf"
-        save_checkpoint(build(model_config_from(cfg, None), seed=0), ckpt)
+        save_checkpoint(build(model_config_from(cfg), seed=0), ckpt)
         argv = [command, "--config", str(cfg_path), "--data", str(data),
                 "--out", str(tmp_path / "run")]
         if command == "eval":
@@ -595,12 +622,12 @@ class TestConfigSchema:
 
     def test_required_keys_match_the_reference(self):
         with pytest.raises(ConfigError) as info:
-            model_config_from({}, None)
+            model_config_from({})
         assert str(info.value) == f"config missing required keys: {list(_REFERENCE_REQUIRED)}"
         for key in _REFERENCE_REQUIRED:
             cfg = {k: v for k, v in TINY_CFG.items() if k != key}
             with pytest.raises(ConfigError, match=rf"missing required keys: \['{key}'\]"):
-                model_config_from(cfg, None)
+                model_config_from(cfg)
 
     @pytest.mark.parametrize("cls,field", [pytest.param(cls, f.name, id=f.name)
                                            for cls in (ModelConfig, TrainConfig)

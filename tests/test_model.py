@@ -130,6 +130,11 @@ class TestForward:
         with pytest.raises(ValueError, match="geometry"):
             model.forward(rng.uniform(0, 1, (2, 3, 16, 16)).astype(np.float32))
 
+    def test_3d_input_rejected(self):
+        model = build(TINY, seed=0)
+        with pytest.raises(ValueError, match=r"expected 4D or 5D input, got shape \(3, 8, 8\)"):
+            model.forward(np.zeros((3, 8, 8), dtype=np.float32))
+
     @pytest.mark.parametrize("fused", [False, True], ids=["unfused", "fused"])
     @pytest.mark.parametrize("shape", [(0, 3, 8, 8), (2, 0, 3, 8, 8)], ids=["static", "events"])
     def test_empty_batch_rejected(self, fused, shape):
@@ -853,8 +858,8 @@ class TestDtype:
 
         make, seen = T._make, []
 
-        def spy(data, parents, backward):
-            out = make(data, parents, backward)
+        def spy(data, parents, backward, remat=None):
+            out = make(data, parents, backward, remat)
             seen.append(out.data.dtype)
             return out
 

@@ -8,6 +8,7 @@ import pathlib
 import sys
 
 import spikingformer
+from spikingformer import tensor
 from spikingformer.cli import main
 
 # exported for the acceptance criteria, which compare the system against them;
@@ -53,6 +54,31 @@ def test_runtime_imports_numpy_and_stdlib_only():
             foreign += [f"{path.name}:{node.lineno}: {name}" for name in names
                         if name.split(".")[0] not in allowed]
     assert not foreign, foreign
+
+
+def test_each_decision_has_one_owner():
+    """Only ``tensor`` reads or writes a tape node's fields (a node and its
+    rebuild are built by ``_make``, read by ``_kept``); ``audit`` turns a
+    site's counts into its rate, so ``energy`` reads no event count; and only
+    ``layers`` names a BN statistic. Attribute accesses and constants are
+    read, docstrings are not."""
+    breaches = []
+    for path in sorted(pathlib.Path(spikingformer.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+        for node in ast.walk(tree):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Attribute):
+                if node.attr in ("_node", "remat") and path.name != "tensor.py":
+                    breaches.append(f"{where}: .{node.attr}")
+                if node.attr == "events" and path.name == "energy.py":
+                    breaches.append(f"{where}: .events")
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "running_mean" in node.value and id(node) not in docstrings
+                  and path.name != "layers.py"):
+                breaches.append(f"{where}: {node.value!r}")
+    assert not breaches, breaches
+    assert not hasattr(tensor, "_offer") and not hasattr(tensor, "_passed_on")
 
 
 def _cli_sweep(tmp_path):

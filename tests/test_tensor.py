@@ -423,6 +423,11 @@ class TestDenseOps:
         x = Tensor(rng.standard_normal((1, 5, 7, 1)))
         assert maxpool2d(x).shape == (1, 2, 3, 1)
 
+    @pytest.mark.parametrize("h,w", [(1, 4), (4, 1)])
+    def test_maxpool_refuses_a_map_narrower_than_2(self, h, w):
+        with pytest.raises(ValueError, match=f"spatial dims >= 2, got {h}x{w}"):
+            maxpool2d(Tensor(np.zeros((1, h, w, 1))))
+
     def test_gap_identical_rows(self):
         row = np.array([1.0, 2.0, 3.0])
         x = Tensor(np.tile(row, (4, 1)))
