@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -82,8 +81,12 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be {expected.__name__}")
         if allowed is not None and value not in allowed:
             raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"config key {key!r} must be finite, got {value}")
+        if isinstance(value, float):  # it must survive float32, the model's dtype
+            with np.errstate(over="ignore"):
+                single = np.float32(value)
+            if not np.isfinite(single) or (single == 0) != (value == 0):
+                raise ConfigError(f"config key {key!r} must be finite and, unless 0, "
+                                  f"nonzero in float32; got {value}")
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ConfigError(f"config key {key!r} must be >= {_MINIMUM[key]}, got {value}")
         cfg[key] = value

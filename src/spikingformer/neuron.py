@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _kept, _make, _records, spike_threshold, surrogate_grad
+from .tensor import Tensor, _kept, _make, _read_new, _records, spike_threshold, surrogate_grad
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
@@ -98,18 +98,16 @@ def multistep_lif(
     mode repeats ``lif_step``'s float operations in the same order, so its
     spikes (``bool`` for a float32 x, else 0/1 in x's dtype) equal a loop of
     ``lif_step``'s float ones; relaxed mode fires sigmoid(alpha * (H - V_th))
-    and never detaches the reset. The backward runs the BPTT recurrence in
-    reverse over T and reads only H and the spikes, never the input. A call
-    that records a tape node keeps ``bool`` spikes at one bit each
-    (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes), and their
-    unpacking is its rebuild (the ``tensor`` module's rebuild rule), through
-    which its own backward reads them too; float spikes (relaxed mode,
-    float64) it keeps as they are. It keeps H too, exactly when ``_kept``
-    gives x's array; where it gives x's rebuild, the backward rebuilds x and
-    runs ``lif_step``'s operations over it again in place, each reset taken
-    from the stored spikes, so H is the forward's bit for bit. In spiking
-    mode the BPTT sweep allocates two scratch rows per call and nothing per
-    step.
+    and never detaches the reset. A call that records a tape node keeps its
+    input as every op keeps an operand (``_kept``, the ``tensor`` module's
+    rebuild rule), and its backward runs the forward again over a new array
+    holding that input (``_read_new``): H overwrites it in place, the spikes
+    fire into a new buffer, so both are the forward's bit for bit. The BPTT
+    recurrence then runs in reverse over T. ``bool`` spikes are kept too, at
+    one bit each (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes),
+    for the consumers: their unpacking is the node's rebuild, which its own
+    backward never reads. In spiking mode the BPTT sweep allocates two
+    scratch rows per call and nothing per step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -118,21 +116,21 @@ def multistep_lif(
     xd = x.data
     dt = xd.dtype.type
     decay, v_th, v_reset = dt(1.0 / params.tau), dt(params.v_threshold), dt(params.v_reset)
-    steps, n = xd.shape[0], math.prod(xd.shape[1:])
+    shape, steps, n = xd.shape, xd.shape[0], math.prod(xd.shape[1:])
     one = dt(1.0)  # 1 - S in x's dtype: a Python 1.0 minus bool spikes is float64 (NEP 50)
+    spike_dtype = bool if mode == SPIKING and dt is np.float32 else dt
 
-    def sweep(x2, hs, s2, fire):
-        """lif_step's operations over [T, n] rows in preallocated buffers,
-        writing H[t] into hs if given (which may be x2 itself: H overwrites X
-        in place) and, if ``fire``, the spikes into s2; else the reset reads
-        s2's spikes."""
+    def sweep(x2, in_place=False):
+        """lif_step's operations over [T, n] rows: the [T, n] spikes, with
+        H[t] written over x2[t] if ``in_place``, else into scratch."""
+        s2 = np.empty((steps, n), dtype=spike_dtype)
         bufs = [np.empty(min(n, _LIF_CHUNK), dtype=x2.dtype) for _ in range(4)]
         for lo in range(0, n, _LIF_CHUNK):  # the whole T loop per chunk, so its slices stay in cache
             hi = min(lo + _LIF_CHUNK, n)
             v, h_tmp, x_tmp, reset = (buf[: hi - lo] for buf in bufs)
             v.fill(v_reset)
             for t in range(steps):
-                h = h_tmp if hs is None else hs[t, lo:hi]
+                h = x2[t, lo:hi] if in_place else h_tmp
                 s = s2[t, lo:hi]
                 xt = x2[t, lo:hi]
                 if input_scale != 1.0:
@@ -140,9 +138,9 @@ def multistep_lif(
                 # with V_reset = 0, V - V_reset and + S * V_reset change no value
                 np.subtract(xt, np.subtract(v, v_reset, out=reset) if v_reset else v, out=h)
                 np.add(v, np.multiply(h, decay, out=h), out=h)
-                if fire and mode == SPIKING:
+                if mode == SPIKING:
                     np.greater_equal(h, v_th, out=s)  # same sign as fl(H - V_th)
-                elif fire:
+                else:
                     with np.errstate(over="ignore"):
                         s[...] = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
                 if t + 1 == steps:  # nothing reads the membrane after the last step
@@ -150,20 +148,12 @@ def multistep_lif(
                 np.multiply(h, np.subtract(one, s, out=v), out=v)
                 if v_reset:
                     np.add(v, np.multiply(s, v_reset, out=reset), out=v)
+        return s2.reshape(shape)
 
-    spikes = np.empty((steps, n), dtype=bool if mode == SPIKING and dt is np.float32 else dt)
-    # H[t] is kept for the backward only, and only where the input has no
-    # rebuild: else one chunk of scratch serves
-    records = _records((x,))
-    kept = _kept(x) if records else None
-    rebuild = kept if callable(kept) else None
-    hs = np.empty((steps, n), dtype=xd.dtype) if records and rebuild is None else None
-    sweep(xd.reshape(steps, n), hs, spikes, fire=True)
-    shape = xd.shape
-    spikes = spikes.reshape(shape)
+    spikes = sweep(xd.reshape(steps, n))
+    kept = _kept(x)
     # a recorded call keeps bool spikes at one bit each, and its rebuild unpacks them
-    packed = _pack(spikes) if records and spikes.dtype == bool else None
-    read_spikes = (lambda: spikes) if packed is None else (lambda: _unpack(packed, shape))
+    packed = _pack(spikes) if spike_dtype is bool and _records((x,)) else None
 
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed
@@ -175,12 +165,9 @@ def multistep_lif(
         # (H - V_th, then 1 - S) until it receives the step's gradient. It
         # reads H[t] only once, first, so gx is H's own buffer; relaxed mode
         # reads it again.
-        spikes = read_spikes()
-        h2 = hs
-        if h2 is None:  # the input again, then H over it in place, each reset by the spikes
-            h2 = rebuild().reshape(steps, n)
-            sweep(h2, h2, spikes.reshape(steps, n), fire=False)
-        h_all = h2.reshape(shape)
+        h_all = _read_new(kept).reshape(steps, n)
+        spikes = sweep(h_all, in_place=True)  # the forward again: H over the input
+        h_all = h_all.reshape(shape)
         gx = h_all if mode == SPIKING else np.empty_like(h_all)
         g_h = np.zeros_like(h_all[0])
         sg = np.empty_like(h_all[0])
@@ -199,4 +186,4 @@ def multistep_lif(
                 gx[t] *= dt(input_scale)
         return (gx,)
 
-    return _make(spikes, (x,), bwd, None if packed is None else read_spikes)
+    return _make(spikes, (x,), bwd, None if packed is None else lambda: _unpack(packed, shape))

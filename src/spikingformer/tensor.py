@@ -24,9 +24,9 @@ each it keeps, a matmul's multiplies its operands again, a maxpool's pools
 its input's rebuild, and a reshape or a transpose views its input's rebuild.
 A backward keeps each operand as ``_kept`` gives it: its producer's rebuild
 where there is one, else its array. So no bool buffer, nor attention's
-product of spikes, outlives the forward; and a LIF layer whose input has a
-rebuild (a batch norm's output, attention's product) keeps only its spikes
-and rebuilds its ``H`` history in its backward.
+product of spikes, outlives the forward. A LIF layer keeps its input so,
+like every other op, and its backward runs its forward again over a new
+array holding it (``_read_new``): no ``H`` history is on the tape.
 
 Only the primitives needed by the spiking-transformer stack are provided:
 elementwise arithmetic, matmul, conv2d, maxpool2d, reductions, reshape /
@@ -406,6 +406,13 @@ def _kept(t: Tensor):
 def _read(kept) -> np.ndarray:
     """The operand array a backward reads from what ``_kept`` gave."""
     return kept() if callable(kept) else kept
+
+
+def _read_new(kept) -> np.ndarray:
+    """A new array holding the operand ``_kept`` gave, which its backward may
+    overwrite: the rebuild's result, else a copy of the kept array, which
+    other nodes read."""
+    return kept() if callable(kept) else kept.copy()
 
 
 def _unbroadcast(grad: np.ndarray, shape) -> np.ndarray:

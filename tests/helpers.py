@@ -93,20 +93,29 @@ def tape_nodes(out: T.Tensor) -> list:
     return [nodes[seq] for seq in sorted(nodes)]
 
 
+def node_arrays(node: T._Node):
+    """(name, array) for each array a tape node's closures hold: its
+    backward's, then its rebuild's (``closure_arrays``). A node holds no array
+    of its own, and an array only its rebuild holds is on the tape too."""
+    yield from closure_arrays(node.backward)
+    if node.remat is not None:
+        yield from closure_arrays(node.remat)
+
+
 def tape_arrays(out: T.Tensor, leaves=()) -> list:
     """(label, array) for every array the recorded result ``out`` keeps alive
-    through its tape: the arrays its nodes' backward closures hold (a node
-    holds no array of its own), in creation order. Arrays are de-duplicated by
-    owning buffer (each entry is the owner) and labelled ``op.name``: the op
-    of the first node whose closure holds them, directly or through a
-    rebuild it captured, and the cell that holds them (``multistep_lif.packed``,
-    ``conv2d.xd``, ``Tensor.matmul.b``). Buffers of the tensors in ``leaves``
-    (parameters, inputs) are left out: the tape does not own them."""
+    through its tape: the arrays its nodes hold (``node_arrays``), in creation
+    order. Arrays are de-duplicated by owning buffer (each entry is the owner)
+    and labelled ``op.name``: the op of the first node whose closures hold
+    them, directly or through a rebuild they captured, and the cell that holds
+    them (``multistep_lif.packed``, ``conv2d.xd``, ``Tensor.matmul.b``).
+    Buffers of the tensors in ``leaves`` (parameters, inputs) are left out:
+    the tape does not own them."""
     seen = {id(_owner(t.data)) for t in leaves}
     found = []
     for node in tape_nodes(out):
         op = node.backward.__qualname__.split(".<locals>")[0]
-        for name, value in closure_arrays(node.backward):
+        for name, value in node_arrays(node):
             arr = _owner(value)
             if id(arr) not in seen:
                 seen.add(id(arr))

@@ -1,6 +1,7 @@
 """End-to-end CLI: every subcommand against a tiny synthetic config."""
 
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -150,6 +151,29 @@ class TestConfigValidation:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and "tau" in captured.err
         assert "Traceback" not in captured.err and "verdict" not in captured.out
+
+    # a finite float that float32, the model's precision, cannot hold: beyond
+    # its range, or nonzero and rounding to 0
+    @pytest.mark.parametrize("key,value", [
+        ("v_reset", -1e39), ("v_reset", -1e300), ("v_threshold", 1e300), ("noise", 1e300),
+        ("scale", 1e-300), ("tau", 1e300), ("alpha", 1e300), ("lr", 1e-300),
+    ])
+    def test_float_float32_cannot_hold_exits_cleanly(self, tmp_path, key, value, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **{key: value})))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert main(["audit", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config key {key!r} must be finite")
+        assert "float32" in captured.err and "verdict" not in captured.out
+
+    @pytest.mark.parametrize("key,value", [
+        ("v_reset", -3.4e38), ("v_threshold", 0.1), ("noise", 0.0), ("scale", 1e-45),
+        ("tau", 1.7), ("alpha", 3.0e38), ("lr", 1e-40), ("weight_decay", 0.05),
+    ])
+    def test_float32_values_keep_their_bits(self, key, value):
+        assert validate_config({key: value})[key].hex() == value.hex()
 
     @pytest.mark.parametrize("cfg,size", [
         ({"preset": "spikingformer-8-384", "image_height": 112}, (112, 224)),

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import closure_arrays
+from helpers import closure_arrays, tape_arrays
 from spikingformer import tensor as T
+from spikingformer.neuron import LIFParams, multistep_lif
 
 
 def _backward(bind: bool):
@@ -70,3 +71,13 @@ def test_closure_arrays_walks_a_function_cycle_once():
         return pong
 
     assert [name for name, _ in closure_arrays(make())] == ["kept"]
+
+
+def test_tape_arrays_finds_an_array_only_a_rebuild_holds():
+    # no backward reads the spikes of an SN summed straight into the loss:
+    # only its node's rebuild holds their packed copy
+    x = T.Tensor(np.linspace(-1.0, 3.0, 30, dtype=np.float32).reshape(2, 3, 5),
+                 requires_grad=True)
+    loss = multistep_lif(x, LIFParams()).sum()
+    assert [(label, a.dtype) for label, a in tape_arrays(loss, [x])] == \
+        [("multistep_lif.packed", np.uint8)]

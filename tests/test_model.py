@@ -33,7 +33,7 @@ from spikingformer.model import (
 from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import cross_entropy, load_checkpoint, save_checkpoint
 
-from helpers import _owner, closure_arrays, tape_arrays, tape_bytes, tape_nodes
+from helpers import _owner, closure_arrays, node_arrays, tape_arrays, tape_bytes, tape_nodes
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -396,15 +396,15 @@ DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
 
 def _packed_copies(monkeypatch):
     """Spy on ``SN.forward``: {id of each SN's packed tape copy: (its name,
-    a copy of its bool spikes)}, filled as the model runs. The copy is the
-    one array the SN output's rebuild reads."""
+    a copy of its bool spikes, the id of its input's owning array)}, filled as
+    the model runs. The copy is the one array the SN output's rebuild reads."""
     sites = {}
     forward = SN.forward
 
     def spy(sn, x, t_steps):
         out = forward(sn, x, t_steps)
         (packed,) = [a for _, a in closure_arrays(out._node.remat)]
-        sites[id(packed)] = (sn.name, out.data.copy())
+        sites[id(packed)] = (sn.name, out.data.copy(), id(_owner(x.data)))
         return out
 
     monkeypatch.setattr(SN, "forward", spy)
@@ -429,7 +429,7 @@ class TestSpikesOnTheTape:
     those copies: each conv but the encoder (its input map is an SN output or
     a maxpool of one, and a maxpool keeps nothing of its own) and both
     operands of attention's spike-by-spike product. A float64 model spikes in
-    float64 and keeps its spikes as they are."""
+    float64, and its SNs keep no spikes: their backward fires them again."""
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     @pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
@@ -461,7 +461,7 @@ class TestSpikesOnTheTape:
         assert len(lifs) == len(sites)
         for node in lifs:
             (copy,) = [a for _, a in closure_arrays(node.remat)]  # what its rebuild reads
-            name, spikes = sites[id(copy)]
+            name, spikes, _ = sites[id(copy)]
             assert spikes.dtype == bool
             assert copy.dtype == np.uint8 and copy.shape == (-(-spikes.size // 8),), name
             rebuilt = node.remat()  # a new bool array, bit-equal to the spikes
@@ -500,7 +500,7 @@ class TestSpikesOnTheTape:
         logits = model.forward(_batch(rng, b=4, cfg=cfg))
         monkeypatch.undo()
         leaves = model.parameters()
-        names = {key: name for key, (name, _) in sites.items()}
+        names = {key: name for key, (name, _, _) in sites.items()}
         products = [_held(node, leaves) for node in tape_nodes(logits)  # not a token GEMM
                     if _is_op(node, "Tensor.matmul")
                     and all(type(parent) is T._Node for parent in node.parents)]
@@ -515,15 +515,27 @@ class TestSpikesOnTheTape:
         assert all(id(a) in sites for held in products for a in held)
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
-    def test_float64_model_spikes_in_float64(self, rng, style):
+    def test_float64_model_spikes_in_float64(self, rng, style, monkeypatch):
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0).astype(np.float64)
-        arrays = tape_arrays(model.forward(_batch(rng, b=4, cfg=cfg)), model.parameters())
+        outs = []  # every SN's spikes, held so their ids stay unique
+        forward = SN.forward
+        monkeypatch.setattr(SN, "forward",
+                            lambda sn, x, t: outs.append(forward(sn, x, t)) or outs[-1])
+        logits = model.forward(_batch(rng, b=4, cfg=cfg))
+        monkeypatch.undo()
+        arrays = tape_arrays(logits, model.parameters())
         assert {a.dtype for _, a in arrays} == {np.dtype(np.float64)}  # no bool, no packed copy
-        outs = [a for label, a in arrays if label == "multistep_lif.spikes"]
         assert len(outs) == sum(isinstance(m, SN) for m in model.modules())
-        for a in outs:
-            assert np.all((a == 0) | (a == 1))
+        for out in outs:
+            assert out.data.dtype == np.float64 and np.all((out.data == 0) | (out.data == 1))
+        # no LIF node keeps its own spikes: its backward fires them again
+        lifs = [node for node in tape_nodes(logits) if _is_op(node, "multistep_lif")]
+        assert len(lifs) == len(outs)
+        spikes = {id(out._node.parents[0]): id(_owner(out.data)) for out in outs}  # via reshape
+        for node in lifs:
+            assert node.remat is None
+            assert spikes[id(node)] not in {id(_owner(a)) for _, a in node_arrays(node)}
 
     @pytest.mark.parametrize("fused", [False, True], ids=["no_grad", "fused"])
     def test_untaped_forwards_never_pack(self, rng, fused, monkeypatch):
@@ -551,14 +563,25 @@ class TestSpikesOnTheTape:
 
 class TestTapeKeepsWhatBackwardReads:
     """A recorded float32 forward keeps only the arrays a backward reads: no
-    matmul, conv2d or BN output and no LIF input is on its tape (attention's
-    middle product, Q K^T or K^T V, is read through its rebuild). The
-    backward sweep frees each node as it passes, while every parameter keeps
-    its gradient."""
+    matmul, conv2d or BN output is on its tape (attention's middle product,
+    Q K^T or K^T V, is read through its rebuild), and an LIF input only where
+    nothing rebuilds it, a residual sum. The backward sweep frees each node
+    as it passes, while every parameter keeps its gradient."""
+
+    # the SNs of the desk model (SN head) whose input is a residual sum, which
+    # nothing rebuilds: the stream's SNs, except block 0's spike-driven sn_in,
+    # whose input is the tokenizer's last BN through a reshape. Each keeps its
+    # input's own array beside its packed spikes; every other SN keeps only
+    # its packed spikes and reads its input through its producer's rebuild
+    # (its BN's, or for sn_attn attention's product of spikes).
+    SUM_FED = {
+        SPIKE_DRIVEN: ["blocks.0.mlp.sn1", "blocks.1.attn.sn_in", "blocks.1.mlp.sn1", "head.sn"],
+        ADD: ["head.sn"],
+    }
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     def test_unread_outputs_are_not_on_the_tape(self, rng, style, monkeypatch):
-        cfg = dataclasses.replace(DESK, residual_style=style)
+        cfg = dataclasses.replace(DESK, residual_style=style, head_variant=HEAD_SN_AVGPOOL_FC)
         model = build(cfg, seed=0)
         unread = []  # (op, owner array): held, so their ids stay unique
 
@@ -588,18 +611,8 @@ class TestTapeKeepsWhatBackwardReads:
         products = [arr for op, arr in unread if op == "matmul" and arr.ndim == 4]
         assert len(products) == 2 * cfg.blocks  # attention's, per head
         tape = {id(arr) for _, arr in tape_arrays(logits, model.parameters())}
-        assert [op for op, arr in unread if id(arr) in tape] == []
-
-    # the SNs of the desk model (SN head) whose input nothing rebuilds: a
-    # residual sum (the stream's SNs, except block 0's spike-driven sn_in,
-    # whose input is the tokenizer's last BN through a reshape). Only these
-    # keep their H history; every other SN rebuilds its input in the
-    # backward, from its BN's normalised input or, for sn_attn, as
-    # attention's product of spikes read from their packed copies.
-    KEEP_H = {
-        SPIKE_DRIVEN: ["blocks.0.mlp.sn1", "blocks.1.attn.sn_in", "blocks.1.mlp.sn1", "head.sn"],
-        ADD: ["head.sn"],
-    }
+        assert [op for op, arr in unread if id(arr) in tape] == \
+            ["LIF input"] * len(self.SUM_FED[style])
 
     @staticmethod
     def _lif_arrays(loss, leaves, sites):
@@ -610,7 +623,7 @@ class TestTapeKeepsWhatBackwardReads:
         found = []
         for node in tape_nodes(loss):
             own = {}
-            for name, a in closure_arrays(node.backward):
+            for name, a in node_arrays(node):
                 if id(_owner(a)) not in seen:
                     seen.add(id(_owner(a)))
                     own[name] = (id(_owner(a)), _owner(a).dtype, a.size)
@@ -626,17 +639,17 @@ class TestTapeKeepsWhatBackwardReads:
         labels = rng.integers(0, cfg.num_classes, 4)
         loss = cross_entropy(model.forward(_batch(rng, b=4, cfg=cfg)), labels)
         monkeypatch.undo()
-        keep_h = []
+        keep_input = []
         for sn, own in self._lif_arrays(loss, model.parameters(), sites):
-            spikes = sites[own["packed"][0]][1].size
-            assert own["packed"][1:] == (np.uint8, -(-spikes // 8))
-            if "hs" in own:
-                assert list(own) == ["hs", "packed"]
-                assert own["hs"][1:] == (np.float32, spikes)
-                keep_h.append(sn)
+            _, spikes, source = sites[own["packed"][0]]
+            assert own["packed"][1:] == (np.uint8, -(-spikes.size // 8))
+            if "kept" in own:
+                assert list(own) == ["kept", "packed"]
+                assert own["kept"] == (source, np.float32, spikes.size)  # no copy
+                keep_input.append(sn)
             else:
                 assert list(own) == ["packed"]
-        assert sorted(keep_h) == self.KEEP_H[style]
+        assert sorted(keep_input) == self.SUM_FED[style]
         assert len(sites) == sum(isinstance(m, SN) for m in model.modules())
         sites.clear()
         refs = [weakref.ref(arr) for _, arr in tape_arrays(loss, model.parameters())]
@@ -797,7 +810,8 @@ class TestPackedTapeDifferential:
     """The one-bit tape changes no number. The reference run keeps each SN's
     bool spikes on the tape (the pack/unpack pair made the identity, so
     every backward reads the forward's own array) and drops every matmul's
-    product rebuild (so each sn_attn keeps its H). Logits and every
+    product rebuild (so each sn_attn keeps its input, attention's product, as
+    an array). Logits and every
     parameter gradient are bit-equal to the default path's, with attention
     in either order (N = 4 <= d_head at 8x8, N = 16 > d_head at 16x16)."""
 
@@ -808,10 +822,10 @@ class TestPackedTapeDifferential:
             model.eval()
         logits = model.forward(x)
         dtypes = {a.dtype for _, a in tape_arrays(logits, model.parameters())}
-        hs = sum(name == "hs" for node in tape_nodes(logits) if _is_op(node, "multistep_lif")
-                 for name, _ in closure_arrays(node.backward))
+        inputs = sum(name == "kept" for node in tape_nodes(logits)
+                     if _is_op(node, "multistep_lif") for name, _ in closure_arrays(node.backward))
         cross_entropy(logits, np.array([0, 1, 2, 3])).backward()
-        return logits.data, {name: p.grad for name, p in model.named_parameters()}, dtypes, hs
+        return logits.data, {name: p.grad for name, p in model.named_parameters()}, dtypes, inputs
 
     @pytest.mark.parametrize("style", [SPIKE_DRIVEN, ADD])
     @pytest.mark.parametrize("head", HEAD_VARIANTS)
@@ -822,7 +836,7 @@ class TestPackedTapeDifferential:
         cfg = dataclasses.replace(DESK, residual_style=style, head_variant=head,
                                   image_size=(image, image))
         x = _batch(rng, b=4, cfg=cfg)
-        logits, grads, dtypes, hs = self._run(cfg, training, x)
+        logits, grads, dtypes, inputs = self._run(cfg, training, x)
         monkeypatch.setattr(neuron, "_pack", lambda spikes: spikes)
         monkeypatch.setattr(neuron, "_unpack", lambda spikes, shape: spikes)
         matmul = Tensor.matmul
@@ -834,10 +848,10 @@ class TestPackedTapeDifferential:
 
         monkeypatch.setattr(Tensor, "matmul", no_rebuild)
         monkeypatch.setattr(Tensor, "__matmul__", no_rebuild)
-        ref_logits, ref_grads, ref_dtypes, ref_hs = self._run(cfg, training, x)
+        ref_logits, ref_grads, ref_dtypes, ref_inputs = self._run(cfg, training, x)
         assert np.dtype(np.uint8) in dtypes and np.dtype(bool) not in dtypes
         assert np.dtype(bool) in ref_dtypes and np.dtype(np.uint8) not in ref_dtypes
-        assert ref_hs == hs + cfg.blocks  # every sn_attn
+        assert ref_inputs == inputs + cfg.blocks  # every sn_attn keeps attention's product
         assert logits.dtype == ref_logits.dtype == np.float32
         assert logits.tobytes() == ref_logits.tobytes()
         assert grads.keys() == ref_grads.keys()

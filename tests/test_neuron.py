@@ -18,7 +18,7 @@ from spikingformer.neuron import (
 )
 from spikingformer.tensor import Tensor, heaviside, no_grad, surrogate_grad
 
-from helpers import closure_arrays
+from helpers import _owner, closure_arrays, node_arrays
 
 DEFAULTS = LIFParams()
 
@@ -343,11 +343,12 @@ class TestChunkedTimeLoop:
 
 
 class TestRebuiltHistory:
-    """An SN whose input is a batch norm's output keeps no H on the tape: its
-    backward rebuilds the BN output from the arrays the BN node keeps, then H
-    over it in place, each reset taken from the stored spikes. Spikes and
-    every gradient equal, bit for bit, those of the same run with the rebuild
-    dropped (which keeps H as every other SN does)."""
+    """A recorded SN keeps its input as every op keeps an operand, and its
+    backward runs the forward again over a new array holding it: an SN whose
+    input is a batch norm's output keeps no array of its own in its backward,
+    which rebuilds the BN output from the arrays the BN node keeps; with the
+    rebuild dropped it keeps the BN output's own array, never a copy, and
+    leaves it as it was. Spikes and every gradient are bit-equal both ways."""
 
     LIF = [  # (mode, params, input_scale): v_reset 0 and 0.5, input_scale 1 and 1/8
         (mode, LIFParams(v_reset=v_reset), scale)
@@ -369,12 +370,18 @@ class TestRebuiltHistory:
         assert y._node.remat is not None
         if not rebuild:
             y._node.remat = None
+        before = y.data.copy()
         out = multistep_lif(y.reshape((steps, -1) + x.shape[1:]), params, mode=mode,
                             input_scale=scale)
-        kept = [name for name, _ in closure_arrays(out._node.backward) if name == "hs"]
-        assert kept == ([] if rebuild else ["hs"])
+        kept = [a for _, a in closure_arrays(out._node.backward)]
+        if rebuild:  # the BN's rebuild, which holds only arrays the BN node holds
+            bn_arrays = {id(_owner(a)) for _, a in node_arrays(y._node)}
+            assert kept and {id(_owner(a)) for a in kept} <= bn_arrays
+        else:  # the BN output's own array
+            assert len(kept) == 1 and kept[0].base is y.data
         weight = np.linspace(-1.0, 1.0, out.size).reshape(out.shape).astype(x.dtype)
         (out * Tensor(weight, dtype=x.dtype)).sum().backward()
+        assert y.data.tobytes() == before.tobytes()
         return out.data, xt.grad, bn.gamma.grad, bn.beta.grad
 
     def _assert_bit_equal(self, x, steps, training, mode, params, scale):
@@ -402,13 +409,39 @@ class TestRebuiltHistory:
         self._assert_bit_equal(x, 2, training, "spiking", LIFParams(v_reset=0.5), 0.125)
 
 
+class TestKeptInput:
+    """An SN whose input nothing rebuilds (a residual sum) keeps that input's
+    own array, which other nodes may read too, so its backward runs the
+    forward over a copy: after backward() the array is unchanged, and a
+    product recorded before the SN, whose backward runs after the SN's,
+    reads the input as it was."""
+
+    @pytest.mark.parametrize("mode,dtype", [("spiking", np.float32), ("relaxed", np.float32),
+                                            ("spiking", np.float64)])
+    @pytest.mark.parametrize("scale", [1.0, 0.125])
+    def test_input_array_unchanged_by_backward(self, rng, mode, dtype, scale):
+        a = Tensor(rng.standard_normal((3, 4, 5)), requires_grad=True, dtype=dtype)
+        x = a + Tensor(rng.standard_normal(5), dtype=dtype)  # a residual sum: no rebuild
+        before = x.data.copy()
+        w = Tensor(np.ones(x.shape), requires_grad=True, dtype=dtype)
+        read = x * w  # its backward reads x, and runs after the SN's
+        out = multistep_lif(x, LIFParams(v_reset=0.5), mode=mode, input_scale=scale)
+        (kept,) = [arr for _, arr in closure_arrays(out._node.backward)]
+        assert kept is x.data  # no copy on the tape
+        weight = np.linspace(-1.0, 1.0, out.size).reshape(out.shape).astype(dtype)
+        (read.sum() + (out * Tensor(weight, dtype=dtype)).sum()).backward()
+        assert x.data.tobytes() == before.tobytes()
+        assert w.grad.tobytes() == before.tobytes()
+
+
 class TestPackedSpikes:
     """A recorded call that fires bool spikes keeps them at one bit each
-    (``np.packbits``: uint8, ceil(n / 8) bytes for n spikes) and reads them
-    back unpacked, in its own backward and in every consumer's. Any spike
-    count, one that leaves a partial last byte included, and a single time
-    step give lif_step's spikes and gradients bit for bit. Relaxed mode and
-    float64 inputs fire float arrays, which the node keeps as they are."""
+    (``np.packbits``: uint8, ceil(n / 8) bytes for n spikes) in its rebuild,
+    which unpacks them for every consumer; its own backward fires them again
+    and never unpacks. Any spike count, one that leaves a partial last byte
+    included, and a single time step give lif_step's spikes and gradients bit
+    for bit. Relaxed mode and float64 inputs fire float arrays, which the
+    node does not keep: its backward fires them again too."""
 
     @pytest.mark.parametrize("steps", [1, 3])
     @pytest.mark.parametrize("neurons", [(1,), (3,), (5, 3)])
@@ -418,9 +451,10 @@ class TestPackedSpikes:
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
         out = multistep_lif(xt, DEFAULTS)
         assert out.size % 8  # the last byte is partial
-        kept = list(closure_arrays(out._node.backward))
+        kept = list(node_arrays(out._node))
         assert [(name, a.dtype, a.size) for name, a in kept] == \
-            [("hs", np.float32, out.size), ("packed", np.uint8, -(-out.size // 8))]
+            [("kept", np.float32, out.size), ("packed", np.uint8, -(-out.size // 8))]
+        assert kept[0][1] is xt.data  # the input, no copy: no H history
         (out * wt).sum().backward()  # the weight's gradient reads the spikes back
         outs, leaves = composed_lif(x, DEFAULTS)
         loss = outs[0] * w[0]
@@ -433,17 +467,28 @@ class TestPackedSpikes:
         expected = np.stack([leaf.grad for leaf in leaves])
         assert np.all(expected != 0) and xt.grad.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+    def test_own_backward_never_unpacks(self, rng, monkeypatch, read):
+        calls = []
+        unpack = neuron._unpack
+        monkeypatch.setattr(neuron, "_unpack", lambda *a: calls.append(a) or unpack(*a))
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        w = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=read)
+        out = multistep_lif(x, DEFAULTS)
+        assert out._node.remat is not None
+        (out * w).sum().backward()  # w's gradient, if it has one, reads the spikes
+        assert len(calls) == read and x.grad is not None
+
     @pytest.mark.parametrize("mode,dtype", [("relaxed", np.float32), ("spiking", np.float64),
                                             ("relaxed", np.float64)])
-    def test_float_spikes_keep_their_own_array(self, rng, monkeypatch, mode, dtype):
+    def test_float_spikes_are_fired_again(self, rng, monkeypatch, mode, dtype):
         calls = []
         packbits = np.packbits
         monkeypatch.setattr(np, "packbits", lambda *a, **k: calls.append(a) or packbits(*a, **k))
         x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True, dtype=dtype)
         out = multistep_lif(x, DEFAULTS, mode=mode)
         assert out.data.dtype == dtype and out._node.remat is None
-        kept = [a for _, a in closure_arrays(out._node.backward)]
-        assert [a.dtype for a in kept] == [dtype, dtype]  # H and the spikes themselves
-        assert any(a is out.data for a in kept)
+        kept = [a for _, a in node_arrays(out._node)]
+        assert len(kept) == 1 and kept[0] is x.data  # the input only, not the spikes
         out.sum().backward()
-        assert calls == []
+        assert calls == [] and x.grad.dtype == dtype

@@ -58,10 +58,11 @@ def test_runtime_imports_numpy_and_stdlib_only():
 
 def test_each_decision_has_one_owner():
     """Only ``tensor`` reads or writes a tape node's fields (a node and its
-    rebuild are built by ``_make``, read by ``_kept``); ``audit`` turns a
-    site's counts into its rate, so ``energy`` reads no event count; and only
-    ``layers`` names a BN statistic. Attribute accesses and constants are
-    read, docstrings are not."""
+    rebuild are built by ``_make``, read by ``_kept``) or tells a kept
+    rebuild from a kept array (``callable``);
+    ``audit`` turns a site's counts into its rate, so ``energy`` reads no
+    event count; and only ``layers`` names a BN statistic. Attribute
+    accesses, calls and constants are read, docstrings are not."""
     breaches = []
     for path in sorted(pathlib.Path(spikingformer.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -73,6 +74,9 @@ def test_each_decision_has_one_owner():
                     breaches.append(f"{where}: .{node.attr}")
                 if node.attr == "events" and path.name == "energy.py":
                     breaches.append(f"{where}: .events")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "callable" and path.name != "tensor.py"):
+                breaches.append(f"{where}: callable()")
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "running_mean" in node.value and id(node) not in docstrings
                   and path.name != "layers.py"):
