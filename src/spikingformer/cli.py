@@ -23,7 +23,7 @@ from .model import (
     build,
     preset_config,
 )
-from .tensor import no_grad
+from .tensor import no_grad, require_float32
 from .train import (
     TrainConfig,
     TrainingDiverged,
@@ -81,12 +81,11 @@ def validate_config(raw: dict) -> dict:
             raise ConfigError(f"config key {key!r} must be {expected.__name__}")
         if allowed is not None and value not in allowed:
             raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
-        if isinstance(value, float):  # it must survive float32, the model's dtype
-            with np.errstate(over="ignore"):
-                single = np.float32(value)
-            if not np.isfinite(single) or (single == 0) != (value == 0):
-                raise ConfigError(f"config key {key!r} must be finite and, unless 0, "
-                                  f"nonzero in float32; got {value}")
+        if isinstance(value, float):
+            try:
+                require_float32(f"config key {key!r}", value)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ConfigError(f"config key {key!r} must be >= {_MINIMUM[key]}, got {value}")
         cfg[key] = value

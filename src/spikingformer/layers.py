@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .neuron import LIFParams, multistep_lif
-from .tensor import Tensor, _make, _records, conv2d, maxpool2d
+from .tensor import Tensor, _channel_sum, _make, _records, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
@@ -111,7 +111,13 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
 
 
 class BatchNorm(Module):
-    """Per-channel batch normalization over the last (channel) axis."""
+    """Per-channel batch normalization over the last (channel) axis.
+
+    Every sum over the leading axes (the batch mean and variance in training,
+    and the backward's ``g_beta`` and ``g_gamma``) is a channel sum, one GEMV
+    (``tensor._channel_sum``). The op is one tape node whose backward reads
+    the normalised input and the inverse deviation, never x or y.
+    """
 
     eps = 1e-5
     momentum = 0.1  # an instance may shadow it: 1.0 adopts one batch's statistics
@@ -130,7 +136,6 @@ class BatchNorm(Module):
             raise ValueError(
                 f"batchnorm expects {self.gamma.size} channels on the last axis, got {x.shape[-1]}"
             )
-        reduce_axes = tuple(range(x.ndim - 1))
         data, dtype = x.data, x.data.dtype
         training = self.training
         if training:
@@ -138,15 +143,15 @@ class BatchNorm(Module):
             if not n:
                 raise ValueError("batchnorm cannot take batch statistics of an empty batch")
             inv_n = dtype.type(1.0 / n)
-            mu = data.sum(axis=reduce_axes, keepdims=True) * inv_n
+            mu = _channel_sum(data) * inv_n
             centered = data - mu
-            var = (centered * centered).sum(axis=reduce_axes, keepdims=True) * inv_n
+            var = _channel_sum(centered * centered) * inv_n
             m = self.momentum
             self._buffers["running_mean"] = (
-                (1 - m) * self._buffers["running_mean"] + m * mu.reshape(-1)
+                (1 - m) * self._buffers["running_mean"] + m * mu
             ).astype(dtype)
             self._buffers["running_var"] = (
-                (1 - m) * self._buffers["running_var"] + m * var.reshape(-1)
+                (1 - m) * self._buffers["running_var"] + m * var
             ).astype(dtype)
         else:
             if np.any(self._buffers["running_var"] + self.eps <= 0):
@@ -169,10 +174,9 @@ class BatchNorm(Module):
         tx = x.tracked
 
         def bwd(g):
-            # one node: the closed-form BN backward over the reduced axes; it
-            # reads x_hat and inv_std, never x or y
-            g_beta = g.sum(axis=reduce_axes)
-            g_gamma = (g * x_hat).sum(axis=reduce_axes)
+            # the closed-form BN backward over the leading axes
+            g_beta = _channel_sum(g)
+            g_gamma = _channel_sum(g * x_hat)
             gx = None
             if tx:
                 scale = gamma * inv_std

@@ -19,7 +19,7 @@ from .layers import (
     SpikingTransformerBlock,
 )
 from .neuron import LIFParams
-from .tensor import Tensor
+from .tensor import Tensor, require_float32
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,8 @@ class ModelConfig:
         h, w = self.image_size
         if h % down or w % down:
             raise ValueError(f"image size {self.image_size} not divisible by downsampling {down}")
+        for key in ("scale", "tau", "v_threshold", "v_reset", "alpha"):
+            require_float32(key, getattr(self, key))
 
     @property
     def lif(self) -> LIFParams:

@@ -23,7 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Tensor, _kept, _make, _read_new, _records, spike_threshold, surrogate_grad
+from .tensor import (
+    Tensor,
+    _kept,
+    _make,
+    _read_new,
+    _records,
+    require_float32,
+    spike_threshold,
+    surrogate_grad,
+)
 
 SPIKING = "spiking"
 RELAXED = "relaxed"
@@ -50,6 +59,8 @@ class LIFParams:
             raise ValueError("v_threshold must exceed v_reset")
         if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
+        for key in ("tau", "v_threshold", "v_reset", "alpha"):
+            require_float32(key, getattr(self, key))
 
 
 @dataclass
@@ -102,12 +113,13 @@ def multistep_lif(
     input as every op keeps an operand (``_kept``, the ``tensor`` module's
     rebuild rule), and its backward runs the forward again over a new array
     holding that input (``_read_new``): H overwrites it in place, the spikes
-    fire into a new buffer, so both are the forward's bit for bit. The BPTT
-    recurrence then runs in reverse over T. ``bool`` spikes are kept too, at
+    fire into a new buffer, so both are the forward's bit for bit. The
+    surrogate derivative is then taken over all T at once, and only the BPTT
+    recurrence runs in reverse step by step. ``bool`` spikes are kept too, at
     one bit each (``np.packbits``, uint8 of ceil(n / 8) bytes for n spikes),
     for the consumers: their unpacking is the node's rebuild, which its own
-    backward never reads. In spiking mode the BPTT sweep allocates two
-    scratch rows per call and nothing per step.
+    backward never reads. In spiking mode the backward allocates one [T, n]
+    buffer and a row per call, and nothing per step.
     """
     if x.shape[0] < 1:
         raise ValueError("multistep_lif needs at least one time step")
@@ -158,32 +170,38 @@ def multistep_lif(
     def bwd(g):
         # BPTT in reverse over T, taking the products in the order the composed
         # lif_step tape takes them. dS/dH is the surrogate at H - V_th; dV/dH
-        # is (1 - S), plus (V_reset - H) dS/dH in relaxed mode (reset not detached);
-        # dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau. Spiking mode
-        # allocates no temporary: g_h holds dL/dV of step t + 1 and then dL/dH,
-        # sg the surrogate and then its term, and the row gx[t] is scratch
-        # (H - V_th, then 1 - S) until it receives the step's gradient. It
-        # reads H[t] only once, first, so gx is H's own buffer; relaxed mode
-        # reads it again.
+        # is (1 - S), plus (V_reset - H) dS/dH in relaxed mode (reset not
+        # detached); dH/dV_prev is 1 - 1/tau and dH/dX is input_scale/tau.
+        # Every step's elementwise work that does not read the recurrence
+        # runs once over all [T, n]: H - V_th, the surrogate, and in spiking
+        # mode its product with g (the reset is detached). Only g_h's update
+        # is per step. Spiking mode allocates one [T, n] buffer, the surrogate:
+        # H's own buffer is the surrogate's scratch, then holds 1 - S, and each
+        # of its rows receives its step's gradient once that step has read it.
+        # Relaxed mode reads H again in the reverse loop, so gx has a buffer
+        # of its own.
         h_all = _read_new(kept).reshape(steps, n)
-        spikes = sweep(h_all, in_place=True)  # the forward again: H over the input
-        h_all = h_all.reshape(shape)
-        gx = h_all if mode == SPIKING else np.empty_like(h_all)
+        spikes = sweep(h_all, in_place=True).reshape(steps, n)  # the forward again: H over the input
+        g2 = g.reshape(steps, n)
+        if mode == SPIKING:
+            sg = surrogate_grad(np.subtract(h_all, v_th, out=h_all), params.alpha,
+                                out=np.empty_like(h_all))
+            np.multiply(g2, sg, out=sg)
+            gx = h_all
+        else:
+            sg = surrogate_grad(h_all - v_th, params.alpha)
+            gx = np.empty_like(h_all)
+        np.subtract(one, spikes, out=gx)
         g_h = np.zeros_like(h_all[0])
-        sg = np.empty_like(h_all[0])
         for t in range(steps - 1, -1, -1):
-            scratch = gx[t]
-            surrogate_grad(np.subtract(h_all[t], v_th, out=scratch), params.alpha, out=sg)
-            if mode == SPIKING:  # the reset is detached
-                np.multiply(g[t], sg, out=sg)
-            else:
-                sg *= (g[t] + g_h * v_reset) - g_h * h_all[t]
-            np.multiply(g_h, np.subtract(one, spikes[t], out=scratch), out=g_h)
-            g_h += sg
+            if mode == RELAXED:
+                sg[t] *= (g2[t] + g_h * v_reset) - g_h * h_all[t]
+            np.multiply(g_h, gx[t], out=g_h)
+            g_h += sg[t]
             np.multiply(g_h, decay, out=gx[t])
             np.subtract(g_h, gx[t], out=g_h)
-            if input_scale != 1.0:
-                gx[t] *= dt(input_scale)
-        return (gx,)
+        if input_scale != 1.0:
+            gx *= dt(input_scale)
+        return (gx.reshape(shape),)
 
     return _make(spikes, (x,), bwd, None if packed is None else lambda: _unpack(packed, shape))

@@ -73,6 +73,16 @@ def no_grad():
         _grad_enabled = previous
 
 
+def require_float32(name: str, value: float) -> None:
+    """Raise ``ValueError`` unless float32, a model's dtype, holds the float
+    ``value``: it must be finite there and, unless 0, must not round to 0.
+    ``name`` opens the message."""
+    with np.errstate(over="ignore"):
+        single = np.float32(value)
+    if not np.isfinite(single) or (single == 0) != (value == 0):
+        raise ValueError(f"{name} must be finite and, unless 0, nonzero in float32; got {value}")
+
+
 _RELEASED = ("backward() reached a tape node that an earlier backward() already released "
              "(a sweep frees each node once its gradient has passed); run the forward "
              "again to build a new graph")
@@ -264,11 +274,16 @@ class Tensor:
 
         y = product(self.data, other.data)
         a, b = _kept(self), _kept(other)
+        a_shape = self.shape
 
         def bwd(g):
             ga = gb = None
             if ta:
-                ga = g @ np.swapaxes(_as_float(_read(b), g), -1, -2)
+                fb = _as_float(_read(b), g)
+                if flat:  # one GEMM over every leading axis of g, as in the forward
+                    ga = (g.reshape(-1, g.shape[-1]) @ fb.T).reshape(a_shape)
+                else:
+                    ga = g @ np.swapaxes(fb, -1, -2)
             if tb:
                 fa = _as_float(_read(a), g)
                 if flat:  # one GEMM over every leading axis of a
@@ -284,6 +299,8 @@ class Tensor:
     # -- reductions / shape -------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
+        """Sum over ``axis`` (all axes if None). A sum over every axis but the
+        last is a channel sum (``_channel_sum``), as in ``BatchNorm``."""
         data = self.data
         shape = data.shape
 
@@ -292,7 +309,15 @@ class Tensor:
                 g = np.expand_dims(g, axis)
             return (np.broadcast_to(g, shape),)
 
-        return _make(data.sum(axis=axis, keepdims=keepdims, dtype=_count_dtype(data)), (self,), bwd)
+        axes = axis if isinstance(axis, tuple) else (axis,)
+        if axis is not None and data.ndim > 1 and sorted(
+                a % data.ndim for a in axes) == list(range(data.ndim - 1)):
+            y = _channel_sum(data)
+            if keepdims:
+                y = y.reshape((1,) * (data.ndim - 1) + y.shape)
+        else:
+            y = data.sum(axis=axis, keepdims=keepdims, dtype=_count_dtype(data))
+        return _make(y, (self,), bwd)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -347,6 +372,16 @@ def _count_dtype(*arrays):
     except that bool operands alone (spikes: only float32 models have them)
     count in float32 where numpy would take a logical OR / AND or an int64 sum."""
     return np.float32 if all(a.dtype == bool for a in arrays) else None
+
+
+def _channel_sum(a: np.ndarray) -> np.ndarray:
+    """a summed over every axis but the last: a channels-last map's per-channel
+    totals, as one GEMV (``ones @ rows``, a row per position), where numpy
+    would sum the leading axes one row at a time. BLAS adds each column in
+    its own blocked order, so a total can differ from numpy's in the last
+    bits. Bool spikes count in float32, as ``_count_dtype`` says."""
+    rows = a.reshape(-1, a.shape[-1])
+    return np.ones(len(rows), dtype=np.result_type(rows, np.float32)) @ rows
 
 
 def _as_float(x: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -485,20 +520,28 @@ def _patch_rows(x: np.ndarray):
     return patches.reshape(b * h * w, 9 * c)
 
 
-def _conv2d_input_grad(g_rows: np.ndarray, k2d: np.ndarray, x_shape):
-    """Gradient of conv2d wrt its [B, H, W, C] input: the adjoint of _patch_rows.
+# Most bytes of output-gradient patch rows _conv2d_input_grad forms at once:
+# it runs over chunks of images, so on a wide map the rows (9 * O wide, twice
+# the input's taps when a conv doubles its channels) stay in this bound
+# instead of growing with the batch.
+_PATCH_CHUNK_BYTES = 1 << 22
 
-    ``g_rows @ k2d.T`` gives the gradient of every patch row, K in the same
-    (kh, kw, c) order; each tap's slice is added back into a (b, h+2, w+2, c)
-    buffer, whose interior is copied out (so the padded buffer is freed).
-    """
-    b, h, w, c = x_shape
-    taps = (g_rows @ k2d.T).reshape(b, h, w, 3, 3, c)
-    xpad = np.zeros((b, h + 2, w + 2, c), dtype=taps.dtype)
-    for i in range(3):
-        for j in range(3):
-            xpad[:, i : i + h, j : j + w] += taps[..., i, j, :]
-    return np.ascontiguousarray(xpad[:, 1 : h + 1, 1 : w + 1])
+
+def _conv2d_input_grad(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Gradient of conv2d wrt its [B, H, W, C] input, from the [B, H, W, O]
+    output gradient g and the [3, 3, C, O] kernel: the same 3x3 correlation,
+    run on g with the kernel turned by 180 degrees and its channel axes
+    swapped, K~[(i, j, o), c] = K[2 - i, 2 - j, c, o]. It is a GEMM of g's
+    patch rows (``_patch_rows``) with K~, so no tap is added back strided,
+    over chunks of images (``_PATCH_CHUNK_BYTES``) each written in place."""
+    b, h, w, o = g.shape
+    c = kernel.shape[2]
+    flipped = kernel[::-1, ::-1].transpose(0, 1, 3, 2).reshape(9 * o, c)
+    gx = np.empty((b, h, w, c), dtype=np.result_type(g, flipped))
+    step = max(1, _PATCH_CHUNK_BYTES // max(1, h * w * 9 * o * g.itemsize))  # images
+    for lo in range(0, b, step):
+        np.matmul(_patch_rows(g[lo : lo + step]), flipped, out=gx[lo : lo + step].reshape(-1, c))
+    return gx
 
 
 def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
@@ -516,7 +559,9 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
     and only when the kernel is tracked, never the rows, which are 9x larger.
     The backward patches the whole map again, spikes as floats of the
     gradient's dtype (``_as_float``), so its dense GEMM is the float path's.
-    A bias is the caller's.
+    The input gradient is one GEMM too, of the output gradient's patch rows
+    with the flipped kernel (``_conv2d_input_grad``): it reads only the
+    gradient and the kernel. A bias is the caller's.
     """
     if kernel.ndim != 4 or kernel.shape[:2] != (3, 3):
         raise ValueError(f"conv2d takes a [3, 3, C, O] kernel, got shape {kernel.shape}")
@@ -527,19 +572,17 @@ def conv2d(x: Tensor, kernel: Tensor) -> Tensor:
             f"conv2d channel mismatch: input of shape {x.shape} read as [B, H, W, C] has "
             f"C={c}, kernel [kh, kw, C, O] expects C={ck}"
         )
-    k2d = kernel.data.reshape(-1, o)
-    y = _live_gemm(x.data, k2d, _patch_rows)  # an image's rows are its patches
+    k = kernel.data
+    y = _live_gemm(x.data, k.reshape(-1, o), _patch_rows)  # an image's rows are its patches
 
     tx, tk = x.tracked, kernel.tracked
-    x_shape, k_shape = x.shape, kernel.shape
     xd = _kept(x) if tk else None
 
     def bwd(g):
-        g_rows = g.reshape(-1, o)
         gk = None
         if tk:  # the forward's rows again, as floats
-            gk = (_patch_rows(_as_float(_read(xd), g)).T @ g_rows).reshape(k_shape)
-        gx = _conv2d_input_grad(g_rows, k2d, x_shape) if tx else None
+            gk = (_patch_rows(_as_float(_read(xd), g)).T @ g.reshape(-1, o)).reshape(k.shape)
+        gx = _conv2d_input_grad(g, k) if tx else None
         return gx, gk
 
     return _make(y.reshape(b, h, w, o), (x, kernel), bwd)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .data import Dataset, batches
 from .model import Model, ModelConfig, build
-from .tensor import Tensor, log_softmax, no_grad
+from .tensor import Tensor, log_softmax, no_grad, require_float32
 
 CHECKPOINT_MAGIC = b"SPKF"
 CHECKPOINT_VERSION = 2  # v1 stored spatial kernels [O, C, kh, kw]; v2 [kh, kw, C, O]
@@ -41,14 +41,58 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        for key in ("lr", "weight_decay"):
+            require_float32(key, getattr(self, key))
+
+
+# AdamW updates runs of consecutive parameters of at most this many elements
+# in all as one flat bucket (a larger parameter is a bucket of its own), so a
+# bucket's scratch arrays are at most one MB of float32 or one parameter's
+# size, as a per-parameter step's are, while small parameters share ufunc calls
+_ADAMW_BUCKET = 1 << 18
+
+
+def _flat(arrays) -> np.ndarray:
+    """The arrays raveled into one flat array: a new one, or for a single
+    array its own raveling (a view where it can be)."""
+    if len(arrays) == 1:
+        return arrays[0].reshape(-1)
+    return np.concatenate([a.reshape(-1) for a in arrays])
+
+
+def _views(flat: np.ndarray, params) -> list:
+    """Each parameter's view of a flat array of its bucket, in its own shape."""
+    views, lo = [], 0
+    for p in params:
+        views.append(flat[lo : lo + p.data.size].reshape(p.data.shape))
+        lo += p.data.size
+    return views
 
 
 class AdamW:
+    """AdamW over buckets of parameters (``_ADAMW_BUCKET``; a bucket holds
+    one dtype). Each bucket's moments are one flat buffer each; ``m`` and
+    ``v`` hold each parameter's view of them."""
+
     def __init__(self, params, cfg: TrainConfig):
         self.params = list(params)
         self.cfg = cfg
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        runs, size = [], 0
+        for p in self.params:
+            if (not runs or size + p.data.size > _ADAMW_BUCKET
+                    or p.data.dtype != runs[-1][0].data.dtype):
+                runs.append([])
+                size = 0
+            runs[-1].append(p)
+            size += p.data.size
+        self._buckets = []  # (parameters, flat m, flat v) per bucket
+        self.m, self.v = [], []
+        for run in runs:
+            m = np.zeros(sum(p.data.size for p in run), dtype=run[0].data.dtype)
+            v = np.zeros_like(m)
+            self._buckets.append((run, m, v))
+            self.m += _views(m, run)
+            self.v += _views(v, run)
         self.t = 0
 
     def step(self, lr: float) -> None:
@@ -59,12 +103,14 @@ class AdamW:
             m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
             p = p - lr (m / bc1 / (sqrt(v / bc2) + eps) + wd p)
 
-        in that order, in two scratch arrays per parameter."""
+        in that order, a bucket at a time: over its gradients gathered into
+        one flat array (a parameter with none counts zeros) in two scratch
+        arrays, about a dozen ufunc calls per bucket."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        for params, m, v in self._buckets:
+            g = _flat([p.grad if p.grad is not None else np.zeros_like(p.data) for p in params])
             tmp = (1 - BETA1) * g
             m *= BETA1
             m += tmp
@@ -77,9 +123,10 @@ class AdamW:
             np.sqrt(tmp, out=tmp)
             tmp += ADAM_EPS
             update /= tmp
-            update += np.multiply(p.data, self.cfg.weight_decay, out=tmp)
+            update += np.multiply(_flat([p.data for p in params]), self.cfg.weight_decay, out=tmp)
             update *= lr
-            p.data -= update
+            for p, u in zip(params, _views(update, params)):
+                p.data -= u
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -11,6 +11,8 @@ import numpy as np
 
 from spikingformer import tensor as T
 from spikingformer.data import CIFAR_RECORD_BYTES
+from spikingformer.neuron import SPIKING
+from spikingformer.train import ADAM_EPS, BETA1, BETA2
 
 
 def tensor64(data, requires_grad=False):
@@ -130,6 +132,109 @@ def tape_bytes(out: T.Tensor, leaves=()) -> dict:
     for label, arr in tape_arrays(out, leaves):
         mib[label] = mib.get(label, 0.0) + arr.nbytes / 2**20
     return mib
+
+
+# -- slow paths that faster ones replaced, kept as differential references ------
+
+
+def leading_axis_sum(a: np.ndarray) -> np.ndarray:
+    """numpy's own sum over every axis but the last: the reference for
+    ``tensor._channel_sum``."""
+    return a.sum(axis=tuple(range(a.ndim - 1)))
+
+
+def batched_input_grad(g: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``Tensor.matmul``'s input gradient for a 2-D weight as numpy's batched
+    ``g @ w.T``, one GEMM per leading slice: the reference for the flat GEMM."""
+    return g @ np.swapaxes(w, -1, -2)
+
+
+def col2im_input_grad(g: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """conv2d's input gradient by nine tap adds: ``g_rows @ K.T`` gives every
+    patch row's gradient, in (kh, kw, c) order, and each tap's slice is added
+    back into the padded map. The reference for ``tensor._conv2d_input_grad``."""
+    b, h, w, o = g.shape
+    c = kernel.shape[2]
+    taps = (g.reshape(-1, o) @ kernel.reshape(-1, o).T).reshape(b, h, w, 3, 3, c)
+    xpad = np.zeros((b, h + 2, w + 2, c), dtype=taps.dtype)
+    for i in range(3):
+        for j in range(3):
+            xpad[:, i : i + h, j : j + w] += taps[..., i, j, :]
+    return np.ascontiguousarray(xpad[:, 1 : h + 1, 1 : w + 1])
+
+
+def lif_input_grad_per_step(x, g, params, mode=SPIKING, input_scale=1.0) -> np.ndarray:
+    """``multistep_lif``'s input gradient for output gradient g, with the
+    surrogate taken inside the reverse loop, one step at a time: the
+    reference for the all-steps surrogate. The forward runs ``lif_step``'s
+    float operations in x's dtype, with 0/1 spikes in that dtype."""
+    dt = x.dtype.type
+    decay, v_th, v_reset, one = dt(1.0 / params.tau), dt(params.v_threshold), \
+        dt(params.v_reset), dt(1.0)
+    h_all, s_all = np.empty_like(x), np.empty_like(x)
+    v = np.full(x.shape[1:], v_reset, dtype=x.dtype)
+    for t in range(len(x)):
+        xt = x[t] * dt(input_scale) if input_scale != 1.0 else x[t]
+        h = v + (xt - (v - v_reset)) * decay
+        if mode == SPIKING:
+            s = (h >= v_th).astype(x.dtype)
+        else:
+            s = 1.0 / (1.0 + np.exp(-((h - v_th) * dt(params.alpha))))
+        h_all[t], s_all[t] = h, s
+        v = h * (one - s)
+        if v_reset:
+            v = v + s * v_reset
+    gx = np.empty_like(x)
+    g_h = np.zeros_like(x[0])
+    for t in range(len(x) - 1, -1, -1):
+        sg = T.surrogate_grad(h_all[t] - v_th, params.alpha)
+        if mode == SPIKING:
+            sg = g[t] * sg
+        else:
+            sg = sg * ((g[t] + g_h * v_reset) - g_h * h_all[t])
+        g_h = g_h * (one - s_all[t]) + sg
+        gx[t] = g_h * decay
+        g_h = g_h - gx[t]
+        if input_scale != 1.0:
+            gx[t] *= dt(input_scale)
+    return gx
+
+
+def adamw_per_parameter_step(params, m, v, t, lr, weight_decay) -> None:
+    """AdamW step t over each parameter in turn, in place, two scratch arrays
+    per parameter: the reference for ``AdamW.step`` over flat buffers. m and
+    v are per-parameter lists of moment arrays."""
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    for p, mi, vi in zip(params, m, v):
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        tmp = (1 - BETA1) * g
+        mi *= BETA1
+        mi += tmp
+        np.multiply(g, 1 - BETA2, out=tmp)
+        tmp *= g
+        vi *= BETA2
+        vi += tmp
+        update = mi / bc1
+        np.divide(vi, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        update /= tmp
+        update += np.multiply(p.data, weight_decay, out=tmp)
+        update *= lr
+        p.data -= update
+
+
+# float32 bound of a result that only reorders its sums: 8 roundoffs of the
+# sum of the absolute terms each entry adds
+FLOAT32_REORDER = 8 * float(np.finfo(np.float32).eps)
+
+
+def reordered_close(got, want, abs_terms, rel) -> bool:
+    """Every entry of got is within ``rel`` times the sum of the absolute
+    terms it adds (``abs_terms``) of want: the bound a result that only
+    reorders its sums keeps against its reference, whatever the cancellation."""
+    return bool(np.all(np.abs(np.asarray(got, np.float64) - want) <= rel * abs_terms))
 
 
 def write_cifar10_binary(path, images: np.ndarray, labels: np.ndarray) -> None:

@@ -93,6 +93,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=key):
             dataclasses.replace(TINY, **{key: value})
 
+    # finite floats that float32, the model's dtype, cannot hold: beyond its
+    # range, or nonzero and rounding to 0; one key per case
+    @pytest.mark.parametrize("key,value", [
+        ("scale", 1e-300), ("tau", 1e300), ("v_threshold", 1e300), ("v_reset", -1e300),
+        ("alpha", 1e39),
+    ])
+    def test_float_float32_cannot_hold_is_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and, unless 0, nonzero "
+                                             "in float32"):
+            dataclasses.replace(TINY, **{key: value})
+
+    @pytest.mark.parametrize("key,value", [
+        ("scale", 1e-45), ("tau", 3.0e38), ("v_threshold", 1e-40), ("v_reset", -3.4e38),
+        ("alpha", 3.0e38),
+    ])
+    def test_float_float32_holds_is_kept(self, key, value):
+        assert getattr(dataclasses.replace(TINY, **{key: value}), key) == value
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):
             preset_config("spikingformer-99-1")

@@ -18,7 +18,7 @@ from spikingformer.neuron import (
 )
 from spikingformer.tensor import Tensor, heaviside, no_grad, surrogate_grad
 
-from helpers import _owner, closure_arrays, node_arrays
+from helpers import _owner, closure_arrays, lif_input_grad_per_step, node_arrays
 
 DEFAULTS = LIFParams()
 
@@ -112,6 +112,17 @@ class TestParamValidation:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LIFParams(**kwargs)
+
+    # finite floats that float32, the model's dtype, cannot hold: beyond its
+    # range, or nonzero and rounding to 0
+    @pytest.mark.parametrize("key,value", [
+        ("tau", 1e300), ("v_threshold", 1e39), ("v_reset", -1e300), ("alpha", 1e300),
+        ("alpha", 1e-300),
+    ])
+    def test_float32_cannot_hold(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and, unless 0, nonzero "
+                                             "in float32"):
+            LIFParams(**{key: value})
 
 
 class TestMultistep:
@@ -271,6 +282,27 @@ class TestFusedAgainstComposed:
         expected = np.stack([leaf.grad for leaf in leaves])
         assert np.any(expected != 0)
         np.testing.assert_allclose(xt.grad, expected, rtol=0, atol=1e-6)
+
+
+class TestAllStepsSurrogateDifferential:
+    """The backward takes H - V_th, the surrogate and (spiking mode) its
+    product with g over all T at once, against the per-step loop it replaced
+    (``lif_input_grad_per_step``): bit-equal in float32 and float64, in both
+    modes, with and without a reset potential and an input scale."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("mode", ["spiking", "relaxed"])
+    @pytest.mark.parametrize("params,scale", TestFusedAgainstComposed.CASES)
+    @pytest.mark.parametrize("steps", [1, 2, 4])
+    def test_bit_equal_to_per_step_loop(self, rng, dtype, mode, params, scale, steps):
+        x = (2.0 * rng.standard_normal((steps, 6, 5)) / scale).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        xt = Tensor(x, requires_grad=True, dtype=dtype)
+        (multistep_lif(xt, params, mode=mode, input_scale=scale) * Tensor(g, dtype=dtype)
+         ).sum().backward()
+        want = lif_input_grad_per_step(x, g, params, mode, scale)
+        assert xt.grad.dtype == want.dtype == dtype and np.any(want != 0)
+        assert xt.grad.tobytes() == want.tobytes()
 
 
 class TestChunkedTimeLoop:

@@ -56,10 +56,30 @@ def test_runtime_imports_numpy_and_stdlib_only():
     assert not foreign, foreign
 
 
+def _leading_axes(call: ast.Call) -> bool:
+    """A ``sum`` or ``mean`` call (a method, or numpy's) that reduces a map's
+    leading axes: its axis is computed, not a literal, or a literal run
+    0, 1, ... . A literal axis (-1, or (0, 2)) is not a leading-axis sum."""
+    if not (isinstance(call.func, ast.Attribute) and call.func.attr in ("sum", "mean")):
+        return False
+    numpy = isinstance(call.func.value, ast.Name) and call.func.value.id == "np"
+    axes = [kw.value for kw in call.keywords if kw.arg == "axis"]
+    axes += call.args[1:2] if numpy else call.args[:1]  # np.sum(a, axis) or a.sum(axis)
+    for axis in axes:
+        try:
+            value = ast.literal_eval(axis)
+        except ValueError:
+            return True
+        if isinstance(value, tuple) and value[:2] == (0, 1):
+            return True
+    return False
+
+
 def test_each_decision_has_one_owner():
     """Only ``tensor`` reads or writes a tape node's fields (a node and its
     rebuild are built by ``_make``, read by ``_kept``) or tells a kept
-    rebuild from a kept array (``callable``);
+    rebuild from a kept array (``callable``), and only ``tensor`` sums a
+    map over its leading axes (``_channel_sum``: one GEMV);
     ``audit`` turns a site's counts into its rate, so ``energy`` reads no
     event count; and only ``layers`` names a BN statistic. Attribute
     accesses, calls and constants are read, docstrings are not."""
@@ -77,6 +97,9 @@ def test_each_decision_has_one_owner():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "callable" and path.name != "tensor.py"):
                 breaches.append(f"{where}: callable()")
+            elif (isinstance(node, ast.Call) and path.name != "tensor.py"
+                  and _leading_axes(node)):
+                breaches.append(f"{where}: .{node.func.attr}() over leading axes")
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and "running_mean" in node.value and id(node) not in docstrings
                   and path.name != "layers.py"):

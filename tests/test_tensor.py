@@ -21,7 +21,17 @@ from spikingformer.tensor import (
     no_grad,
 )
 
-from helpers import closure_arrays, finite_difference, relative_error, tensor64
+from helpers import (
+    FLOAT32_REORDER,
+    batched_input_grad,
+    closure_arrays,
+    col2im_input_grad,
+    finite_difference,
+    leading_axis_sum,
+    relative_error,
+    reordered_close,
+    tensor64,
+)
 
 
 def nhwc(a):
@@ -1084,3 +1094,128 @@ def test_forward_determinism(rng):
         w = Tensor(hwio(r.standard_normal((3, 2, 3, 3)).astype(np.float32)))
         out.append(conv2d(x, w).data)
     np.testing.assert_array_equal(out[0], out[1])
+
+
+# desk-scale channels-last maps and token tensors (criterion 08's model at
+# B = 64, T = 2) and small odd ones
+_CHANNEL_SUM_SHAPES = [(128, 8, 8, 16), (128, 4, 4, 32), (128, 4, 256), (3, 5, 7), (5, 1),
+                       (1, 4), (2, 3, 1, 6)]
+
+
+class TestChannelSumDifferential:
+    """``_channel_sum`` (one GEMV) against numpy's leading-axis sum: float64
+    within 1e-12, float32 within ``FLOAT32_REORDER`` of the absolute sum,
+    bool spikes counted exactly in float32."""
+
+    @pytest.mark.parametrize("shape", _CHANNEL_SUM_SHAPES)
+    def test_float64_and_float32(self, rng, shape):
+        a = rng.standard_normal(shape)
+        abs_terms = leading_axis_sum(np.abs(a))
+        assert reordered_close(T._channel_sum(a), leading_axis_sum(a), abs_terms, 1e-12)
+        a32 = a.astype(np.float32)
+        got = T._channel_sum(a32)
+        assert got.dtype == np.float32 and got.shape == shape[-1:]
+        assert reordered_close(got, leading_axis_sum(a32), abs_terms, FLOAT32_REORDER)
+
+    def test_strided_view(self, rng):
+        a = rng.standard_normal((4, 6, 5)).astype(np.float32)
+        view = a.transpose(1, 0, 2)[::2]
+        assert T._channel_sum(view).tobytes() == T._channel_sum(view.copy()).tobytes()
+
+    def test_spikes_count_in_float32(self, rng):
+        a = rng.random((64, 4, 4, 8)) < 0.3
+        got = T._channel_sum(a)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, a.sum(axis=(0, 1, 2)))
+
+    @pytest.mark.parametrize("keepdims", [False, True])
+    @pytest.mark.parametrize("axis", [(0, 1, 2), (2, 0, 1), (-4, -3, -2)])
+    def test_tensor_sum_over_leading_axes_is_the_channel_sum(self, rng, axis, keepdims):
+        a = rng.standard_normal((6, 3, 5, 4)).astype(np.float32)
+        x = Tensor(a, requires_grad=True)
+        y = x.sum(axis=axis, keepdims=keepdims)
+        assert y.shape == a.sum(axis=axis, keepdims=keepdims).shape
+        assert y.data.tobytes() == T._channel_sum(a).tobytes()
+        y.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.ones_like(a))
+
+
+def _input_grad(a, w, g):
+    """The gradient ``Tensor.matmul`` gives a tracked a in a @ w, for output
+    gradient g."""
+    x = Tensor(a, requires_grad=True, dtype=a.dtype)
+    (x @ Tensor(w, requires_grad=True, dtype=w.dtype) * Tensor(g, dtype=g.dtype)).sum().backward()
+    return x.grad
+
+
+# criterion 08's token GEMMs at B = 64, T = 2 ([T*B, N, in] @ [in, out]) and
+# the head's [B, D] @ [D, classes]
+_DESK_GEMMS = [((128, 4, 64), 64), ((128, 4, 64), 256), ((128, 4, 256), 64), ((64, 64), 4)]
+# the three token GEMMs of spikingformer-4-384 at T = 4, B = 1
+_GEMMS_4_384 = [((4, 64, 384), 384), ((4, 64, 384), 1536), ((4, 64, 1536), 384)]
+
+
+class TestFlatInputGradDifferential:
+    """A 2-D weight's input gradient is one flat GEMM over every leading axis,
+    against numpy's batched ``g @ w.T``: float64 within 1e-12, float32
+    bit-equal on the 4-384 shapes and within ``FLOAT32_REORDER`` of the
+    absolute sum at desk shapes."""
+
+    @pytest.mark.parametrize("shape,out", _DESK_GEMMS + [((2, 3, 5), 7), ((5,), 3)])
+    def test_float64_and_float32(self, rng, shape, out):
+        a = rng.standard_normal(shape)
+        w = rng.standard_normal((shape[-1], out))
+        g = rng.standard_normal(shape[:-1] + (out,))
+        abs_terms = batched_input_grad(np.abs(g), np.abs(w))
+        got = _input_grad(a, w, g)
+        assert got.shape == a.shape
+        assert reordered_close(got, batched_input_grad(g, w), abs_terms, 1e-12)
+        f32 = [v.astype(np.float32) for v in (a, w, g)]
+        got = _input_grad(*f32)
+        assert got.dtype == np.float32
+        assert reordered_close(got, batched_input_grad(f32[2], f32[1]), abs_terms,
+                               FLOAT32_REORDER)
+
+    @pytest.mark.parametrize("shape,out", _GEMMS_4_384)
+    def test_float32_bit_equal_at_4_384(self, rng, shape, out):
+        a = (rng.random(shape) < 0.2).astype(np.float32)
+        w = rng.standard_normal((shape[-1], out)).astype(np.float32)
+        g = rng.standard_normal(shape[:-1] + (out,)).astype(np.float32)
+        assert _input_grad(a, w, g).tobytes() == batched_input_grad(g, w).tobytes()
+
+
+class TestConvInputGradDifferential:
+    """conv2d's input gradient as one GEMM of the output gradient's patch
+    rows with the flipped kernel, against the nine tap adds it replaced:
+    float64 within 1e-12, float32 within ``FLOAT32_REORDER`` of the absolute
+    sum, on every padding case and on criterion 08's tokenizer convs."""
+
+    @pytest.mark.parametrize("b,hw,c,o", [(3, hw, 5, 4) for hw in _CONV_MAPS]
+                             + [(128, (4, 4), 16, 32), (128, (2, 2), 32, 64),
+                                (128, (2, 2), 64, 64)])
+    def test_float64_and_float32(self, rng, b, hw, c, o):
+        x = rng.standard_normal((b,) + hw + (c,))
+        k = rng.standard_normal((3, 3, c, o))
+        g = rng.standard_normal((b,) + hw + (o,))
+        abs_terms = col2im_input_grad(np.abs(g), np.abs(k))
+        xt = tensor64(x, requires_grad=True)
+        (conv2d(xt, tensor64(k)) * tensor64(g)).sum().backward()
+        assert xt.grad.shape == x.shape
+        assert reordered_close(xt.grad, col2im_input_grad(g, k), abs_terms, 1e-12)
+        g32, k32 = g.astype(np.float32), k.astype(np.float32)
+        got = T._conv2d_input_grad(g32, k32)
+        assert got.dtype == np.float32 and got.shape == x.shape
+        assert reordered_close(got, col2im_input_grad(g32, k32), abs_terms, FLOAT32_REORDER)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("chunk_bytes", [1, 3 * 4 * 5 * 9 * 6 * 8])  # 1 and 3 images
+    def test_chunks_bit_equal_to_one_gemm(self, rng, monkeypatch, dtype, chunk_bytes):
+        g = rng.standard_normal((7, 4, 5, 6)).astype(dtype)
+        k = rng.standard_normal((3, 3, 2, 6)).astype(dtype)
+        whole = T._conv2d_input_grad(g, k)
+        monkeypatch.setattr(T, "_PATCH_CHUNK_BYTES", chunk_bytes)
+        assert T._conv2d_input_grad(g, k).tobytes() == whole.tobytes()
+
+    def test_empty_batch(self, rng):
+        k = rng.standard_normal((3, 3, 2, 6)).astype(np.float32)
+        assert T._conv2d_input_grad(np.zeros((0, 4, 5, 6), np.float32), k).shape == (0, 4, 5, 2)

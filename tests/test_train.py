@@ -3,6 +3,10 @@
 import dataclasses
 import gc
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -14,6 +18,7 @@ from spikingformer.layers import ConvBN2d, Parameter
 from spikingformer.model import ModelConfig, build
 from spikingformer.tensor import Tensor, no_grad
 from spikingformer.train import (
+    _ADAMW_BUCKET,
     AdamW,
     TrainConfig,
     TrainingDiverged,
@@ -26,7 +31,8 @@ from spikingformer.train import (
     train,
 )
 
-from helpers import write_v1_checkpoint
+import spikingformer
+from helpers import adamw_per_parameter_step, write_v1_checkpoint
 
 TINY = ModelConfig(blocks=1, embed_dim=8, heads=2, timesteps=2, num_classes=4,
                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
@@ -146,12 +152,97 @@ class TestAdamW:
                 assert got.dtype == ref.dtype == dtype and got.tobytes() == ref.tobytes()
         assert not np.array_equal(params[-1].data, init[-1])  # weight decay alone
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_bit_equal_to_per_parameter_steps(self, dtype):
+        """A step over flat buckets against the per-parameter loop it
+        replaced, for five steps, over a desk model's parameters (one bucket)
+        with one parameter larger than a bucket among them (three buckets),
+        the last never getting a gradient."""
+        rng = np.random.default_rng(1)
+        desk = [p.shape for p in build(_DESK, seed=0).parameters()]
+        shapes = desk[:10] + [(520, 520)] + desk[10:] + [(3, 2)]
+        init = [rng.standard_normal(s).astype(dtype) for s in shapes]
+        flat = [Tensor(a.copy(), requires_grad=True, dtype=dtype) for a in init]
+        ref = [Tensor(a.copy(), requires_grad=True, dtype=dtype) for a in init]
+        arrays = [p.data for p in flat]
+        cfg = TrainConfig(epochs=1)
+        opt = AdamW(flat, cfg)
+        m, v = [np.zeros_like(a) for a in init], [np.zeros_like(a) for a in init]
+        for t in range(1, 6):
+            for p, q in zip(flat[:-1], ref[:-1]):
+                p.grad = q.grad = rng.standard_normal(p.shape).astype(dtype)
+            lr = 5e-4 * (0.5 + 0.1 * t)
+            opt.step(lr)
+            adamw_per_parameter_step(ref, m, v, t, lr, cfg.weight_decay)
+        for p, arr, q, got_m, want_m, got_v, want_v in zip(flat, arrays, ref, opt.m, m,
+                                                            opt.v, v):
+            assert p.data is arr  # updated in place
+            for got, want in ((p.data, q.data), (got_m, want_m), (got_v, want_v)):
+                assert got.dtype == want.dtype == dtype and got.tobytes() == want.tobytes()
+
+    def test_moments_are_views_of_their_bucket(self):
+        # small neighbours share a bucket; a parameter larger than a bucket
+        # is one of its own, and so is the next one
+        sizes = [(2, 3), (4,), (_ADAMW_BUCKET + 1,), (5,)]
+        params = [Tensor(np.ones(s), requires_grad=True) for s in sizes]
+        opt = AdamW(params, TrainConfig(epochs=1))
+        for p, m, v in zip(params, opt.m, opt.v):
+            assert m.shape == v.shape == p.shape
+        buffers = [m.base for m in opt.m]
+        assert buffers[0] is buffers[1] and len({id(b) for b in buffers}) == 3
+
+    def test_a_bucket_holds_one_dtype(self):
+        dtypes = (np.float32, np.float32, np.float64, np.float32)
+        params = [Tensor(np.ones(2), requires_grad=True, dtype=d) for d in dtypes]
+        opt = AdamW(params, TrainConfig(epochs=1))
+        assert [m.dtype for m in opt.m] == [v.dtype for v in opt.v] == list(map(np.dtype, dtypes))
+        assert opt.m[0].base is opt.m[1].base and len({id(m.base) for m in opt.m}) == 3
+
+    def test_no_parameters(self):
+        AdamW([], TrainConfig(epochs=1)).step(1e-3)
+
     def test_zero_grad_clears(self):
         p = self._param(1.0)
         p.grad = np.array([1.0])
         opt = AdamW([p], TrainConfig(epochs=1))
         opt.zero_grad()
         assert p.grad is None
+
+
+# acceptance criterion 08's desk model
+_DESK = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
+                    image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
+
+_DESK_RUN = """
+import hashlib
+from spikingformer.data import synth_static
+from spikingformer.model import ModelConfig, build
+from spikingformer.train import TrainConfig, train
+cfg = ModelConfig(blocks=2, embed_dim=64, heads=8, timesteps=2, num_classes=4,
+                  image_size=(8, 8), tokenizer_plan=("spe", "sped", "sped"))
+model = build(cfg, seed=0)
+train(model, synth_static(4, 256, seed=0), TrainConfig(seed=0, epochs=2))
+digest = hashlib.sha1()
+for name, arr in sorted(model.state().items()):
+    digest.update(name.encode() + arr.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_is_bit_equal_across_blas_threads():
+    """Criterion 08's recipe, two epochs, gives the same parameters under one
+    and two BLAS threads: the GEMV channel sums and flat GEMMs keep each
+    output's sum order whatever the threading."""
+    src = str(pathlib.Path(spikingformer.__file__).resolve().parent.parent)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", _DESK_RUN], env=env, capture_output=True,
+                             text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.strip())
+    assert len(digests[0]) == 40 and digests[0] == digests[1]
 
 
 class TestTrainLoop:
@@ -169,6 +260,12 @@ class TestTrainLoop:
     def test_invalid_weight_decay_rejected(self, weight_decay):
         with pytest.raises(ValueError, match="weight_decay must be >= 0"):
             dataclasses.replace(FAST, weight_decay=weight_decay)
+
+    @pytest.mark.parametrize("key,value", [("lr", 1e-300), ("weight_decay", 1e300)])
+    def test_float_float32_cannot_hold_is_refused(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must be finite and, unless 0, nonzero "
+                                             "in float32"):
+            dataclasses.replace(FAST, **{key: value})
 
     def test_zero_lr_leaves_model_unchanged(self):
         model = build(TINY, seed=0)
