@@ -14,8 +14,8 @@ import numpy as np
 
 from . import audit as audit_mod
 from . import energy as energy_mod
-from .data import Dataset, batches, load_cifar10_binary, synth_events, synth_static
-from .layers import ADD, HEAD_VARIANTS, SPIKE_DRIVEN
+from .data import Dataset, batches, check_noise, load_cifar10_binary, synth_events, synth_static
+from .layers import ADD
 from .model import (
     ModelConfig,
     PRESETS,
@@ -23,7 +23,7 @@ from .model import (
     build,
     preset_config,
 )
-from .tensor import no_grad, require_float32
+from .tensor import no_grad
 from .train import (
     TrainConfig,
     TrainingDiverged,
@@ -43,24 +43,16 @@ def _scalar_fields(cls) -> dict:
 _MODEL_KEYS = _scalar_fields(ModelConfig)
 _TRAIN_KEYS = _scalar_fields(TrainConfig)
 
-# flat config schema: key -> (expected type(s), allowed values or None); the
-# scalar fields of ModelConfig and TrainConfig, plus the CLI's own keys
-_SCHEMA = {
-    **{key: (kind, None) for key, kind in {**_MODEL_KEYS, **_TRAIN_KEYS}.items()},
-    "head_variant": (str, HEAD_VARIANTS),
-    "residual_style": (str, (SPIKE_DRIVEN, ADD)),
-    "preset": (str, tuple(PRESETS)),
-    "image_height": (int, None),
-    "image_width": (int, None),
-    "tokenizer_plan": (list, None),
-    "dataset": (str, ("synthetic-static", "synthetic-events", "cifar10")),
-    "data_path": (str, None),
-    "samples": (int, None),
-    "noise": (float, None),
-}
+# flat config schema: key -> JSON type; the scalar fields of ModelConfig and
+# TrainConfig, which own their values' rules, plus the CLI's own keys
+_SCHEMA = {**_MODEL_KEYS, **_TRAIN_KEYS, "preset": str, "image_height": int, "image_width": int,
+           "tokenizer_plan": list, "dataset": str, "data_path": str, "samples": int,
+           "noise": float}
 
-# key -> least allowed value
-_MINIMUM = {"samples": 1, "batch_size": 1, "epochs": 1, "timesteps": 1, "noise": 0}
+# the CLI's own keys' rules: key -> allowed values, key -> least allowed value
+_ALLOWED = {"preset": tuple(PRESETS),
+            "dataset": ("synthetic-static", "synthetic-events", "cifar10")}
+_MINIMUM = {"samples": 1}
 
 
 class ConfigError(ValueError):
@@ -68,24 +60,23 @@ class ConfigError(ValueError):
 
 
 def validate_config(raw: dict) -> dict:
+    """``raw`` with its keys and JSON types checked; a value's rule is its owner's."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a single JSON object")
     cfg = {}
     for key, value in raw.items():
         if key not in _SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
-        expected, allowed = _SCHEMA[key]
+        expected = _SCHEMA[key]
         if expected is float and isinstance(value, int) and not isinstance(value, bool):
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ConfigError(f"config key {key!r}: no float holds that integer") from None
         if not isinstance(value, expected) or isinstance(value, bool):
             raise ConfigError(f"config key {key!r} must be {expected.__name__}")
-        if allowed is not None and value not in allowed:
-            raise ConfigError(f"config key {key!r} must be one of {list(allowed)}")
-        if isinstance(value, float):
-            try:
-                require_float32(f"config key {key!r}", value)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+        if key in _ALLOWED and value not in _ALLOWED[key]:
+            raise ConfigError(f"config key {key!r} must be one of {list(_ALLOWED[key])}")
         if key in _MINIMUM and value < _MINIMUM[key]:
             raise ConfigError(f"config key {key!r} must be >= {_MINIMUM[key]}, got {value}")
         cfg[key] = value
@@ -119,12 +110,9 @@ def model_config_from(cfg: dict) -> ModelConfig:
 
 
 def _load(args) -> tuple:
-    """(validated config, its ModelConfig, seed: --seed, else the config's, else 0),
-    after the input checks every command runs, whether or not it reads a dataset."""
+    """(validated config, its ModelConfig, its TrainConfig, seeded by --seed, else the
+    config's, else 0), after the input checks every command runs."""
     cfg = load_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be >= 1, got {args.limit}")
     kind = cfg.get("dataset", "synthetic-static")
@@ -134,7 +122,11 @@ def _load(args) -> tuple:
         ("--data", args.data is not None and kind != "cifar10")) if wasted]
     if unread:
         raise ConfigError(f"the {kind} dataset never reads {' or '.join(unread)}")
-    return cfg, model_config_from(cfg), seed
+    if "noise" in cfg:
+        check_noise(cfg["noise"])
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    train_cfg = TrainConfig(**{**{k: cfg[k] for k in _TRAIN_KEYS if k in cfg}, "seed": seed})
+    return cfg, model_config_from(cfg), train_cfg
 
 
 def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
@@ -161,15 +153,15 @@ def dataset_from(cfg: dict, args, model_cfg: ModelConfig, seed: int) -> Dataset:
 
 def _eval_setup(args, need_checkpoint=True) -> tuple:
     """(model in eval mode, its config, the dataset) for an inference command."""
-    cfg, model_cfg, seed = _load(args)
+    cfg, model_cfg, train_cfg = _load(args)
     if args.checkpoint:
         model = load_checkpoint(args.checkpoint, model_cfg)
     elif need_checkpoint:
         raise ConfigError("this command requires --checkpoint")
     else:
-        model = build(model_cfg, seed=seed)
+        model = build(model_cfg, seed=train_cfg.seed)
     model.eval()
-    return model, model_cfg, dataset_from(cfg, args, model_cfg, seed)
+    return model, model_cfg, dataset_from(cfg, args, model_cfg, train_cfg.seed)
 
 
 def _out_dir(args) -> str:
@@ -179,10 +171,9 @@ def _out_dir(args) -> str:
 
 
 def cmd_train(args) -> int:
-    cfg, model_cfg, seed = _load(args)
-    train_cfg = TrainConfig(**{**{k: cfg[k] for k in _TRAIN_KEYS if k in cfg}, "seed": seed})
-    dataset = dataset_from(cfg, args, model_cfg, seed)
-    model = build(model_cfg, seed=seed)
+    cfg, model_cfg, train_cfg = _load(args)
+    dataset = dataset_from(cfg, args, model_cfg, train_cfg.seed)
+    model = build(model_cfg, seed=train_cfg.seed)
     out = _out_dir(args)
     metrics = train(model, dataset, train_cfg, metrics_path=os.path.join(out, "metrics.csv"))
     save_checkpoint(model, os.path.join(out, "checkpoint.spkf"))

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import require_float32
+
 CIFAR_RECORD_BYTES = 3073  # 1 label byte + 3 * 32 * 32 pixels
 CIFAR_CLASSES = 10
 
@@ -72,8 +74,16 @@ def class_templates(classes: int, shape, seed: int) -> np.ndarray:
     return templates
 
 
+def check_noise(noise: float) -> None:
+    """``ValueError`` unless ``synth_static`` can apply ``noise``: >= 0, held by float32."""
+    if not noise >= 0:  # NaN fails too
+        raise ValueError(f"noise must be >= 0, got {noise}")
+    require_float32("noise", noise)
+
+
 def synth_static(classes: int, n: int, seed: int, shape=(3, 8, 8), noise: float = 0.05) -> Dataset:
     """Linearly separable static images: class template + gaussian noise."""
+    check_noise(noise)
     rng = np.random.default_rng(seed)
     templates = class_templates(classes, shape, seed=seed * 7919 + 13)
     y = rng.integers(0, classes, size=n)

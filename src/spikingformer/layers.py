@@ -22,6 +22,7 @@ from .tensor import Tensor, _channel_sum, _make, _records, conv2d, maxpool2d
 
 SPIKE_DRIVEN = "spike-driven"
 ADD = "add"
+RESIDUAL_STYLES = (SPIKE_DRIVEN, ADD)
 
 HEAD_AVGPOOL_FC = "avgpool-fc"
 HEAD_SN_AVGPOOL_FC = "sn-avgpool-fc"
@@ -298,6 +299,20 @@ class PatchEmbedUnit(Module):
         return x
 
 
+def tokenizer_widths(plan, embed_dim: int) -> list:
+    """Each unit's width for a plan of "spe"/"sped" units: doubling per unit up
+    to ``embed_dim``. ``ValueError`` for a plan it cannot build."""
+    if not plan:
+        raise ValueError("tokenizer_plan must name at least one unit")
+    for kind in plan:
+        if kind not in ("spe", "sped"):
+            raise ValueError(f"unknown tokenizer unit kind {kind!r} in tokenizer_plan {plan}")
+    k = len(plan) - 1
+    if embed_dim % 2 ** k:
+        raise ValueError(f"embed_dim {embed_dim} not divisible by 2^{k} for tokenizer_plan {plan}")
+    return [embed_dim // 2 ** (k - i) for i in range(k + 1)]
+
+
 class SpikingTokenizer(Module):
     """Input stage: a stack of SPE/SPED units plus a final D->D embedding unit.
 
@@ -309,15 +324,9 @@ class SpikingTokenizer(Module):
 
     def __init__(self, plan, in_channels, embed_dim, rng, lif: LIFParams, style: str):
         super().__init__()
-        n = len(plan)
-        if embed_dim % (2 ** (n - 1)):
-            raise ValueError(f"embed_dim {embed_dim} not divisible by 2^{n - 1} for plan {plan}")
-        widths = [embed_dim // 2 ** (n - 1 - i) for i in range(n)]
         self.units = []
         prev = in_channels
-        for i, (kind, width) in enumerate(zip(plan, widths)):
-            if kind not in ("spe", "sped"):
-                raise ValueError(f"unknown tokenizer unit kind {kind!r}")
+        for i, (kind, width) in enumerate(zip(plan, tokenizer_widths(plan, embed_dim))):
             self.units.append(
                 PatchEmbedUnit(prev, width, rng, lif, downsample=(kind == "sped"),
                                style=style, is_first=(i == 0))

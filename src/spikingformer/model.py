@@ -8,15 +8,16 @@ import numpy as np
 
 from . import audit
 from .layers import (
-    ADD,
     HEAD_AVGPOOL_FC,
     HEAD_VARIANTS,
+    RESIDUAL_STYLES,
     SPIKE_DRIVEN,
     SN,
     ClassificationHead,
     Module,
     SpikingTokenizer,
     SpikingTransformerBlock,
+    tokenizer_widths,
 )
 from .neuron import LIFParams
 from .tensor import Tensor, require_float32
@@ -46,22 +47,21 @@ class ModelConfig:
                     "in_channels", "image_size", "mlp_ratio"):
             if not np.min(getattr(self, key)) >= 1:  # both image_size dims
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.tokenizer_plan:
-            raise ValueError("tokenizer_plan must name at least one unit")
         if not self.scale > 0:  # NaN fails too
             raise ValueError(f"scale must be > 0, got {self.scale}")
+        require_float32("scale", self.scale)
+        self.lif  # LIFParams checks tau, v_threshold, v_reset and alpha
         if self.embed_dim % self.heads:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by heads {self.heads}")
-        if self.residual_style not in (SPIKE_DRIVEN, ADD):
-            raise ValueError(f"unknown residual style {self.residual_style!r}")
-        if self.head_variant not in HEAD_VARIANTS:
-            raise ValueError(f"unknown head variant {self.head_variant!r}")
+        for key, allowed in (("residual_style", RESIDUAL_STYLES), ("head_variant", HEAD_VARIANTS)):
+            value = getattr(self, key)
+            if value not in allowed:
+                raise ValueError(f"{key} must be one of {list(allowed)}, got {value!r}")
+        tokenizer_widths(self.tokenizer_plan, self.embed_dim)
         down = 2 ** sum(1 for k in self.tokenizer_plan if k == "sped")
         h, w = self.image_size
         if h % down or w % down:
-            raise ValueError(f"image size {self.image_size} not divisible by downsampling {down}")
-        for key in ("scale", "tau", "v_threshold", "v_reset", "alpha"):
-            require_float32(key, getattr(self, key))
+            raise ValueError(f"image_size {self.image_size} not divisible by downsampling {down}")
 
     @property
     def lif(self) -> LIFParams:

@@ -56,9 +56,9 @@ class LIFParams:
         if not self.tau >= 1.0:
             raise ValueError(f"tau must be >= 1, got {self.tau}")
         if not self.v_threshold > self.v_reset:
-            raise ValueError("v_threshold must exceed v_reset")
+            raise ValueError(f"v_threshold {self.v_threshold} must exceed v_reset {self.v_reset}")
         if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+            raise ValueError(f"alpha must be > 0, got {self.alpha}")
         for key in ("tau", "v_threshold", "v_reset", "alpha"):
             require_float32(key, getattr(self, key))
 

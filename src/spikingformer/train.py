@@ -33,14 +33,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.lr >= 0:  # NaN fails too
-            raise ValueError(f"lr must be >= 0, got {self.lr}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for key, least in (("lr", 0), ("weight_decay", 0), ("epochs", 1), ("batch_size", 1),
+                           ("seed", 0)):
+            if not getattr(self, key) >= least:  # NaN fails too
+                raise ValueError(f"{key} must be >= {least}, got {getattr(self, key)}")
         for key in ("lr", "weight_decay"):
             require_float32(key, getattr(self, key))
 

@@ -1,6 +1,8 @@
 """End-to-end CLI: every subcommand against a tiny synthetic config."""
 
+import dataclasses
 import json
+import re
 import warnings
 from dataclasses import fields
 
@@ -10,9 +12,11 @@ import pytest
 from spikingformer import cli
 from spikingformer.audit import KIND_FIRST
 from spikingformer.cli import ConfigError, main, model_config_from, validate_config
+from spikingformer.data import synth_static
 from spikingformer.energy import E_MAC, trace_model
 from spikingformer.layers import ADD, HEAD_SN_FC_AVGPOOL, HEAD_VARIANTS, SPIKE_DRIVEN
 from spikingformer.model import PRESETS, Model, ModelConfig, build
+from spikingformer.neuron import LIFParams
 from spikingformer.tensor import no_grad
 from spikingformer.train import TrainConfig, load_checkpoint, save_checkpoint
 
@@ -32,6 +36,29 @@ TINY_CFG = {
     "samples": 16,
     "seed": 0,
 }
+
+
+TINY_MODEL = model_config_from(TINY_CFG)
+COMMANDS = ("train", "eval", "audit", "energy", "fuse", "params")
+LIF_KEYS = ("tau", "v_threshold", "v_reset", "alpha")
+
+
+def _owners(key, value) -> list:
+    """Calls that construct, with ``value``, each type that owns config key
+    ``key``'s rule; the CLI owns its own keys' rules."""
+    if key in ("samples", "preset", "dataset"):
+        return [lambda: validate_config({key: value})]
+    if key == "noise":
+        return [lambda: synth_static(4, 1, seed=0, noise=value)]
+    if key in {f.name for f in fields(TrainConfig)}:
+        return [lambda: TrainConfig(**{key: value})]
+    field = {key: value}
+    if key in ("image_height", "image_width"):
+        field = {"image_size": (value, 8) if key == "image_height" else (8, value)}
+    elif key == "tokenizer_plan":
+        field = {key: tuple(value)}
+    owners = [lambda: dataclasses.replace(TINY_MODEL, **field)]
+    return owners + ([lambda: LIFParams(**{key: value})] if key in LIF_KEYS else [])
 
 
 @pytest.fixture
@@ -64,9 +91,16 @@ class TestConfigValidation:
     def test_int_promoted_to_float(self):
         assert validate_config({"lr": 1})["lr"] == 1.0
 
+    def test_int_no_float_holds_exits_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, lr=10 ** 400)))
+        assert main(["params", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: config key 'lr': no float holds that integer\n"
+
     def test_enum_values_checked(self):
-        with pytest.raises(ConfigError, match="one of"):
-            validate_config({"residual_style": "plain"})
+        with pytest.raises(ValueError, match="residual_style must be one of"):
+            dataclasses.replace(TINY_MODEL, residual_style="plain")
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -75,8 +109,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps"])
     @pytest.mark.parametrize("value", [0, -1])
     def test_non_positive_count_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key}.*>= 1"):
-            validate_config({key: value})
+        owner, = _owners(key, value)
+        with pytest.raises(ValueError, match=f"{key}.*>= 1"):
+            owner()
 
     @pytest.mark.parametrize("key", ["samples", "batch_size", "epochs", "timesteps", "blocks",
                                      "embed_dim", "heads", "num_classes", "in_channels",
@@ -137,8 +172,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("key", ["tau", "lr", "scale", "v_threshold"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_float_rejected(self, key, value):
-        with pytest.raises(ConfigError, match=f"{key}.*finite"):
-            validate_config({key: value})
+        for owner in _owners(key, value):
+            with pytest.raises(ValueError, match=f"^{key} .*must ") as info:
+                owner()
+            assert str(value) in str(info.value)
 
     @pytest.mark.parametrize("command", ["audit", "train"])
     @pytest.mark.parametrize("value,literal", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
@@ -165,8 +202,12 @@ class TestConfigValidation:
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
             assert main(["audit", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config key {key!r} must be finite")
+        assert captured.err.startswith(f"error: {key} must be finite")
         assert "float32" in captured.err and "verdict" not in captured.out
+        for owner in _owners(key, value):
+            with pytest.raises(ValueError) as info:
+                owner()
+            assert captured.err == f"error: {info.value}\n"
 
     @pytest.mark.parametrize("key,value", [
         ("v_reset", -3.4e38), ("v_threshold", 0.1), ("noise", 0.0), ("scale", 1e-45),
@@ -188,6 +229,45 @@ class TestConfigValidation:
         path.write_text("{not json")
         assert main(["params", "--config", str(path)]) == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+# one value per config key that every command refuses, and the field the
+# refusal names; the key's owner refuses it in-process with the same message
+_REFUSED = [
+    ("blocks", 0, "blocks"), ("embed_dim", 0, "embed_dim"), ("heads", 0, "heads"),
+    ("timesteps", 0, "timesteps"), ("num_classes", 0, "num_classes"),
+    ("in_channels", 0, "in_channels"), ("image_height", 0, "image_size"),
+    ("image_width", 6, "image_size"), ("scale", 1e-300, "scale"),
+    ("tokenizer_plan", ["spe", "pool"], "tokenizer_plan"), ("head_variant", "fc", "head_variant"),
+    ("residual_style", "plain", "residual_style"), ("mlp_ratio", 0, "mlp_ratio"),
+    ("tau", 0.5, "tau"), ("v_threshold", -0.5, "v_threshold"), ("v_reset", 1.0, "v_reset"),
+    ("alpha", float("nan"), "alpha"), ("epochs", 0, "epochs"), ("batch_size", -1, "batch_size"),
+    ("lr", 1e-300, "lr"), ("weight_decay", float("inf"), "weight_decay"), ("seed", -1, "seed"),
+    ("samples", 0, "samples"), ("noise", -0.1, "noise"), ("preset", "tiny", "preset"),
+    ("dataset", "mnist", "dataset"),
+]
+
+
+class TestRuleOwners:
+    def test_every_key_with_a_value_rule_has_a_case(self):
+        ruled = set(cli._SCHEMA) - {"data_path"}  # any string is a path to try
+        assert {key for key, _, _ in _REFUSED} == ruled
+
+    @pytest.mark.parametrize("key,value,named", _REFUSED, ids=[key for key, _, _ in _REFUSED])
+    def test_owner_and_every_command_refuse_alike(self, tmp_path, key, value, named, capsys):
+        messages = set()
+        for owner in _owners(key, value):
+            with pytest.raises(ValueError, match=named) as info:
+                owner()
+            messages.add(str(info.value))
+        message, = messages
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(TINY_CFG, **{key: value})))
+        for command in COMMANDS:
+            out = tmp_path / command
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2, command
+            assert capsys.readouterr().err == f"error: {message}\n", command
+            assert not out.exists()
 
 
 class TestTrainCommand:
@@ -634,7 +714,18 @@ def _built_configs(tmp_path, monkeypatch, cfg) -> dict:
 
 class TestConfigSchema:
     def test_schema_matches_the_reference(self):
-        assert cli._SCHEMA == _REFERENCE_SCHEMA
+        assert cli._SCHEMA == {key: kind for key, (kind, _) in _REFERENCE_SCHEMA.items()}
+        # the CLI checks its own keys' allowed values; ModelConfig checks its fields'
+        assert set(cli._ALLOWED) == {"preset", "dataset"}
+        for key, (_, allowed) in _REFERENCE_SCHEMA.items():
+            if key in cli._ALLOWED:
+                assert cli._ALLOWED[key] == allowed
+            elif allowed is not None:
+                for value in allowed:
+                    assert getattr(dataclasses.replace(TINY_MODEL, **{key: value}), key) == value
+                with pytest.raises(ValueError, match=re.escape(f"{key} must be one of "
+                                                               f"{list(allowed)}, got 'plain'")):
+                    dataclasses.replace(TINY_MODEL, **{key: "plain"})
 
     def test_key_tables_match_the_reference(self):
         assert tuple(cli._MODEL_KEYS) == _REFERENCE_MODEL_KEYS

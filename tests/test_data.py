@@ -1,5 +1,7 @@
 """Dataset loading and synthetic generators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,16 @@ class TestSyntheticStatic:
     def test_all_classes_present(self):
         ds = synth_static(4, 200, seed=0)
         assert set(np.unique(ds.y)) == {0, 1, 2, 3}
+
+    # NaN and negative noise once gave the noise-free images, and 1e300 an
+    # overflow warning and saturated ones
+    @pytest.mark.parametrize("noise,message", [
+        (float("nan"), "noise must be >= 0, got nan"), (-0.5, "noise must be >= 0, got -0.5"),
+        (1e300, "noise must be finite and, unless 0, nonzero in float32; got 1e+300"),
+    ], ids=["nan", "negative", "1e300"])
+    def test_noise_it_cannot_apply_is_refused(self, noise, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            synth_static(4, 8, seed=0, noise=noise)
 
 
 class TestSyntheticEvents:

@@ -6,6 +6,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spikingformer import layers, neuron
 from spikingformer import tensor as T
@@ -110,6 +112,51 @@ class TestConfigValidation:
     ])
     def test_float_float32_holds_is_kept(self, key, value):
         assert getattr(dataclasses.replace(TINY, **{key: value}), key) == value
+
+    # tiny configs: widths, heads, plans and image sizes drawn freely (their
+    # mixes include ones a model cannot run), then at most one other field
+    # set to a value it cannot run, the LIF values included
+    _SHAPES = {
+        "embed_dim": st.sampled_from([8, 4, 6, 12, 2]),
+        "heads": st.sampled_from([2, 1, 3, 4]),
+        "timesteps": st.sampled_from([2, 1]),
+        "num_classes": st.sampled_from([4, 1]),
+        "in_channels": st.sampled_from([3, 1]),
+        "image_size": st.tuples(*[st.sampled_from([8, 4, 2, 6, 1])] * 2),
+        "tokenizer_plan": st.lists(st.sampled_from(["spe", "sped"]), min_size=1,
+                                   max_size=3).map(tuple),
+        "head_variant": st.sampled_from(HEAD_VARIANTS),
+        "residual_style": st.sampled_from([SPIKE_DRIVEN, ADD]),
+        "tau": st.sampled_from([2.0, 1.0, 1.5]),
+        "v_threshold": st.sampled_from([1.0, 0.5]),
+        "v_reset": st.sampled_from([0.0, -0.5]),
+    }
+    _BAD = {
+        "timesteps": [0], "mlp_ratio": [0], "scale": [0.0, float("nan"), 1e-300],
+        "tokenizer_plan": [(), ("pool",), ("spe", "pool")],
+        "head_variant": ["fc"], "residual_style": ["plain"],
+        "tau": [0.5, float("nan"), float("inf"), 1e300], "v_threshold": [-0.5, 1e39],
+        "v_reset": [1.0, -1e39], "alpha": [0.0, float("nan"), 1e300],
+    }
+    _TINY_FIELDS = {f.name: getattr(TINY, f.name) for f in dataclasses.fields(TINY)}
+
+    @given(shape=st.fixed_dictionaries(_SHAPES),
+           bad=st.none() | st.sampled_from([(k, v) for k, vs in _BAD.items() for v in vs]))
+    @example(shape=_TINY_FIELDS, bad=("tau", 0.5))
+    @example(shape=dict(_TINY_FIELDS, v_threshold=0.5), bad=("v_reset", 1.0))
+    @example(shape=dict(_TINY_FIELDS, embed_dim=6, heads=3), bad=None)  # 3 units need 4 | 6
+    @example(shape=dict(_TINY_FIELDS, tokenizer_plan=("spe", "pool", "sped")), bad=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_a_config_that_constructs_builds_and_runs(self, shape, bad):
+        kwargs = dict(shape, blocks=1)
+        kwargs.update([bad] if bad else [])
+        try:
+            cfg = ModelConfig(**kwargs)
+        except ValueError:
+            return
+        with no_grad():
+            logits = build(cfg).forward(np.zeros((1, cfg.in_channels) + cfg.image_size))
+        assert logits.shape == (1, cfg.num_classes)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown preset"):

@@ -2,13 +2,14 @@
 exported function that is not an acceptance reference."""
 
 import ast
+import dataclasses
 import inspect
 import json
 import pathlib
 import sys
 
 import spikingformer
-from spikingformer import tensor
+from spikingformer import cli, tensor
 from spikingformer.cli import main
 
 # exported for the acceptance criteria, which compare the system against them;
@@ -81,7 +82,9 @@ def test_each_decision_has_one_owner():
     rebuild from a kept array (``callable``), and only ``tensor`` sums a
     map over its leading axes (``_channel_sum``: one GEMV);
     ``audit`` turns a site's counts into its rate, so ``energy`` reads no
-    event count; and only ``layers`` names a BN statistic. Attribute
+    event count; only ``layers`` names a BN statistic; and a config value's
+    rule is its type's, so ``cli`` never names ``require_float32`` and its
+    minimum and allowed-value tables hold only its own keys. Attribute
     accesses, calls and constants are read, docstrings are not."""
     breaches = []
     for path in sorted(pathlib.Path(spikingformer.__file__).parent.glob("*.py")):
@@ -104,6 +107,14 @@ def test_each_decision_has_one_owner():
                   and "running_mean" in node.value and id(node) not in docstrings
                   and path.name != "layers.py"):
                 breaches.append(f"{where}: {node.value!r}")
+            if path.name == "cli.py" and "require_float32" in (
+                    getattr(node, "id", None), getattr(node, "attr", None),
+                    getattr(node, "name", None)):  # a Name, an Attribute or an import alias
+                breaches.append(f"{where}: require_float32")
+    fields = {f.name for cls in (spikingformer.ModelConfig, spikingformer.TrainConfig,
+                                 spikingformer.LIFParams) for f in dataclasses.fields(cls)}
+    breaches += [f"cli.py: {key} in a rule table" for key in fields
+                 if key in cli._MINIMUM or key in cli._ALLOWED]
     assert not breaches, breaches
     assert not hasattr(tensor, "_offer") and not hasattr(tensor, "_passed_on")
 

@@ -251,6 +251,10 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{field} must be >= 1"):
             dataclasses.replace(FAST, **{field: 0})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            dataclasses.replace(FAST, seed=-1)
+
     @pytest.mark.parametrize("lr", [-1e-3, float("nan")])
     def test_invalid_lr_rejected(self, lr):
         with pytest.raises(ValueError, match="lr must be >= 0"):
